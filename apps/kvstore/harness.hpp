@@ -1,8 +1,8 @@
 // One-call kvstore run: build a World for a given manager / lb policy /
 // fault plan, serve a full ClientGen arrival stream through a KvServer,
 // and report the SLO outcome. Shared by bench_kvstore (the sweep),
-// determinism_probe (thread-count invariance) and the unit tests, so
-// all three measure exactly the same workload.
+// determinism_probe (the trace hash) and the unit tests, so all three
+// measure exactly the same workload.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,6 @@ namespace nvgas::apps::kv {
 struct KvRunConfig {
   gas::GasMode mode = gas::GasMode::kAgasNet;
   int nodes = 8;
-  int threads = 0;  // 0 = classic engine, >= 1 = sharded
   lb::PolicyKind policy = lb::PolicyKind::kNone;
   bool lossy = false;  // arm the lossy wire-fault plan
   KvParams kv;

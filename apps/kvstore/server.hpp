@@ -18,7 +18,7 @@
 //
 // TTL expiry: entries with a TTL are registered at the bucket's HOME
 // node (a static property of the address, so arm/cancel messages from
-// any owner serialize on one lane), which arms a cancellable engine
+// any owner serialize at one node), which arms a cancellable engine
 // timer per live (bucket, key). Overwrites and deletes cancel the
 // timer; firing issues a version-guarded internal DEL through the
 // normal GAS path, so a concurrent re-PUT is never clobbered.
@@ -118,13 +118,26 @@ class KvServer {
     std::uint32_t ver = 0;
   };
 
-  // Per-node server state, touched only from that node's lane.
+  // Lexicographic byte order, the same order as std::vector's
+  // operator<. Spelled out over memcmp because GCC 12 at -O3 mis-bounds
+  // the inlined std::lexicographical_compare_three_way (a spurious
+  // -Wstringop-overread).
+  struct KeyLess {
+    bool operator()(const std::vector<std::byte>& a,
+                    const std::vector<std::byte>& b) const {
+      const std::size_t n = std::min(a.size(), b.size());
+      const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+      return c != 0 ? c < 0 : a.size() < b.size();
+    }
+  };
+
+  // Per-node server state.
   struct NodeState {
     Metrics metrics;
     std::map<std::uint32_t, BucketLock> locks;
     // TTL registry for keys whose bucket is homed here, keyed by the
     // owned key bytes (deterministic lexicographic order).
-    std::map<std::vector<std::byte>, TtlEntry> ttl;
+    std::map<std::vector<std::byte>, TtlEntry, KeyLess> ttl;
   };
 
   [[nodiscard]] NodeState& state_of(int node) {

@@ -119,7 +119,7 @@ struct SloReport {
   double slo_retention = 1.0;
 };
 
-// One per edge node (lane-confined); merged host-side after the run.
+// One per edge node; merged host-side after the run.
 class SloTracker {
  public:
   SloTracker(sim::Time window_ns, sim::Time slo_target_ns)

@@ -5,14 +5,6 @@
 // series: updates/second per manager as nodes grow. The structural
 // prediction: AGAS-SW's directory traffic hits home CPUs and falls
 // behind; AGAS-NET stays near PGAS at every scale.
-// With --threads=1,2,4,8 it instead sweeps the conservative-parallel
-// engine: the same workload per node count at each host thread count,
-// reporting host events/sec, speedup vs the threads=1 serial baseline
-// and whether the trace hash matched serial. The result lands as a
-// "gups_threads_scaling" section spliced into BENCH_engine.json.
-#include <chrono>
-#include <thread>
-
 #include "common.hpp"
 
 namespace nvgas::bench {
@@ -21,17 +13,11 @@ namespace {
 constexpr std::uint32_t kBlockSize = 4096;
 constexpr std::uint64_t kWindow = 16;
 
-struct GupsResult {
-  double updates_per_sec = 0;  // simulated-time update rate
-  double eps = 0;              // host wall-clock engine events/sec
-  std::uint64_t hash = 0;      // engine trace hash (determinism flag)
-};
-
-GupsResult gups(GasMode mode, int nodes, std::uint64_t updates_per_rank,
-                std::size_t sw_cache_capacity, int threads = 0) {
+// Simulated-time update rate.
+double gups(GasMode mode, int nodes, std::uint64_t updates_per_rank,
+            std::size_t sw_cache_capacity) {
   Config cfg = Config::with_nodes(nodes, mode);
   cfg.machine.mem_bytes_per_node = 16u << 20;
-  cfg.machine.threads = threads;
   cfg.gas_costs.sw_cache_capacity = sw_cache_capacity;
   World world(cfg);
 
@@ -41,7 +27,6 @@ GupsResult gups(GasMode mode, int nodes, std::uint64_t updates_per_rank,
       static_cast<std::uint64_t>(nblocks) * kBlockSize / 8;
 
   Gva table;
-  const auto t0 = std::chrono::steady_clock::now();
   world.run_spmd([&](Context& ctx) -> Fiber {
     if (ctx.rank() == 0) table = alloc_cyclic(ctx, nblocks, kBlockSize);
     co_await world.coll().barrier(ctx);
@@ -61,50 +46,8 @@ GupsResult gups(GasMode mode, int nodes, std::uint64_t updates_per_rank,
     co_await world.coll().barrier(ctx);
   });
 
-  const double host_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   const double secs = static_cast<double>(world.now()) / 1e9;
-  return {static_cast<double>(updates_per_rank) * nodes / secs,
-          static_cast<double>(world.engine().events_executed()) / host_secs,
-          world.engine().trace_hash()};
-}
-
-// Splice a "gups_threads_scaling" section into an existing
-// BENCH_engine.json (or write a standalone object when absent), so both
-// engine-level and full-stack scaling rows live in one tracked file.
-void write_threads_json(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* in = std::fopen(path.c_str(), "r")) {
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof buf, in)) > 0) {
-      existing.append(buf, got);
-    }
-    std::fclose(in);
-  }
-  std::string out;
-  const auto old_section = existing.find("  \"gups_threads_scaling\":");
-  const auto close = existing.rfind('}');
-  if (old_section != std::string::npos) {
-    // Replace the previous section (it is always last in the object).
-    out = existing.substr(0, old_section) + section + "\n}\n";
-  } else if (close != std::string::npos) {
-    std::string head = existing.substr(0, close);
-    while (!head.empty() && (head.back() == '\n' || head.back() == ' ')) {
-      head.pop_back();
-    }
-    out = head + ",\n" + section + "\n}\n";
-  } else {
-    out = "{\n" + section + "\n}\n";
-  }
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-  }
+  return static_cast<double>(updates_per_rank) * nodes / secs;
 }
 
 }  // namespace
@@ -118,67 +61,6 @@ int main(int argc, char** argv) {
   // it at scale, exactly the regime where directories melt.
   const std::size_t sw_cache = opt.get_uint("sw-cache", 1024);
 
-  if (opt.has("threads")) {
-    // Host-thread scaling sweep on the conservative-parallel engine.
-    if (!nvgas::sim::Engine::kParallelEnabled) {
-      std::printf("bench_gups: built with NVGAS_PARALLEL=OFF; "
-                  "--threads sweep unavailable\n");
-      return 0;
-    }
-    const auto threads = opt.get_uint_list("threads", {1, 2, 4, 8});
-    const auto node_counts = opt.get_uint_list("nodes", {8, 32});
-    const nvgas::GasMode mode = parse_mode(opt.get("mode", "agas-net"));
-    const std::string json = opt.get("json", "BENCH_engine.json");
-    const unsigned host_cores = std::thread::hardware_concurrency();
-
-    print_header("R-F3/threads", "GUPS host-thread scaling (sharded engine)");
-    nvgas::util::Table t("host events/sec vs threads");
-    t.columns({"nodes", "threads", "events/s", "vs-serial", "hash"});
-    std::string rows;
-    char line[256];
-    bool first = true;
-    bool all_ok = true;
-    for (const auto n : node_counts) {
-      const int nodes = static_cast<int>(n);
-      const GupsResult serial = gups(mode, nodes, updates, sw_cache, 1);
-      for (const auto th : threads) {
-        const int tc = static_cast<int>(th);
-        const GupsResult r =
-            tc == 1 ? serial : gups(mode, nodes, updates, sw_cache, tc);
-        const bool hash_ok = r.hash == serial.hash;
-        t.cell(n)
-            .cell(th)
-            .cell(nvgas::util::format_rate(r.eps))
-            .cell(r.eps / serial.eps, 3)
-            .cell(hash_ok ? "ok" : "DIFF")
-            .end_row();
-        std::snprintf(line, sizeof line,
-                      "%s    {\"nodes\": %d, \"threads\": %d, "
-                      "\"events_per_sec\": %.0f, \"speedup_vs_serial\": %.3f, "
-                      "\"hash_match\": %s}",
-                      first ? "" : ",\n", nodes, tc, r.eps, r.eps / serial.eps,
-                      hash_ok ? "true" : "false");
-        rows += line;
-        first = false;
-        all_ok = all_ok && hash_ok;
-      }
-    }
-    t.print(std::cout);
-    char head[160];
-    std::snprintf(head, sizeof head,
-                  "  \"gups_threads_scaling\": {\"mode\": \"%s\", "
-                  "\"host_cores\": %u, \"rows\": [\n",
-                  mode_name(mode), host_cores);
-    write_threads_json(json, std::string(head) + rows + "\n  ]}");
-    if (!all_ok) {
-      std::fprintf(stderr,
-                   "bench_gups: sharded trace hash diverged from the "
-                   "threads=1 baseline\n");
-      return 1;
-    }
-    return 0;
-  }
-
   const auto node_counts = opt.get_uint_list("nodes", {2, 4, 8, 16, 32});
   print_header("R-F3", "random-access throughput vs nodes (weak scaling)");
 
@@ -186,12 +68,9 @@ int main(int argc, char** argv) {
   t.columns({"nodes", "pgas", "agas-sw", "agas-net", "net/pgas", "net/sw"});
   for (const auto n : node_counts) {
     const int nodes = static_cast<int>(n);
-    const double p =
-        gups(nvgas::GasMode::kPgas, nodes, updates, sw_cache).updates_per_sec;
-    const double s =
-        gups(nvgas::GasMode::kAgasSw, nodes, updates, sw_cache).updates_per_sec;
-    const double net =
-        gups(nvgas::GasMode::kAgasNet, nodes, updates, sw_cache).updates_per_sec;
+    const double p = gups(nvgas::GasMode::kPgas, nodes, updates, sw_cache);
+    const double s = gups(nvgas::GasMode::kAgasSw, nodes, updates, sw_cache);
+    const double net = gups(nvgas::GasMode::kAgasNet, nodes, updates, sw_cache);
     t.cell(n)
         .cell(nvgas::util::format_rate(p))
         .cell(nvgas::util::format_rate(s))

@@ -130,7 +130,8 @@ int main() {
     t.cell(name)
         .cell(nvgas::util::format_ns(p.total_ns))
         .cell(p.total_ns >= pgas.total_ns
-                  ? "+" + nvgas::util::format_ns(p.total_ns - pgas.total_ns)
+                  ? std::string("+").append(
+                        nvgas::util::format_ns(p.total_ns - pgas.total_ns))
                   : "-")
         .cell(p.messages)
         .cell(p.cpu_tasks_home)

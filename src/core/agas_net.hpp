@@ -156,9 +156,7 @@ class AgasNet final : public gas::GasBase {
                         net::OnDone done);
 
   // Home-side migration state, partitioned by home node: every access
-  // is keyed by a block whose home coordinates it, so under the sharded
-  // engine each HomeState is touched only from its home's lane (a
-  // single shared map would race on rehash across lanes).
+  // is keyed by a block whose home coordinates it.
   struct HomeState {
     // simlint:allow(D1: keyed find/erase only, never iterated)
     std::unordered_map<std::uint64_t, Migration> migrations;

@@ -4,7 +4,6 @@ namespace nvgas::gas {
 
 bool BlockStore::try_allocate(std::size_t bytes, sim::Lva* out) {
   NVGAS_CHECK(bytes > 0);
-  NVGAS_SHARD_GUARD_MEMBER("block store free lists");
   std::lock_guard<std::mutex> lock(mu_);
   const unsigned cls = size_class(bytes);
   auto& list = free_lists_[cls];
@@ -23,7 +22,6 @@ bool BlockStore::try_allocate(std::size_t bytes, sim::Lva* out) {
 }
 
 void BlockStore::release(sim::Lva lva, std::size_t bytes) {
-  NVGAS_SHARD_GUARD_MEMBER("block store free lists");
   std::lock_guard<std::mutex> lock(mu_);
   const unsigned cls = size_class(bytes);
   const std::size_t size = 1ULL << cls;

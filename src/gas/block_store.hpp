@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "sim/memory.hpp"
-#include "sim/shardsan.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 
@@ -23,12 +22,6 @@ class BlockStore {
  public:
   explicit BlockStore(std::size_t segment_bytes)
       : segment_bytes_(segment_bytes) {}
-
-  // ShardSan owner tag: bound to the store's node by GlobalHeap. The
-  // sanctioned cross-lane paths (alloc-time home reservation, free_alloc
-  // teardown) open NVGAS_SHARD_CROSS scopes matching the mutex rationale
-  // below; everything else must run on the owning lane.
-  NVGAS_SHARD_OWNER_DECL;
 
   // Allocate `bytes` (rounded up to a power of two, min 64). Aborts on
   // exhaustion only if `nofail`; otherwise returns false.
@@ -59,12 +52,10 @@ class BlockStore {
     return util::ceil_log2(rounded);
   }
 
-  // A node's store is usually touched from its own lane, but a creator
-  // reserves homes on every node at alloc time and a migration releases
-  // at the source while allocating at the destination — both cross-lane
-  // under the sharded engine, so the free lists are mutex-guarded. The
-  // returned Lva values are never hashed or timed, so lock-order
-  // nondeterminism here cannot leak into traces.
+  // A creator reserves homes on every node at alloc time and a migration
+  // releases at the source while allocating at the destination, so the
+  // free lists are mutex-guarded. The returned Lva values are never
+  // hashed or timed, so lock order cannot leak into traces.
   mutable std::mutex mu_;
   std::size_t segment_bytes_;
   std::size_t bump_ = 0;

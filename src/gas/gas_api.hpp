@@ -152,34 +152,9 @@ class GasBase {
 
   // Report one data-path access to the attached AccessObserver (no-op
   // when none). Classifies local vs remote against the authoritative
-  // current owner; purely observational, charges nothing. Sharded
-  // engine: the authoritative owner record lives on the block's home
-  // lane, so the classification rides a post() there (the observer is
-  // then responsible for hopping on to whichever lane owns ITS state —
-  // lb::Balancer routes to its coordinator). Classic engine: inline,
-  // byte-identical to previous builds.
+  // current owner; purely observational, charges nothing.
   void note_access(int node, Gva addr) const {
     if (access_observer_ == nullptr) return;
-    auto& engine = fabric_->engine();
-    // Adopted (quiesced setup/teardown) contexts classify inline like
-    // host context: every lane's state is safely readable, and a posted
-    // hop would carry the idle lane clock, time-travelling ahead of the
-    // alloc-time directory inserts.
-    if (engine.sharded() && engine.on_shard_context() &&
-        !engine.on_adopted_context()) {
-      const auto home = static_cast<std::uint32_t>(heap_->home_of(addr));
-      engine.post(home, engine.now(), [this, node, addr] {
-        // The block may have been freed while the hop was in flight;
-        // a freed key carries no heat.
-        if (access_observer_ == nullptr || !heap_->contains(addr)) return;
-        classify_access(node, addr);
-      });
-      return;
-    }
-    classify_access(node, addr);
-  }
-
-  void classify_access(int node, Gva addr) const {
     if (owner_of(addr.block_base()).first == node) {
       access_observer_->on_local_access(node, addr.block_key());
     } else {
@@ -195,12 +170,6 @@ class GasBase {
   // current {owner, lva} so the base can release the backing store. The
   // default (PGAS) has no dynamic state: placement is the initial one.
   virtual std::pair<int, sim::Lva> drop_block_state(Gva block_base);
-
-  // The free_alloc teardown loop (drop every block's state, release its
-  // backing store, fire the free hooks, release the metadata). Runs
-  // inline on the classic engine; as an Engine::at_global barrier event
-  // on the sharded one.
-  void release_blocks(const AllocMeta& meta);
 
   // Local (owner == issuer) data-path helpers shared by all managers.
   void local_put(sim::TaskCtx& task, int node, sim::Lva lva,

@@ -8,11 +8,6 @@ GlobalHeap::GlobalHeap(sim::Fabric& fabric) : fabric_(&fabric) {
   for (int n = 0; n < fabric.nodes(); ++n) {
     stores_.push_back(
         std::make_unique<BlockStore>(fabric.params().mem_bytes_per_node));
-    NVGAS_SHARD_BIND(*stores_.back(), n, &fabric.engine());
-  }
-  if (fabric.engine().sharded()) {
-    // protolint:allow(P4: one counter per engine lane for the ShardSan audit pass, host diagnostics only)
-    alloc_counts_.assign(static_cast<std::size_t>(fabric.nodes()), 0);
   }
 }
 
@@ -24,33 +19,20 @@ Gva GlobalHeap::alloc(Dist dist, int creator, std::uint32_t nblocks,
 
   std::lock_guard<std::mutex> lock(mu_);
   AllocMeta meta;
-  if (!alloc_counts_.empty()) {
-    // Partitioned ids: the k-th allocation by `creator` always gets the
-    // same id regardless of how lanes interleave across host threads.
-    const std::uint64_t k = alloc_counts_[static_cast<std::size_t>(creator)]++;
-    const std::uint64_t id =
-        k * static_cast<std::uint64_t>(fabric_->nodes()) +
-        static_cast<std::uint64_t>(creator) + 1;
-    NVGAS_CHECK_MSG(id <= Gva::kMaxAllocs, "allocation ids exhausted");
-    meta.id = static_cast<std::uint32_t>(id);
-  } else {
-    NVGAS_CHECK_MSG(next_alloc_id_ <= Gva::kMaxAllocs,
-                    "allocation ids exhausted");
-    meta.id = next_alloc_id_++;
-  }
+  NVGAS_CHECK_MSG(next_alloc_id_ <= Gva::kMaxAllocs,
+                  "allocation ids exhausted");
+  meta.id = next_alloc_id_++;
   meta.dist = dist;
   meta.creator = creator;
   meta.nblocks = nblocks;
   meta.block_size = block_size;
 
   const Gva base = Gva::make(dist, creator, meta.id, 0, 0);
-  // The creator reserves backing store on every home rank — the
-  // alloc-time cross-lane exception in BlockStore's locking contract.
-  NVGAS_SHARD_CROSS("alloc-time home reservation (BlockStore contract)");
+  // The creator reserves backing store on every home rank.
   for (std::uint32_t b = 0; b < nblocks; ++b) {
     const Gva block = Gva::make(dist, creator, meta.id, b, 0);
     const int home = block.home(fabric_->nodes());
-    initial_[block.block_key()] = store(home).allocate(block_size);  // simlint:allow(D8: alloc-time home reservation under NVGAS_SHARD_CROSS — BlockStore locking contract)
+    initial_[block.block_key()] = store(home).allocate(block_size);
   }
   metas_.emplace(meta.id, meta);
   return base;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "gas/gas_api.hpp"
-#include "sim/shardsan.hpp"
 
 namespace nvgas::lb {
 
@@ -36,10 +35,6 @@ struct BlockHeat {
 class HeatMap final : public gas::AccessObserver {
  public:
   explicit HeatMap(int ranks) : ranks_(ranks) {}
-
-  // ShardSan owner tag: bound to the balancer coordinator's lane (all
-  // heat state lives there); unbound for standalone unit-test use.
-  NVGAS_SHARD_OWNER_DECL;
 
   // --- gas::AccessObserver -------------------------------------------------
   void on_local_access(int node, std::uint64_t block_key) override {

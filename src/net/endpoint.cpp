@@ -36,7 +36,7 @@ void Endpoint::put(Time depart, int dst, Lva dst_lva,
                              data = std::move(data),
                              on_complete = std::move(on_complete),
                              on_remote = std::move(on_remote)]() mutable {
-          f.mem(dst).write(dst_lva, data);  // simlint:allow(D8: delivery continuation — reliability hands this frame off on dst's own lane)
+          f.mem(dst).write(dst_lva, data);
           if (on_remote) on_remote(done);  // remote completion ledger
           if (on_complete) {
             const auto ack_bytes = std::uint64_t{16};
@@ -70,7 +70,7 @@ void Endpoint::get(Time depart, int dst, Lva src_lva, std::size_t len,
         // simlint:allow(D5: &f is the Fabric, which owns and outlives the engine)
         f.engine().at(done, [&f, rel, cfg, dst, src, src_lva, len, done,
                              on_data = std::move(on_data)]() mutable {
-          std::vector<std::byte> payload = f.mem(dst).read_vec(src_lva, len);  // simlint:allow(D8: delivery continuation — the get request was delivered on dst's own lane)
+          std::vector<std::byte> payload = f.mem(dst).read_vec(src_lva, len);
           channel_send(
               f, rel, dst, src, done, cfg.rma_header_bytes + len,
               [&f, src, on_data = std::move(on_data),
@@ -141,7 +141,7 @@ void Endpoint::compare_swap(Time depart, int dst, Lva lva,
 void Endpoint::deliver_parcel_to_cpu(Time at, int src, util::Buffer payload) {
   NVGAS_CHECK_MSG(handler_ != nullptr, "parcel arrived with no handler set");
   auto& f = *fabric_;
-  f.cpu(node_).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+  f.cpu(node_).submit_at(
       at, [this, &f, src, payload = std::move(payload)](sim::TaskCtx& ctx) mutable {
         ctx.charge(f.params().cpu_recv_overhead_ns);
         handler_(ctx, src, std::move(payload));
@@ -199,7 +199,7 @@ void Endpoint::send_parcel(Time depart, int dst, util::Buffer payload,
       [&f, cfg, target, self, src, stage_id, payload_size,
        on_delivered = std::move(on_delivered)](Time arrived) mutable {
         // Target CPU handles the RTS: post the pull.
-        f.cpu(target->node_).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+        f.cpu(target->node_).submit_at(
             arrived, [&f, cfg, target, self, src, stage_id, payload_size,
                       on_delivered = std::move(on_delivered)](
                          sim::TaskCtx& ctx) mutable {
@@ -219,7 +219,7 @@ void Endpoint::send_parcel(Time depart, int dst, util::Buffer payload,
                     self->staged_.erase(it);
                     const Time cost = f.params().nic_dma_ns +
                                       f.params().copy_time(staged_payload.size());
-                    const Time done = f.nic(self->node_).occupy_command_processor(  // simlint:allow(D8: self-indexed — the rendezvous source charges its own NIC command processor)
+                    const Time done = f.nic(self->node_).occupy_command_processor(
                         at_src, cost);
                     if (on_delivered) on_delivered(done);
                     // simlint:allow(D5: &f is the Fabric, which owns and outlives the engine)

@@ -44,7 +44,6 @@ void Reliability::send(sim::Time depart, int dst, std::uint64_t bytes,
                        sim::Nic::Deliver deliver) {
   NVGAS_CHECK_MSG(dst != node_,
                   "loopback frames never enter the reliability channel");
-  NVGAS_SHARD_GUARD("reliability tx window", node_, &fabric_->engine());
   TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
   const std::uint64_t seq = ch.next_seq++;
   const std::int32_t idx = alloc_slot();
@@ -60,7 +59,6 @@ void Reliability::send(sim::Time depart, int dst, std::uint64_t bytes,
 }
 
 void Reliability::send_frame(sim::Time depart, int dst, std::uint64_t seq) {
-  NVGAS_SHARD_GUARD("reliability tx window", node_, &fabric_->engine());
   TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
   const auto it = ch.unacked.find(seq);
   NVGAS_CHECK_MSG(it != ch.unacked.end(), "framing a retired seq");
@@ -80,15 +78,12 @@ void Reliability::send_frame(sim::Time depart, int dst, std::uint64_t seq) {
   // duplication); the payload closure stays in the window slot.
   Reliability* peer = &group_->at(dst);
   const int src = node_;
-  fabric_->nic(node_).send(  // simlint:allow(D8: self-indexed — the sender's own NIC; Nic::send is the sanctioned injection point)
+  fabric_->nic(node_).send(
       depart, dst, cfg_.rel_header_bytes + s.bytes,
       [peer, src, seq, piggy](sim::Time t) { peer->on_data(t, src, seq, piggy); });
 }
 
 void Reliability::arm_rto(sim::Time ref, int dst, std::uint64_t seq) {
-  // The retransmit timer must live on this (sender) node's lane: it
-  // mutates the window slot when it fires.
-  NVGAS_SHARD_GUARD("reliability rto timer", node_, &fabric_->engine());
   TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
   const auto it = ch.unacked.find(seq);
   NVGAS_CHECK_MSG(it != ch.unacked.end(), "arming RTO for a retired seq");
@@ -98,7 +93,6 @@ void Reliability::arm_rto(sim::Time ref, int dst, std::uint64_t seq) {
 }
 
 void Reliability::on_rto(int dst, std::uint64_t seq) {
-  NVGAS_SHARD_GUARD("reliability rto timer", node_, &fabric_->engine());
   TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
   const auto it = ch.unacked.find(seq);
   // Retirement cancels the timer, so a fired RTO always finds its slot.
@@ -116,7 +110,6 @@ void Reliability::on_rto(int dst, std::uint64_t seq) {
 
 void Reliability::on_data(sim::Time t, int src, std::uint64_t seq,
                           std::uint64_t acked) {
-  NVGAS_SHARD_GUARD("reliability rx channel", node_, &fabric_->engine());
   process_ack(src, acked);
   RxChannel& rx = rx_[static_cast<std::size_t>(src)];
   if (seq <= rx.floor || rx.buffered.count(seq) != 0) {
@@ -139,7 +132,7 @@ void Reliability::on_data(sim::Time t, int src, std::uint64_t seq,
     // a reverse frame that cancels it and piggybacks instead.
     schedule_ack(t, src);
     for (std::uint64_t s = old_floor + 1; s <= new_floor; ++s) {
-      group_->at(src).consume_payload(t, node_, s);
+      group_->at(src).deliver_payload(t, node_, s);
     }
   } else {
     rx.buffered.insert(seq);
@@ -154,11 +147,6 @@ void Reliability::on_ack(sim::Time /*t*/, int src, std::uint64_t acked) {
 void Reliability::deliver_payload(sim::Time t, int dst, std::uint64_t seq) {
   sim::Nic::Deliver payload;
   {
-    // Classic-mode equivalent of consume_payload's hop 1: the window slot
-    // belongs to this (sender) node's lane even though the accept that
-    // called us ran at the receiver.
-    NVGAS_SHARD_HOP(&fabric_->engine(), node_);
-    NVGAS_SHARD_GUARD("reliability tx window", node_, &fabric_->engine());
     TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
     const auto it = ch.unacked.find(seq);
     NVGAS_CHECK_MSG(it != ch.unacked.end(),
@@ -170,38 +158,10 @@ void Reliability::deliver_payload(sim::Time t, int dst, std::uint64_t seq) {
     // grow slots_, invalidating `s`. Nothing touches the slot afterwards.
     payload = std::move(s.payload);
   }
-  // The payload acts on the consumer's state, so it runs in the caller's
-  // (receiver's) attribution — mirroring consume_payload's hop 2.
   payload(t);
 }
 
-void Reliability::consume_payload(sim::Time t, int consumer, std::uint64_t seq) {
-  auto& engine = fabric_->engine();
-  if (!engine.sharded()) {
-    deliver_payload(t, consumer, seq);
-    return;
-  }
-  // Hop 1: consume on the sender's own lane (this object's node).
-  engine.post(static_cast<std::uint32_t>(node_), t, [this, consumer, seq] {
-    TxChannel& ch = tx_[static_cast<std::size_t>(consumer)];
-    const auto it = ch.unacked.find(seq);
-    NVGAS_CHECK_MSG(it != ch.unacked.end(),
-                    "payload consumed for a retired seq");
-    TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
-    NVGAS_CHECK_MSG(!s.delivered, "payload consumed twice");
-    s.delivered = true;
-    // Hop 2: run the upper-layer delivery back on the consumer's lane,
-    // at that lane's then-current time.
-    auto& e = fabric_->engine();
-    e.post(static_cast<std::uint32_t>(consumer), e.now(),
-           [f = fabric_, payload = std::move(s.payload)]() mutable {
-             payload(f->engine().now());
-           });
-  });
-}
-
 void Reliability::process_ack(int dst, std::uint64_t acked) {
-  NVGAS_SHARD_GUARD("reliability tx window", node_, &fabric_->engine());
   TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
   while (!ch.unacked.empty()) {
     const auto it = ch.unacked.begin();
@@ -220,7 +180,6 @@ void Reliability::process_ack(int dst, std::uint64_t acked) {
 }
 
 void Reliability::schedule_ack(sim::Time t, int src) {
-  NVGAS_SHARD_GUARD("reliability ack timer", node_, &fabric_->engine());
   RxChannel& rx = rx_[static_cast<std::size_t>(src)];
   if (rx.ack_armed) return;
   rx.ack_armed = true;
@@ -240,7 +199,7 @@ void Reliability::send_pure_ack(sim::Time t, int dst) {
   Reliability* peer = &group_->at(dst);
   const int src = node_;
   const std::uint64_t acked = rx_[static_cast<std::size_t>(dst)].floor;
-  fabric_->nic(node_).send(  // simlint:allow(D8: self-indexed — the sender's own NIC; Nic::send is the sanctioned injection point)
+  fabric_->nic(node_).send(
       t, dst, cfg_.rel_header_bytes,
       [peer, src, acked](sim::Time at) { peer->on_ack(at, src, acked); });
 }
@@ -250,14 +209,6 @@ std::uint64_t Reliability::unacked() const {
   for (const auto& ch : tx_) n += ch.unacked.size();
   return n;
 }
-
-#if NVGAS_SHARDSAN
-void Reliability::shardsan_rearm_oldest_rto(int dst) {
-  TxChannel& ch = tx_.at(static_cast<std::size_t>(dst));
-  NVGAS_CHECK_MSG(!ch.unacked.empty(), "no unacked slot to re-arm");
-  arm_rto(fabric_->engine().now(), dst, ch.unacked.begin()->first);
-}
-#endif
 
 #ifdef NVGAS_SIMSAN
 void Reliability::simsan_double_cancel_rto(int dst) {
@@ -281,7 +232,7 @@ void channel_send(sim::Fabric& fabric, ReliabilityGroup* rel, int from,
                   int dst, sim::Time depart, std::uint64_t bytes,
                   sim::Nic::Deliver fn) {
   if (from == dst || fabric.faults() == nullptr) {
-    fabric.nic(from).send(depart, dst, bytes, std::move(fn));  // simlint:allow(D8: self-indexed — the sender's own NIC; Nic::send is the sanctioned injection point)
+    fabric.nic(from).send(depart, dst, bytes, std::move(fn));
     return;
   }
   NVGAS_CHECK_MSG(

@@ -72,16 +72,16 @@ class Runtime {
   // --- fiber scheduling internals ----------------------------------------
   void resume_fiber_at(int node, Fiber::Handle h, sim::Time not_before);
   // The TaskCtx currently executing on `node` (null outside a task
-  // segment). Per-node so concurrent shards never share a slot.
+  // segment).
   [[nodiscard]] sim::TaskCtx* current_task(int node) const {
     return states_.at(static_cast<std::size_t>(node)).current;
   }
 
   // Closure-retention handshake with Fiber::promise_type (internal; see
   // the promise docs in fiber.hpp). unique_ptr keeps each std::function at
-  // a stable address across map growth; reclamation is deferred to an
-  // engine event on the fiber's own lane so a synchronously completing
-  // fiber never destroys the closure it is running in.
+  // a stable address across map growth; reclamation is deferred to a
+  // later engine event so a synchronously completing fiber never
+  // destroys the closure it is running in.
   std::uint64_t take_pending_spawn_slot(int node) {
     auto& st = states_.at(static_cast<std::size_t>(node));
     const auto slot = st.pending_spawn_slot;
@@ -92,7 +92,6 @@ class Runtime {
 
   // Spawned fibers that have not yet completed. Zero after a full drain
   // means every spawned fiber ran to completion (deadlock detector).
-  // Host-context only: sums per-node state across all lanes.
   [[nodiscard]] std::size_t live_fibers() const {
     std::size_t n = 0;
     for (const NodeState& st : states_) n += st.spawned.size();
@@ -108,17 +107,12 @@ class Runtime {
   }
   void dispatch(int node, sim::TaskCtx& tctx, int src, util::Buffer payload);
 
-  // True when the caller is executing on a shard other than `node`'s:
-  // the operation must hop to `node`'s lane via Engine::post before it
-  // may touch that node's state. Always false on the classic engine.
-  [[nodiscard]] bool needs_route(int node) const;
-
   struct NodeState {
     std::unique_ptr<Context> ctx;
     // simlint:allow(D1: keyed by LCO id, find/erase only, never iterated)
     std::unordered_map<std::uint64_t, LcoBase*> lcos;
     std::uint64_t next_lco_id = 1;
-    // Fiber machinery, touched only from this node's lane.
+    // Fiber machinery.
     sim::TaskCtx* current = nullptr;
     // simlint:allow(D1: keyed by spawn slot, find/erase only, never iterated)
     std::unordered_map<std::uint64_t,
@@ -138,8 +132,7 @@ class Runtime {
 };
 
 // Install `task` as the current TaskCtx of its node for the duration of
-// a scope (the node comes from the task's CPU, so the slot is always the
-// one the executing lane owns).
+// a scope (the node comes from the task's CPU).
 class CurrentTaskScope {
  public:
   CurrentTaskScope(Runtime& rt, sim::TaskCtx& task);

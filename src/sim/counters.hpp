@@ -77,51 +77,6 @@ struct Counters {
 
   void reset() { *this = Counters{}; }
 
-  // Field-wise accumulation, used by the sharded engine's quiesce-time
-  // aggregation (Fabric::counters_total sums per-shard blocks in shard-id
-  // order). Every counter is a sum, so totals are thread-count-invariant.
-  void add(const Counters& o) {
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    messages_delivered += o.messages_delivered;
-    bytes_delivered += o.bytes_delivered;
-    cpu_tasks += o.cpu_tasks;
-    cpu_busy_ns += o.cpu_busy_ns;
-    rma_puts += o.rma_puts;
-    rma_gets += o.rma_gets;
-    rma_atomics += o.rma_atomics;
-    parcels_sent += o.parcels_sent;
-    parcels_eager += o.parcels_eager;
-    parcels_rendezvous += o.parcels_rendezvous;
-    nic_tlb_hits += o.nic_tlb_hits;
-    nic_tlb_misses += o.nic_tlb_misses;
-    nic_forwards += o.nic_forwards;
-    nic_tlb_updates += o.nic_tlb_updates;
-    sw_cache_hits += o.sw_cache_hits;
-    sw_cache_misses += o.sw_cache_misses;
-    sw_cache_invalidations += o.sw_cache_invalidations;
-    directory_lookups += o.directory_lookups;
-    directory_nacks += o.directory_nacks;
-    gas_memputs += o.gas_memputs;
-    gas_memgets += o.gas_memgets;
-    gas_atomics += o.gas_atomics;
-    migrations += o.migrations;
-    migration_bytes += o.migration_bytes;
-    faults_injected_drops += o.faults_injected_drops;
-    faults_dropped_bytes += o.faults_dropped_bytes;
-    faults_injected_dups += o.faults_injected_dups;
-    faults_dup_bytes += o.faults_dup_bytes;
-    faults_injected_delays += o.faults_injected_delays;
-    net_retransmits += o.net_retransmits;
-    net_dup_discards += o.net_dup_discards;
-    net_acks += o.net_acks;
-    lb_epochs += o.lb_epochs;
-    lb_migrations += o.lb_migrations;
-    lb_rejected_cost += o.lb_rejected_cost;
-    lb_throttled += o.lb_throttled;
-    lb_bounced += o.lb_bounced;
-  }
-
   // Stable name→value view for reporting and for test snapshots.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> items() const {
     return {

@@ -70,14 +70,6 @@ class Cpu {
   void pump();
   std::size_t earliest_worker() const;
 
-  // The engine lane this CPU's events belong to: its node's shard in
-  // sharded mode, the single lane otherwise. All Cpu methods must run on
-  // this lane (at_shard asserts it); cross-node submissions are the
-  // caller's job to route (Engine::post).
-  [[nodiscard]] std::uint32_t lane() const {
-    return engine_.sharded() ? static_cast<std::uint32_t>(node_) : 0u;
-  }
-
   // Parking pool for submit_at: the task waits here so the engine
   // callback captures only {this, slot} and stays inside the
   // Engine::Callback inline buffer (no heap allocation per deferral).

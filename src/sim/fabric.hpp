@@ -32,13 +32,7 @@ class Fabric {
   // arrival time through the Explorer (which may delay it) and every
   // delivery is folded into the Explorer's order hash. Null in normal
   // runs; the Explorer is owned by the mcheck harness, not the Fabric.
-  // The Explorer is single-queue machinery: it requires the classic
-  // engine (mcheck never runs sharded; see DESIGN.md §Parallel engine).
-  void set_explorer(Explorer* explorer) {
-    NVGAS_CHECK_MSG(explorer == nullptr || !engine_.sharded(),
-                    "mcheck/Explorer requires the classic engine (threads=0)");
-    explorer_ = explorer;
-  }
+  void set_explorer(Explorer* explorer) { explorer_ = explorer; }
   [[nodiscard]] Explorer* explorer() const { return explorer_; }
 
   // Wire-fault injection: when set, every non-loopback Nic::send asks
@@ -52,25 +46,9 @@ class Fabric {
   [[nodiscard]] const MachineParams& params() const { return params_; }
   [[nodiscard]] int nodes() const { return params_.nodes; }
 
-  // The current execution context's counter block. Classic engine: the
-  // single global block (all nodes share it, exactly as before). Sharded
-  // engine: one block per shard, selected by the executing lane, so
-  // counting never crosses shards; totals come from counters_total().
-  [[nodiscard]] Counters& counters() {
-    return counters_[engine_.current_shard(0)];
-  }
-  [[nodiscard]] const Counters& counters() const {
-    return counters_[engine_.current_shard(0)];
-  }
-
-  // Deterministic quiesce-time aggregate: per-shard blocks summed in
-  // shard-id order. Every counter is a sum, so the result is invariant
-  // under the host thread count. Classic engine: equals counters().
-  [[nodiscard]] Counters counters_total() const {
-    Counters total;
-    for (const Counters& c : counters_) total.add(c);
-    return total;
-  }
+  // The machine-wide counter block, shared by every node.
+  [[nodiscard]] Counters& counters() { return counters_; }
+  [[nodiscard]] const Counters& counters() const { return counters_; }
 
   [[nodiscard]] Trace& trace() { return trace_; }
 
@@ -87,14 +65,7 @@ class Fabric {
     Time l = topology_.latency(src, dst, params_.wire_latency_ns,
                                params_.per_hop_latency_ns);
     if (params_.wire_jitter_ns > 0) {
-      // Sharded engine: one jitter stream per source node, drawn only
-      // from that node's lane, so draws never race and the per-source
-      // sequences are thread-count-invariant. Classic engine keeps the
-      // single global stream (byte-identical to before).
-      util::Rng& rng = jitter_rngs_.empty()
-                           ? jitter_rng_
-                           : jitter_rngs_[static_cast<std::size_t>(src)];
-      l += rng.below(params_.wire_jitter_ns);
+      l += jitter_rng_.below(params_.wire_jitter_ns);
     }
     return l;
   }
@@ -113,13 +84,9 @@ class Fabric {
   FaultInjector* faults_ = nullptr;
   Topology topology_;
   Engine engine_;
-  // One block per engine shard (exactly one for the classic engine);
-  // sized once in the constructor so references handed to Cpus stay
-  // stable. See counters()/counters_total().
-  std::vector<Counters> counters_;
+  Counters counters_;
   Trace trace_;
   util::Rng jitter_rng_;
-  std::vector<util::Rng> jitter_rngs_;  // per-source streams, sharded only
   std::vector<Node> nodes_;
 };
 

@@ -79,13 +79,6 @@ class Nic {
   // Called on the destination NIC when the message hits its rx port.
   void arrive(std::int32_t idx, Time at_port);
   void deliver_parked(std::int32_t idx, Time done);
-  // Sharded-engine receive: runs on this NIC's own lane (via a cross-
-  // shard post from the sender), parks the message locally and schedules
-  // the exact per-copy arrival times. `arrive1` is meaningful only when
-  // copies == 2 (fault duplication).
-  void receive_remote(int src, std::uint64_t bytes, Deliver deliver,
-                      std::uint64_t inj, std::uint8_t copies, Time arrive0,
-                      Time arrive1);
 
   Fabric* fabric_;
   int node_;

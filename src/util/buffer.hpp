@@ -5,6 +5,7 @@
 // strict-aliasing-clean).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -136,12 +137,18 @@ class Buffer {
   [[nodiscard]] Reader reader() const { return Reader(*this); }
 
  private:
-  // resize+memcpy (rather than iterator-range insert) keeps GCC 12's
-  // -Wstringop-overflow false positive out of every includer at -O2.
+  // Explicit reserve (libstdc++'s own doubling) + resize + memcpy: GCC 12
+  // mis-tracks the reallocation inside a growing resize or an
+  // iterator-range insert and reports spurious -Wstringop-overflow /
+  // -Warray-bounds at -O2 and -O3.
   void grow_copy(const std::byte* src, std::size_t n) {
+    if (n == 0) return;
     const std::size_t old = data_.size();
+    if (old + n > data_.capacity()) {
+      data_.reserve(std::max(old + n, 2 * old));
+    }
     data_.resize(old + n);
-    if (n != 0) std::memcpy(data_.data() + old, src, n);
+    std::memcpy(data_.data() + old, src, n);
   }
 
   std::vector<std::byte> data_;

@@ -3,8 +3,33 @@
 #include <cstdlib>
 
 #include "util/assert.hpp"
+#include "util/format.hpp"
 
 namespace nvgas::util {
+
+namespace {
+
+// Parse all of `text` with a strto* function; an empty value or trailing
+// garbage is a fatal error naming the flag, not a silent zero.
+template <typename T, typename Parse>
+T parse_number(const std::string& key, const std::string& text, Parse parse) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  const T v = parse(begin, &end);
+  if (text.empty() || end != begin + text.size()) {
+    const std::string msg =
+        format("--%s=%s is not a number", key.c_str(), text.c_str());
+    panic(__FILE__, __LINE__, msg.c_str());
+  }
+  return v;
+}
+
+std::uint64_t to_uint(const std::string& key, const std::string& text) {
+  return parse_number<std::uint64_t>(
+      key, text, [](const char* b, char** e) { return std::strtoull(b, e, 0); });
+}
+
+}  // namespace
 
 Options::Options(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -33,19 +58,23 @@ std::string Options::get(const std::string& key, const std::string& def) const {
 std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 0);
+  return parse_number<std::int64_t>(
+      key, it->second,
+      [](const char* b, char** e) { return std::strtoll(b, e, 0); });
 }
 
 std::uint64_t Options::get_uint(const std::string& key, std::uint64_t def) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
-  return std::strtoull(it->second.c_str(), nullptr, 0);
+  return to_uint(key, it->second);
 }
 
 double Options::get_double(const std::string& key, double def) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_number<double>(key, it->second, [](const char* b, char** e) {
+    return std::strtod(b, e);
+  });
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {
@@ -64,7 +93,7 @@ std::vector<std::uint64_t> Options::get_uint_list(
   while (pos < s.size()) {
     auto comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtoull(s.substr(pos, comma - pos).c_str(), nullptr, 0));
+    out.push_back(to_uint(key, s.substr(pos, comma - pos)));
     pos = comma + 1;
   }
   NVGAS_CHECK_MSG(!out.empty(), "empty list option");

@@ -1,7 +1,9 @@
 // Tiny CLI option parser for bench/example binaries.
 //
 // Accepts "--key=value" and "--flag" arguments; everything else is a
-// positional. Typed getters with defaults keep call sites one line.
+// positional. Typed getters with defaults keep call sites one line; a
+// numeric getter aborts, naming the flag, when the value is empty or not
+// entirely a number.
 #pragma once
 
 #include <cstdint>

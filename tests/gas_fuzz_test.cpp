@@ -4,7 +4,9 @@
 // with migrations injected throughout.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <type_traits>
 
 #include "core/nvgas.hpp"
 #include "gas/invariants.hpp"
@@ -13,9 +15,15 @@ namespace nvgas {
 namespace {
 
 struct FuzzParam {
+  FuzzParam(GasMode m, std::uint64_t s) : mode(m), seed(s) {}
   GasMode mode;
+  // gtest prints a parameter that has no operator<< as a byte dump, and
+  // gtest_discover_tests copies that dump into the ctest name. Explicit
+  // zeroed padding keeps the name identical from build to build.
+  std::uint8_t pad[7] = {};
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<FuzzParam>);
 
 std::string fuzz_name(const ::testing::TestParamInfo<FuzzParam>& info) {
   const char* mode = info.param.mode == GasMode::kPgas     ? "pgas"

@@ -4,9 +4,11 @@
 // managers, since the server is mode-agnostic by construction.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/nvgas.hpp"
@@ -62,9 +64,15 @@ struct TestClient {
 };
 
 struct ModeParam {
+  ModeParam(GasMode m, int n) : mode(m), nodes(n) {}
   GasMode mode;
+  // gtest prints a parameter that has no operator<< as a byte dump, and
+  // gtest_discover_tests copies that dump into the ctest name. Explicit
+  // zeroed padding keeps the name identical from build to build.
+  std::uint8_t pad[3] = {};
   int nodes;
 };
+static_assert(std::has_unique_object_representations_v<ModeParam>);
 
 std::string param_name(const ::testing::TestParamInfo<ModeParam>& info) {
   const char* mode = info.param.mode == GasMode::kPgas     ? "pgas"
@@ -331,11 +339,10 @@ INSTANTIATE_TEST_SUITE_P(Modes, KvStoreTest,
 
 // --- full-workload determinism ---------------------------------------
 
-KvRunConfig small_run(GasMode mode, int threads) {
+KvRunConfig small_run(GasMode mode) {
   KvRunConfig rc;
   rc.mode = mode;
   rc.nodes = 4;
-  rc.threads = threads;
   rc.policy = lb::PolicyKind::kHysteresis;
   rc.kv.buckets = 32;
   rc.client.keyspace = 512;
@@ -348,8 +355,8 @@ KvRunConfig small_run(GasMode mode, int threads) {
 }
 
 TEST(KvWorkloadTest, RepeatRunsAreHashIdentical) {
-  const KvRunResult a = run_kv(small_run(GasMode::kAgasNet, 0));
-  const KvRunResult b = run_kv(small_run(GasMode::kAgasNet, 0));
+  const KvRunResult a = run_kv(small_run(GasMode::kAgasNet));
+  const KvRunResult b = run_kv(small_run(GasMode::kAgasNet));
   EXPECT_GT(a.issued, 100u);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.completed, b.completed);
@@ -358,7 +365,7 @@ TEST(KvWorkloadTest, RepeatRunsAreHashIdentical) {
 }
 
 TEST(KvWorkloadTest, EveryIssuedRequestIsAnsweredExactlyOnce) {
-  const KvRunResult r = run_kv(small_run(GasMode::kAgasSw, 0));
+  const KvRunResult r = run_kv(small_run(GasMode::kAgasSw));
   EXPECT_GT(r.issued, 100u);
   EXPECT_EQ(r.completed, r.issued);
   EXPECT_EQ(r.torn, 0u);
@@ -368,19 +375,8 @@ TEST(KvWorkloadTest, EveryIssuedRequestIsAnsweredExactlyOnce) {
   EXPECT_LE(r.slo.get.p99, r.slo.get.p999);
 }
 
-#if NVGAS_PARALLEL
-TEST(KvWorkloadTest, TraceHashIsThreadCountInvariant) {
-  if (!sim::Engine::kParallelEnabled) GTEST_SKIP();
-  const KvRunResult t1 = run_kv(small_run(GasMode::kAgasNet, 1));
-  const KvRunResult t4 = run_kv(small_run(GasMode::kAgasNet, 4));
-  EXPECT_EQ(t1.trace_hash, t4.trace_hash);
-  EXPECT_EQ(t1.completed, t4.completed);
-  EXPECT_EQ(t1.sim_ns, t4.sim_ns);
-}
-#endif
-
 TEST(KvWorkloadTest, LossyWireStillAnswersEverything) {
-  KvRunConfig rc = small_run(GasMode::kAgasNet, 0);
+  KvRunConfig rc = small_run(GasMode::kAgasNet);
   rc.lossy = true;
   const KvRunResult r = run_kv(rc);
   EXPECT_GT(r.issued, 100u);

@@ -11,7 +11,9 @@
 // byte-identical across equivalent configurations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "core/nvgas.hpp"
@@ -27,9 +29,15 @@ constexpr std::uint64_t kMaxEvents = 5'000'000;
 enum class FaultKind { kDrop1, kDrop10, kDup5, kDelayReorder, kBrownout };
 
 struct FaultParam {
+  FaultParam(FaultKind k, GasMode m) : kind(k), mode(m) {}
   FaultKind kind;
   GasMode mode;
+  // gtest prints a parameter that has no operator<< as a byte dump, and
+  // gtest_discover_tests copies that dump into the ctest name. Explicit
+  // zeroed padding keeps the name identical from build to build.
+  std::uint8_t pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<FaultParam>);
 
 sim::FaultPlan make_plan(FaultKind kind) {
   sim::FaultPlan plan;

@@ -79,6 +79,19 @@ TEST(Options, HexIntegers) {
   EXPECT_EQ(opt.get_uint("addr", 0), 0xffu);
 }
 
+TEST(Options, MalformedNumbersAreFatal) {
+  const char* argv[] = {"prog", "--nodes=abc", "--rate=", "--sizes=8,x",
+                        "--seed=12z", "--verbose"};
+  Options opt(6, argv);
+  EXPECT_DEATH((void)opt.get_uint("nodes", 8), "--nodes=abc is not a number");
+  EXPECT_DEATH((void)opt.get_double("rate", 1.0), "--rate= is not a number");
+  EXPECT_DEATH((void)opt.get_uint_list("sizes", {}),
+               "--sizes=x is not a number");
+  EXPECT_DEATH((void)opt.get_int("seed", 0), "--seed=12z is not a number");
+  EXPECT_DEATH((void)opt.get_int("verbose", 0),
+               "--verbose=true is not a number");
+}
+
 TEST(Table, AlignsColumns) {
   Table t("demo");
   t.columns({"name", "value"});

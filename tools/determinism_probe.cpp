@@ -11,13 +11,11 @@
 //   determinism_probe [--seed=N]        print one line per scenario hash
 //   determinism_probe --self-check      run every scenario twice in-process
 //                                       and exit 1 on any hash mismatch
-//   determinism_probe --parallel        run every World scenario on the
-//                                       sharded engine at 2/4/8 host
-//                                       threads and exit 1 if any trace
-//                                       hash differs from the threads=1
-//                                       serial baseline (ctest
-//                                       `determinism_parallel`; requires
-//                                       -DNVGAS_PARALLEL=ON)
+//
+// tools/determinism_golden.txt holds the expected `--seed=1` output; the
+// ctest `determinism_golden` diffs against it, so any change to the
+// simulated model shows up as a failing test (update the file in the
+// same change that deliberately alters the model).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -56,59 +54,12 @@ std::uint64_t engine_wheel_hash(std::uint64_t seed) {
   return e.trace_hash();
 }
 
-// Scenario A': the sharded engine without any World on top — eight lanes
-// exchanging randomized cross-lane hops through post(). Exercises the
-// safe-window advance, mailbox drain order and per-lane hash folding in
-// isolation, so an engine-level determinism bug shows up here even when
-// the full-stack scenarios mask it.
-constexpr std::uint64_t splitmix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-struct Hopper {
-  nvgas::sim::Engine* e;
-  std::uint32_t lanes;
-  // All chain state travels by value inside the closures: lanes share
-  // nothing, so the trace is a pure function of (seed, schedule).
-  void hop(std::uint32_t lane, std::uint64_t rng, Time t, int depth) {
-    if (depth == 0) return;
-    const std::uint64_t r = splitmix(rng);
-    // Hop to a lane other than our own, so every link stays exercised.
-    const std::uint32_t dst =
-        (lane + 1 + static_cast<std::uint32_t>(r % (lanes - 1))) % lanes;
-    const Time nt = t + 1 + ((r >> 32) % 2048);
-    if (r % 5 == 0) e->after(r % 128, [] {});  // same-lane filler event
-    e->post(dst, nt,
-            [this, dst, r, nt, depth] { hop(dst, r, nt, depth - 1); });
-  }
-};
-
-std::uint64_t engine_shards_hash(std::uint64_t seed, int threads) {
-  nvgas::sim::Engine e;
-  constexpr std::uint32_t kLanes = 8;
-  e.configure_shards(kLanes, /*lookahead=*/500, threads < 1 ? 1 : threads);
-  Hopper h{&e, kLanes};
-  for (std::uint32_t k = 0; k < kLanes; ++k) {
-    const std::uint64_t r0 = seed ^ (0x9e3779b97f4a7c15ULL * (k + 1));
-    e.at_shard(k, k + 1, [&h, k, r0] { h.hop(k, r0, k + 1, 64); });
-  }
-  e.run();
-  return e.trace_hash();
-}
-
 // Scenario B: a full World integration pass — allocation, one-sided
 // puts/gets, atomics, migration, spanning I/O — on one GAS mode.
-// `threads` > 0 runs the identical program on the conservative-parallel
-// sharded engine; 0 keeps the classic single-queue engine.
 std::uint64_t world_hash(nvgas::GasMode mode, std::uint64_t seed,
-                         const nvgas::sim::FaultPlan& faults = {},
-                         int threads = 0) {
+                         const nvgas::sim::FaultPlan& faults = {}) {
   nvgas::Config cfg = nvgas::Config::with_nodes(8, mode);
   cfg.seed = seed;
-  cfg.machine.threads = threads;
   cfg.faults = faults;  // empty plan: injector never built, trace untouched
   nvgas::World world(cfg);
   world.run_spmd([&world](nvgas::Context& ctx) -> nvgas::Fiber {
@@ -147,10 +98,9 @@ std::uint64_t world_hash(nvgas::GasMode mode, std::uint64_t seed,
 // the migrations they issue all land in the trace hash, so any
 // nondeterminism in heat bookkeeping or plan ordering flips the hash.
 std::uint64_t world_lb_hash(nvgas::GasMode mode, nvgas::lb::PolicyKind policy,
-                            std::uint64_t seed, int threads = 0) {
+                            std::uint64_t seed) {
   nvgas::Config cfg = nvgas::Config::with_nodes(8, mode);
   cfg.seed = seed;
-  cfg.machine.threads = threads;
   cfg.lb.policy = policy;
   cfg.lb.epoch_ns = 20'000;
   cfg.lb.decay_shift = 1;
@@ -213,48 +163,38 @@ nvgas::sim::FaultPlan probe_dupdelay_plan() {
 
 struct Scenario {
   const char* name;
-  // `threads` == 0 runs the classic engine; > 0 the sharded one.
-  std::uint64_t (*run)(std::uint64_t seed, int threads);
-  // Participates in --parallel (i.e. the scenario honors `threads`).
-  bool parallel;
+  std::uint64_t (*run)(std::uint64_t seed);
 };
 
-std::uint64_t wheel(std::uint64_t s, int) { return engine_wheel_hash(s); }
-std::uint64_t world_pgas(std::uint64_t s, int t) {
-  return world_hash(nvgas::GasMode::kPgas, s, {}, t);
-}
-std::uint64_t world_sw(std::uint64_t s, int t) {
-  return world_hash(nvgas::GasMode::kAgasSw, s, {}, t);
-}
-std::uint64_t world_net(std::uint64_t s, int t) {
-  return world_hash(nvgas::GasMode::kAgasNet, s, {}, t);
+template <nvgas::GasMode Mode>
+std::uint64_t world(std::uint64_t s) {
+  return world_hash(Mode, s);
 }
 
 template <nvgas::GasMode Mode, nvgas::lb::PolicyKind Policy>
-std::uint64_t world_lb(std::uint64_t s, int t) {
-  return world_lb_hash(Mode, Policy, s, t);
+std::uint64_t world_lb(std::uint64_t s) {
+  return world_lb_hash(Mode, Policy, s);
 }
 
 template <nvgas::GasMode Mode>
-std::uint64_t world_faults_drop(std::uint64_t s, int t) {
-  return world_hash(Mode, s, probe_drop_plan(), t);
+std::uint64_t world_faults_drop(std::uint64_t s) {
+  return world_hash(Mode, s, probe_drop_plan());
 }
 
 template <nvgas::GasMode Mode>
-std::uint64_t world_faults_dupdelay(std::uint64_t s, int t) {
-  return world_hash(Mode, s, probe_dupdelay_plan(), t);
+std::uint64_t world_faults_dupdelay(std::uint64_t s) {
+  return world_hash(Mode, s, probe_dupdelay_plan());
 }
 
 // Scenario E: the kvstore application end-to-end — Zipf-skewed open-loop
 // client traffic, per-bucket locking, TTL timers, hot-set rotation with
 // the hysteresis balancer responding. The densest timer/parcel workload
-// in the tree, so it is the best canary for lane-ordering bugs.
+// in the tree, so it is the best canary for event-ordering bugs.
 template <nvgas::GasMode Mode>
-std::uint64_t kv_hash(std::uint64_t seed, int threads) {
+std::uint64_t kv_hash(std::uint64_t seed) {
   nvgas::apps::kv::KvRunConfig rc;
   rc.mode = Mode;
   rc.nodes = 8;
-  rc.threads = threads;
   rc.policy = nvgas::lb::PolicyKind::kHysteresis;
   rc.kv.buckets = 32;
   rc.client.keyspace = 256;
@@ -267,71 +207,34 @@ std::uint64_t kv_hash(std::uint64_t seed, int threads) {
 }
 
 constexpr Scenario kScenarios[] = {
-    {"engine_wheel", wheel, false},
-    {"engine_shards", engine_shards_hash, true},
-    {"world_pgas", world_pgas, true},
-    {"world_agas_sw", world_sw, true},
-    {"world_agas_net", world_net, true},
+    {"engine_wheel", engine_wheel_hash},
+    {"world_pgas", world<nvgas::GasMode::kPgas>},
+    {"world_agas_sw", world<nvgas::GasMode::kAgasSw>},
+    {"world_agas_net", world<nvgas::GasMode::kAgasNet>},
     {"lb_pgas_greedy",
-     world_lb<nvgas::GasMode::kPgas, nvgas::lb::PolicyKind::kGreedy>, true},
+     world_lb<nvgas::GasMode::kPgas, nvgas::lb::PolicyKind::kGreedy>},
     {"lb_pgas_hyst",
-     world_lb<nvgas::GasMode::kPgas, nvgas::lb::PolicyKind::kHysteresis>, true},
+     world_lb<nvgas::GasMode::kPgas, nvgas::lb::PolicyKind::kHysteresis>},
     {"lb_agas_sw_greedy",
-     world_lb<nvgas::GasMode::kAgasSw, nvgas::lb::PolicyKind::kGreedy>, true},
+     world_lb<nvgas::GasMode::kAgasSw, nvgas::lb::PolicyKind::kGreedy>},
     {"lb_agas_sw_hyst",
-     world_lb<nvgas::GasMode::kAgasSw, nvgas::lb::PolicyKind::kHysteresis>,
-     true},
+     world_lb<nvgas::GasMode::kAgasSw, nvgas::lb::PolicyKind::kHysteresis>},
     {"lb_agas_net_greedy",
-     world_lb<nvgas::GasMode::kAgasNet, nvgas::lb::PolicyKind::kGreedy>, true},
+     world_lb<nvgas::GasMode::kAgasNet, nvgas::lb::PolicyKind::kGreedy>},
     {"lb_agas_net_hyst",
-     world_lb<nvgas::GasMode::kAgasNet, nvgas::lb::PolicyKind::kHysteresis>,
-     true},
-    {"faults_pgas_drop", world_faults_drop<nvgas::GasMode::kPgas>, true},
-    {"faults_agas_sw_drop", world_faults_drop<nvgas::GasMode::kAgasSw>, true},
-    {"faults_agas_net_drop", world_faults_drop<nvgas::GasMode::kAgasNet>, true},
-    {"faults_pgas_dupdelay", world_faults_dupdelay<nvgas::GasMode::kPgas>,
-     true},
-    {"faults_agas_sw_dupdelay", world_faults_dupdelay<nvgas::GasMode::kAgasSw>,
-     true},
+     world_lb<nvgas::GasMode::kAgasNet, nvgas::lb::PolicyKind::kHysteresis>},
+    {"faults_pgas_drop", world_faults_drop<nvgas::GasMode::kPgas>},
+    {"faults_agas_sw_drop", world_faults_drop<nvgas::GasMode::kAgasSw>},
+    {"faults_agas_net_drop", world_faults_drop<nvgas::GasMode::kAgasNet>},
+    {"faults_pgas_dupdelay", world_faults_dupdelay<nvgas::GasMode::kPgas>},
+    {"faults_agas_sw_dupdelay",
+     world_faults_dupdelay<nvgas::GasMode::kAgasSw>},
     {"faults_agas_net_dupdelay",
-     world_faults_dupdelay<nvgas::GasMode::kAgasNet>, true},
-    {"kvstore_pgas", kv_hash<nvgas::GasMode::kPgas>, true},
-    {"kvstore_agas_sw", kv_hash<nvgas::GasMode::kAgasSw>, true},
-    {"kvstore_agas_net", kv_hash<nvgas::GasMode::kAgasNet>, true},
+     world_faults_dupdelay<nvgas::GasMode::kAgasNet>},
+    {"kvstore_pgas", kv_hash<nvgas::GasMode::kPgas>},
+    {"kvstore_agas_sw", kv_hash<nvgas::GasMode::kAgasSw>},
+    {"kvstore_agas_net", kv_hash<nvgas::GasMode::kAgasNet>},
 };
-
-// --parallel: every World scenario at 2/4/8 host threads must reproduce
-// the threads=1 serial-sharded baseline hash byte-for-byte. (threads=1
-// vs the classic engine intentionally differ: sharding gives each lane
-// its own sequence space; the invariant is thread-count independence.)
-int run_parallel(std::uint64_t seed) {
-  if (!nvgas::sim::Engine::kParallelEnabled) {
-    std::printf("determinism_probe: built with NVGAS_PARALLEL=OFF; "
-                "parallel scenarios skipped\n");
-    return 0;
-  }
-  int failures = 0;
-  for (const Scenario& s : kScenarios) {
-    if (!s.parallel) continue;
-    const std::uint64_t base = s.run(seed, 1);
-    bool ok = true;
-    for (const int t : {2, 4, 8}) {
-      const std::uint64_t h = s.run(seed, t);
-      if (h != base) {
-        ok = false;
-        std::fprintf(stderr,
-                     "determinism_probe: %s threads=%d hash 0x%016llx != "
-                     "serial 0x%016llx\n",
-                     s.name, t, static_cast<unsigned long long>(h),
-                     static_cast<unsigned long long>(base));
-        ++failures;
-      }
-    }
-    std::printf("%-24s %s (0x%016llx @ 1/2/4/8 threads)\n", s.name,
-                ok ? "ok" : "MISMATCH", static_cast<unsigned long long>(base));
-  }
-  return failures == 0 ? 0 : 1;
-}
 
 }  // namespace
 
@@ -339,24 +242,15 @@ int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(opt.get_int("seed", 0x5eed));
   bool self_check = false;
-  bool parallel = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--self-check") == 0) self_check = true;
-    if (std::strcmp(argv[i], "--parallel") == 0) parallel = true;
   }
-  if (parallel) return run_parallel(seed);
 
   int failures = 0;
   for (const Scenario& s : kScenarios) {
-    // The sharded-engine scenario needs the parallel build even at one
-    // thread; every other scenario runs the classic engine here.
-    if (s.run == engine_shards_hash && !nvgas::sim::Engine::kParallelEnabled) {
-      continue;
-    }
-    const int threads = s.run == engine_shards_hash ? 1 : 0;
-    const std::uint64_t h1 = s.run(seed, threads);
+    const std::uint64_t h1 = s.run(seed);
     if (self_check) {
-      const std::uint64_t h2 = s.run(seed, threads);
+      const std::uint64_t h2 = s.run(seed);
       const bool ok = h1 == h2;
       std::printf("%-16s %s (0x%016llx%s)\n", s.name, ok ? "ok" : "MISMATCH",
                   static_cast<unsigned long long>(h1),

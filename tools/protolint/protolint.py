@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """protolint — whole-program protocol-flow lint for nvgas.
 
-simlint (D1-D8) checks line-level determinism/lifetime discipline;
+simlint (D1-D6) checks line-level determinism/lifetime discipline;
 protolint checks the *protocol graph*: it parses the scanned tree into
 registration sites (`X_ = register_action<...>(reg, "name", fn)` and
 `X_ = <registry>.add("name", fn)`), send/invoke edges (`c.send(dst, X_,

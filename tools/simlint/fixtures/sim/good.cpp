@@ -53,50 +53,3 @@ void good_captures(FakeEngine& engine, GoodState& st) {
   struct Wire { std::uint64_t wire_time(std::uint64_t) { return 0; } } w;
   (void)w.wire_time(0);
 }
-
-// --- D7: static-storage constructs that must stay quiet -----------------
-
-// Immutable statics in every spelling: fine.
-static const int kTableSize = 64;
-static constexpr std::uint64_t kMagic = 0x5eedULL;
-inline constexpr int kInlineLimit = 8;
-
-struct D7Quiet {
-  static constexpr bool kEnabled = true;
-  // Static member *functions* are not state.
-  static int lookup(int key);
-  // Annotated host-thread context (the engine's own tl_* idiom).
-  // simlint:allow(D7: host-thread execution context, never shared across shards)
-  static thread_local int tl_depth;
-};
-
-// A static function definition at namespace scope: not state either.
-static int d7_helper() { return D7Quiet::lookup(kTableSize); }
-
-int consume_d7() { return d7_helper() + kInlineLimit + static_cast<int>(kMagic); }
-
-// --- D8: node-accessor constructs that must stay quiet ------------------
-
-struct D8Nic {
-  void enqueue(int k);
-};
-
-struct D8Fabric {
-  D8Nic& nic(int node);
-  D8Nic& nic();  // argless overload: receiver is implicitly local
-  int nodes() const;
-};
-
-void d8_quiet(D8Fabric& fabric, int self) {
-  // Argless accessor: nothing node-indexed about the receiver.
-  fabric.nic().enqueue(1);
-  // Accessor result bound, not dereferenced inline: the binding site is
-  // where the ownership reasoning lives, and ShardSan checks it.
-  D8Nic& mine = fabric.nic(self);
-  mine.enqueue(2);
-  // Justified self-access through the indexed accessor.
-  fabric.nic(self).enqueue(3);  // simlint:allow(D8: self-indexed, receiver is this node's own NIC)
-  // Plain calls that merely *look* like accessors but have no
-  // dereference afterwards: fine.
-  (void)fabric.nodes();
-}

@@ -33,23 +33,6 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
       sanctioned injection point, where the mcheck Explorer hook can
       delay the arrival; a bypass makes that delivery invisible to
       bounded model checking.
-  D7  no mutable static-storage state (static / thread_local /
-      namespace-scope inline variables that are not const) in src/sim,
-      src/net or src/gas: under the conservative-parallel engine those
-      trees execute on several host threads at once, so shared mutable
-      statics are a data race and a determinism hole, not a style
-      smell. Legitimate cases (host-thread execution context, frozen
-      tables) carry `simlint:allow(D7: shard-local why)`.
-  D8  heuristic: dereferencing straight through a node-indexed accessor
-      (`fabric.nic(dst).park(...)`, `heap_->store(home).release(...)`)
-      in src/sim, src/net or src/gas touches an object that belongs to
-      another lane under the sharded engine. Cross-lane work must route
-      via Engine::post/at_global or adopt the lane
-      (Engine::ShardContext); sites where the receiver is provably
-      local (self-indexed, barrier context, contract exception) carry
-      `simlint:allow(D8: why this context may touch the target)`.
-      ShardSan (docs/STATIC_ANALYSIS.md) verifies the same contract
-      dynamically; D8 is its static, review-time front line.
 
 Suppression: append `// simlint:allow(D1)` or
 `// simlint:allow(D1: justification)` to the offending line; a
@@ -93,8 +76,6 @@ RULES = {
     "D4": "std::function on a sim/net hot path (util::InlineFunction mandated)",
     "D5": "by-reference lambda capture passed to Engine scheduling (dangling hazard)",
     "D6": "direct NIC injection bypassing the Explorer hook in Nic::send()",
-    "D7": "mutable static-storage state in a shard-parallel tree (data race)",
-    "D8": "direct dereference through a node-indexed accessor (cross-lane access)",
 }
 
 
@@ -400,104 +381,6 @@ def check_d6(f: StrippedFile) -> list:
     return findings
 
 
-# --- D7: mutable static-storage state in shard-parallel trees ----------------
-
-# Candidate storage-class keywords. `inline` at namespace scope also
-# gives a variable static storage duration (C++17), so it is included;
-# inline *functions* are filtered out by the call-shape check below.
-D7_DECL_RE = re.compile(r"\b(static|thread_local|inline)\b")
-D7_CONST_RE = re.compile(r"\b(const|constexpr|consteval|constinit)\b")
-
-
-def in_shard_tree(path: str) -> bool:
-    parts = pathlib.PurePath(path).parts
-    return "sim" in parts or "net" in parts or "gas" in parts
-
-
-def check_d7(f: StrippedFile) -> list:
-    if not in_shard_tree(f.path):
-        return []
-    findings = []
-    flagged_lines: set[int] = set()
-    for m in D7_DECL_RE.finditer(f.code):
-        # Full statement: from the previous statement/scope boundary to
-        # the first ';' or '{' after the keyword.
-        stmt_start = max(f.code.rfind(";", 0, m.start()),
-                         f.code.rfind("{", 0, m.start()),
-                         f.code.rfind("}", 0, m.start())) + 1
-        end = m.end()
-        n = len(f.code)
-        while end < n and f.code[end] not in ";{":
-            end += 1
-        decl = f.code[stmt_start:end]
-        # const-qualified anywhere in the declaration: immutable, fine.
-        if D7_CONST_RE.search(decl):
-            continue
-        # Function (or member-function) declaration: a '(' before any
-        # '='. Variables with direct-init parens are rare enough that a
-        # suppression is a fair ask.
-        pos_eq = decl.find("=")
-        pos_par = decl.find("(")
-        if pos_par != -1 and (pos_eq == -1 or pos_par < pos_eq):
-            continue
-        # `inline namespace` / `static_assert`-like non-declarations.
-        if re.search(r"\b(?:namespace|using|friend|return|typedef)\b", decl):
-            continue
-        # A bare storage keyword with no declarator (e.g. macro noise).
-        if not re.search(r"[A-Za-z_]\w*\s*(?:=|;|\{|$)", f.code[m.end():end] + f.code[end:end + 1]):
-            continue
-        ln = line_of(f.code, m.start())
-        if ln in flagged_lines or is_suppressed(f, ln, "D7"):
-            continue
-        flagged_lines.add(ln)
-        findings.append(
-            Finding(f.path, ln, "D7",
-                    f"mutable {m.group(1)}-storage state in a shard-parallel "
-                    "tree: sim/net/gas code runs on several host threads "
-                    "under the sharded engine, so shared mutable statics "
-                    "race; make it per-shard state or annotate with "
-                    "simlint:allow(D7: <why it is shard-local>)"))
-    return findings
-
-
-# --- D8: cross-lane access through node-indexed accessors --------------------
-
-# An accessor call with a non-empty argument immediately dereferenced:
-# `fabric.nic(dst).park_msg(...)`, `heap_->store(home).release(...)`.
-# Reaching through a node-indexed accessor and touching the object in
-# place is exactly how state escapes Engine::post routing under the
-# sharded engine. The argument must be paren-free (casts and nested
-# calls defeat the heuristic — those sites are ShardSan's job).
-D8_ACCESS_RE = re.compile(
-    r"\b(?:cpu|nic|mem|node|store)\s*\(\s*[^()]*[^\s()][^()]*\)\s*(?:\.|->)")
-
-
-def d8_exempt(path: str) -> bool:
-    # fabric.hpp defines the accessors themselves (and Fabric routes by
-    # construction); everything else justifies per site.
-    p = pathlib.PurePath(path)
-    return p.name == "fabric.hpp" and "sim" in p.parts
-
-
-def check_d8(f: StrippedFile) -> list:
-    if not in_shard_tree(f.path) or d8_exempt(f.path):
-        return []
-    findings = []
-    for m in D8_ACCESS_RE.finditer(f.code):
-        ln = line_of(f.code, m.start())
-        if is_suppressed(f, ln, "D8"):
-            continue
-        findings.append(
-            Finding(f.path, ln, "D8",
-                    "direct dereference through a node-indexed accessor: "
-                    "under the sharded engine the target object lives on "
-                    "another lane; route via Engine::post/at_global, adopt "
-                    "the lane (Engine::ShardContext), or annotate with "
-                    "simlint:allow(D8: <why this context may touch the "
-                    "target>)"))
-    return findings
-
-
 # --- driver ------------------------------------------------------------------
 
 def gather_files(paths: list) -> list:
@@ -528,10 +411,6 @@ def lint_paths(paths: list, rules: set) -> list:
             findings.extend(check_d5(f))
         if "D6" in rules:
             findings.extend(check_d6(f))
-        if "D7" in rules:
-            findings.extend(check_d7(f))
-        if "D8" in rules:
-            findings.extend(check_d8(f))
     findings.sort(key=lambda x: (x.path, x.line, x.rule))
     return findings
 
