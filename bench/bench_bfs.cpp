@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
     for (const auto mode :
          {nvgas::GasMode::kPgas, nvgas::GasMode::kAgasSw, nvgas::GasMode::kAgasNet}) {
       const BfsResult r = run_bfs(mode, graph, nodes, sm);
-      std::string name = std::string(mode_name(mode)) + suffix;
+      std::string name = std::string(nvgas::gas::to_string(mode)) + suffix;
       t.cell(name)
           .cell(nvgas::util::format_ns(static_cast<double>(r.time)))
           .cell(r.parcels)

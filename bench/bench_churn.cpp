@@ -80,7 +80,7 @@ std::vector<double> run_timeline(GasMode mode, bool with_churn) {
   }
   if (with_churn) {
     std::printf("%s churn: %llu balancer migrations, %llu bounced\n",
-                mode_name(mode),
+                nvgas::gas::to_string(mode),
                 static_cast<unsigned long long>(world.counters().lb_migrations),
                 static_cast<unsigned long long>(world.counters().lb_bounced));
   }

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
       const FaultBenchResult r =
           run_cell(mode, d, dup, delay, delay_ns, ops, nodes);
       rows.push_back({mode, d, r});
-      t.cell(mode_name(mode))
+      t.cell(nvgas::gas::to_string(mode))
           .cell(d, 3)
           .cell(r.goodput_mbps, 2)
           .cell(nvgas::util::format_ns(r.p50_ns))
@@ -134,14 +134,14 @@ int main(int argc, char** argv) {
         gate_msg = nvgas::util::format(
             "%s: goodput rose from %.2f to %.2f MB/s between adjacent drop "
             "rates (expected monotonic degradation)",
-            mode_name(mode), prev, r.goodput_mbps);
+            nvgas::gas::to_string(mode), prev, r.goodput_mbps);
       }
       if (d == 0.1 && r.goodput_mbps < clean * kCollapseFloor) {
         gate_ok = false;
         gate_msg = nvgas::util::format(
             "%s: goodput collapsed to %.2f MB/s at 10%% drop (clean fabric "
             "%.2f MB/s; floor %.0f%%)",
-            mode_name(mode), r.goodput_mbps, clean, kCollapseFloor * 100);
+            nvgas::gas::to_string(mode), r.goodput_mbps, clean, kCollapseFloor * 100);
       }
       prev = r.goodput_mbps;
     }
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
                  "    {\"mode\": \"%s\", \"drop\": %.3f, "
                  "\"goodput_mbps\": %.3f, \"p50_ns\": %.0f, \"p99_ns\": %.0f, "
                  "\"drops\": %llu, \"retransmits\": %llu}%s\n",
-                 mode_name(row.mode), row.drop, row.r.goodput_mbps,
+                 nvgas::gas::to_string(row.mode), row.drop, row.r.goodput_mbps,
                  row.r.p50_ns, row.r.p99_ns,
                  static_cast<unsigned long long>(row.r.drops),
                  static_cast<unsigned long long>(row.r.retransmits),

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
           rc.client.zipf_s = skew;
           const KvRunResult r = nvgas::apps::kv::run_kv(rc);
           rows.push_back({mode, policy, lossy, skew, r});
-          t.cell(mode_name(mode))
+          t.cell(nvgas::gas::to_string(mode))
               .cell(policy_name(policy))
               .cell(lossy ? "lossy" : "clean")
               .cell(skew, 1)
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
             gate_ok = false;
             gate_msg = nvgas::util::format(
                 "%s/%s/%s: %llu of %llu requests answered",
-                mode_name(mode), policy_name(policy),
+                nvgas::gas::to_string(mode), policy_name(policy),
                 lossy ? "lossy" : "clean",
                 static_cast<unsigned long long>(r.completed),
                 static_cast<unsigned long long>(r.issued));
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
           if (r.torn != 0) {
             gate_ok = false;
             gate_msg = nvgas::util::format(
-                "%s/%s: %llu torn GET responses", mode_name(mode),
+                "%s/%s: %llu torn GET responses", nvgas::gas::to_string(mode),
                 policy_name(policy), static_cast<unsigned long long>(r.torn));
           }
         }
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
         "\"put_p99_ns\": %llu, \"goodput_ops_per_sec\": %.0f, "
         "\"slo_retention\": %.4f, \"migrations\": %llu, \"torn\": %llu, "
         "\"expirations\": %llu}%s\n",
-        mode_name(row.mode), policy_name(row.policy),
+        nvgas::gas::to_string(row.mode), policy_name(row.policy),
         row.lossy ? "lossy" : "clean", row.skew,
         static_cast<unsigned long long>(row.r.issued),
         static_cast<unsigned long long>(row.r.completed),

@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
                  "\"makespan_ms\": %.3f, \"lb_migrations\": %llu, "
                  "\"cost_rejected\": %llu, \"imbalance\": %.3f, "
                  "\"trace_hash\": \"0x%016llx\"}%s\n",
-                 mode_name(cfgs[i].mode), nvgas::lb::to_string(cfgs[i].policy),
+                 nvgas::gas::to_string(cfgs[i].mode), nvgas::lb::to_string(cfgs[i].policy),
                  r.makespan_ms, static_cast<unsigned long long>(r.migrations),
                  static_cast<unsigned long long>(r.rejected), r.imbalance,
                  static_cast<unsigned long long>(r.trace_hash),

@@ -16,16 +16,6 @@
 
 namespace nvgas::bench {
 
-inline const char* mode_name(GasMode mode) { return gas::to_string(mode); }
-
-inline GasMode parse_mode(const std::string& s) {
-  if (s == "pgas") return GasMode::kPgas;
-  if (s == "agas-sw") return GasMode::kAgasSw;
-  if (s == "agas-net") return GasMode::kAgasNet;
-  NVGAS_CHECK_MSG(false, "unknown --mode (pgas|agas-sw|agas-net)");
-  return GasMode::kPgas;
-}
-
 inline std::vector<GasMode> all_modes() {
   return {GasMode::kPgas, GasMode::kAgasSw, GasMode::kAgasNet};
 }
@@ -38,7 +28,12 @@ inline std::vector<GasMode> parse_mode_list(const std::string& s) {
   while (pos <= s.size()) {
     const std::size_t comma = s.find(',', pos);
     const std::size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > pos) out.push_back(parse_mode(s.substr(pos, end - pos)));
+    if (end > pos) {
+      const auto mode = gas::parse_mode(std::string_view(s).substr(pos, end - pos));
+      NVGAS_CHECK_MSG(mode.has_value(),
+                      "unknown mode in --sweep-modes (pgas|agas-sw|agas-net)");
+      out.push_back(*mode);
+    }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -24,12 +24,6 @@
 
 namespace {
 
-nvgas::GasMode parse_mode(const std::string& s) {
-  if (s == "pgas") return nvgas::GasMode::kPgas;
-  if (s == "agas-sw") return nvgas::GasMode::kAgasSw;
-  return nvgas::GasMode::kAgasNet;
-}
-
 constexpr std::uint32_t kActorStateBytes = 1024;
 constexpr nvgas::sim::Time kTaskComputeNs = 20'000;  // 20 us of work per task
 
@@ -44,7 +38,7 @@ int main(int argc, char** argv) {
   const bool rebalance = opt.get_bool("rebalance", true);
 
   nvgas::Config cfg =
-      nvgas::Config::with_nodes(nodes, parse_mode(opt.get("mode", "agas-net")));
+      nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
   nvgas::World world(cfg);
   const bool can_migrate = world.gas().supports_migration();
 

@@ -11,16 +11,6 @@
 
 #include "core/nvgas.hpp"
 
-namespace {
-
-nvgas::GasMode parse_mode(const std::string& s) {
-  if (s == "pgas") return nvgas::GasMode::kPgas;
-  if (s == "agas-sw") return nvgas::GasMode::kAgasSw;
-  return nvgas::GasMode::kAgasNet;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const int nodes = static_cast<int>(opt.get_int("nodes", 16));
@@ -31,7 +21,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = opt.get_uint("seed", 7);
 
   nvgas::Config cfg =
-      nvgas::Config::with_nodes(nodes, parse_mode(opt.get("mode", "agas-net")));
+      nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
   cfg.machine.mem_bytes_per_node = (table_mib + 8) << 20;
   nvgas::World world(cfg);
 

@@ -18,12 +18,6 @@
 
 namespace {
 
-nvgas::GasMode parse_mode(const std::string& s) {
-  if (s == "pgas") return nvgas::GasMode::kPgas;
-  if (s == "agas-sw") return nvgas::GasMode::kAgasSw;
-  return nvgas::GasMode::kAgasNet;
-}
-
 constexpr std::uint32_t kSlotsPerBucket = 120;
 constexpr std::uint32_t kBucketBytes = 8 + kSlotsPerBucket * 16;
 
@@ -43,7 +37,7 @@ int main(int argc, char** argv) {
   const double skew = opt.get_double("skew", 0.9);
 
   nvgas::Config cfg =
-      nvgas::Config::with_nodes(nodes, parse_mode(opt.get("mode", "agas-net")));
+      nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
   nvgas::World world(cfg);
   const bool can_migrate = world.gas().supports_migration();
 

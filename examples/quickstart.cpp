@@ -10,21 +10,11 @@
 
 #include "core/nvgas.hpp"
 
-namespace {
-
-nvgas::GasMode parse_mode(const std::string& s) {
-  if (s == "pgas") return nvgas::GasMode::kPgas;
-  if (s == "agas-sw") return nvgas::GasMode::kAgasSw;
-  return nvgas::GasMode::kAgasNet;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   nvgas::Config cfg = nvgas::Config::with_nodes(
       static_cast<int>(opt.get_int("nodes", 8)),
-      parse_mode(opt.get("mode", "agas-net")));
+      nvgas::mode_option(opt));
 
   nvgas::World world(cfg);
   std::printf("nvgas quickstart: %d nodes, %s address space\n\n", world.ranks(),

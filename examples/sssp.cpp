@@ -22,12 +22,6 @@
 
 namespace {
 
-nvgas::GasMode parse_mode(const std::string& s) {
-  if (s == "pgas") return nvgas::GasMode::kPgas;
-  if (s == "agas-sw") return nvgas::GasMode::kAgasSw;
-  return nvgas::GasMode::kAgasNet;
-}
-
 constexpr std::uint32_t kGroup = 256;
 
 struct WGraph {
@@ -81,7 +75,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = opt.get_uint("seed", 11);
 
   nvgas::Config cfg =
-      nvgas::Config::with_nodes(nodes, parse_mode(opt.get("mode", "agas-net")));
+      nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
   cfg.machine.mem_bytes_per_node = 32u << 20;
   nvgas::World world(cfg);
 

@@ -275,88 +275,60 @@ void AgasNet::reply(sim::Time depart, int owner, const net::TlbEntry& entry,
       });
 }
 
-void AgasNet::memput(sim::TaskCtx& task, int node, gas::Gva dst,
-                     std::vector<std::byte> data, net::OnDone done) {
-  memput_notify(task, node, dst, std::move(data), std::move(done), nullptr);
-}
-
-void AgasNet::memput_notify(sim::TaskCtx& task, int node, gas::Gva dst,
-                            std::vector<std::byte> data, net::OnDone done,
-                            net::OnDone remote_notify) {
-  heap_->check_extent(dst, data.size());
-  ++fabric_->counters().gas_memputs;
-  note_access(node, dst);
+AgasNet::Op AgasNet::make_op(Op::Kind kind, int src, gas::Gva addr) {
   Op op;
-  op.kind = Op::Kind::kPut;
-  op.src = node;
-  op.key = dst.block_key();
-  op.offset = dst.offset();
-  op.data = std::move(data);
-  op.on_done = std::move(done);
-  op.on_remote = instrument_signal(std::move(remote_notify));
-  if (observer_ != nullptr) {
-    observer_->on_remote_op_begin(node, op.key);
-    op.on_done = [obs = observer_, node, key = op.key,
-                  inner = std::move(op.on_done)](sim::Time t) {
-      obs->on_remote_op_end(node, key);
-      if (inner) inner(t);
-    };
-  }
-  issue(task, node, std::move(op));
-}
-
-void AgasNet::memget(sim::TaskCtx& task, int node, gas::Gva src,
-                     std::size_t len, net::OnData done) {
-  heap_->check_extent(src, len);
-  ++fabric_->counters().gas_memgets;
-  note_access(node, src);
-  Op op;
-  op.kind = Op::Kind::kGet;
-  op.src = node;
-  op.key = src.block_key();
-  op.offset = src.offset();
-  op.len = static_cast<std::uint32_t>(len);
-  op.on_data = std::move(done);
-  if (observer_ != nullptr) {
-    observer_->on_remote_op_begin(node, op.key);
-    op.on_data = [obs = observer_, node, key = op.key,
-                  inner = std::move(op.on_data)](sim::Time t,
-                                                 std::vector<std::byte> d) {
-      obs->on_remote_op_end(node, key);
-      if (inner) inner(t, std::move(d));
-    };
-  }
-  issue(task, node, std::move(op));
-}
-
-void AgasNet::fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
-                        std::uint64_t operand, net::OnU64 done) {
-  heap_->check_extent(addr, sizeof(std::uint64_t));
-  ++fabric_->counters().gas_atomics;
-  note_access(node, addr);
-  Op op;
-  op.kind = Op::Kind::kFadd;
-  op.src = node;
+  op.kind = kind;
+  op.src = src;
   op.key = addr.block_key();
   op.offset = addr.offset();
-  op.operand = operand;
-  op.on_u64 = std::move(done);
-  if (observer_ != nullptr) {
-    observer_->on_remote_op_begin(node, op.key);
-    op.on_u64 = [obs = observer_, node, key = op.key,
-                 inner = std::move(op.on_u64)](sim::Time t, std::uint64_t v) {
-      obs->on_remote_op_end(node, key);
-      if (inner) inner(t, v);
-    };
-  }
+  return op;
+}
+
+template <typename... Args>
+void AgasNet::observe_op(int node, std::uint64_t key,
+                         std::function<void(sim::Time, Args...)>& done) {
+  if (observer_ == nullptr) return;
+  observer_->on_remote_op_begin(node, key);
+  done = [obs = observer_, node, key, inner = std::move(done)](sim::Time t,
+                                                               Args... args) {
+    obs->on_remote_op_end(node, key);
+    if (inner) inner(t, std::move(args)...);
+  };
+}
+
+void AgasNet::do_memput(sim::TaskCtx& task, int node, gas::Gva dst,
+                        std::vector<std::byte> data, net::OnDone done,
+                        net::OnDone remote_notify) {
+  Op op = make_op(Op::Kind::kPut, node, dst);
+  op.data = std::move(data);
+  op.on_done = std::move(done);
+  op.on_remote = std::move(remote_notify);
+  observe_op(node, op.key, op.on_done);
   issue(task, node, std::move(op));
 }
 
-void AgasNet::resolve(sim::TaskCtx& task, int node, gas::Gva addr,
-                      gas::OnOwner done) {
+void AgasNet::do_memget(sim::TaskCtx& task, int node, gas::Gva src,
+                        std::size_t len, net::OnData done) {
+  Op op = make_op(Op::Kind::kGet, node, src);
+  op.len = static_cast<std::uint32_t>(len);
+  op.on_data = std::move(done);
+  observe_op(node, op.key, op.on_data);
+  issue(task, node, std::move(op));
+}
+
+void AgasNet::do_fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
+                           std::uint64_t operand, net::OnU64 done) {
+  Op op = make_op(Op::Kind::kFadd, node, addr);
+  op.operand = operand;
+  op.on_u64 = std::move(done);
+  observe_op(node, op.key, op.on_u64);
+  issue(task, node, std::move(op));
+}
+
+void AgasNet::do_resolve(sim::TaskCtx& task, int node, gas::Gva addr,
+                         gas::OnOwner done) {
   // The CPU consults the local NIC TLB; on a miss the home NIC answers
   // (one round trip, no CPU at the home).
-  note_access(node, addr);
   task.charge(fabric_->params().nic_tlb_ns);
   const std::uint64_t key = addr.block_key();
   if (const auto hit = tlb_mut(node).lookup(key)) {

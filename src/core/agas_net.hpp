@@ -53,17 +53,6 @@ class AgasNet final : public gas::GasBase {
   gas::Gva alloc(sim::TaskCtx& task, int node, gas::Dist dist,
                  std::uint32_t nblocks, std::uint32_t block_size) override;
 
-  void memput(sim::TaskCtx& task, int node, gas::Gva dst,
-              std::vector<std::byte> data, net::OnDone done) override;
-  void memput_notify(sim::TaskCtx& task, int node, gas::Gva dst,
-                     std::vector<std::byte> data, net::OnDone done,
-                     net::OnDone remote_notify) override;
-  void memget(sim::TaskCtx& task, int node, gas::Gva src, std::size_t len,
-              net::OnData done) override;
-  void fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
-                 std::uint64_t operand, net::OnU64 done) override;
-  void resolve(sim::TaskCtx& task, int node, gas::Gva addr,
-               gas::OnOwner done) override;
   void migrate(sim::TaskCtx& task, int node, gas::Gva block, int dst,
                net::OnDone done) override;
 
@@ -84,6 +73,15 @@ class AgasNet final : public gas::GasBase {
   [[nodiscard]] const AgasNetConfig& config() const { return config_; }
 
  protected:
+  void do_memput(sim::TaskCtx& task, int node, gas::Gva dst,
+                 std::vector<std::byte> data, net::OnDone done,
+                 net::OnDone remote_notify) override;
+  void do_memget(sim::TaskCtx& task, int node, gas::Gva src, std::size_t len,
+                 net::OnData done) override;
+  void do_fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
+                    std::uint64_t operand, net::OnU64 done) override;
+  void do_resolve(sim::TaskCtx& task, int node, gas::Gva addr,
+                  gas::OnOwner done) override;
   std::pair<int, sim::Lva> drop_block_state(gas::Gva block_base) override;
 
  private:
@@ -105,6 +103,14 @@ class AgasNet final : public gas::GasBase {
 
     [[nodiscard]] std::uint64_t wire_bytes() const;
   };
+  // An op of `kind` issued by `src` against `addr`; the caller fills in
+  // the payload and completion.
+  [[nodiscard]] static Op make_op(Op::Kind kind, int src, gas::Gva addr);
+  // Report the op to the attached observer as begun, and as ended just
+  // before `done` runs.
+  template <typename... Args>
+  void observe_op(int node, std::uint64_t key,
+                  std::function<void(sim::Time, Args...)>& done);
 
   struct Migration {
     int dst = -1;

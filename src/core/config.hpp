@@ -1,6 +1,10 @@
 // Top-level configuration for an nvgas World.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 #include "core/agas_net.hpp"
 #include "gas/costs.hpp"
 #include "gas/gas_api.hpp"
@@ -10,6 +14,7 @@
 #include "rt/costs.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
+#include "util/options.hpp"
 
 namespace nvgas {
 
@@ -33,5 +38,19 @@ struct Config {
     return cfg;
   }
 };
+
+// The `--mode=pgas|agas-sw|agas-net` option of the example binaries
+// (agas-net when absent). Any other value is a usage error: it names the
+// flag and exits with status 2.
+[[nodiscard]] inline gas::GasMode mode_option(const util::Options& opt) {
+  const std::string name = opt.get("mode", "agas-net");
+  const auto mode = gas::parse_mode(name);
+  if (!mode) {
+    std::fprintf(stderr, "unknown --mode=%s (pgas|agas-sw|agas-net)\n",
+                 name.c_str());
+    std::exit(2);
+  }
+  return *mode;
+}
 
 }  // namespace nvgas

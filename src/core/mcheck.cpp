@@ -639,26 +639,4 @@ McheckResult run_scenario(const Scenario& sc, const McheckOptions& opt) {
   return res;
 }
 
-const char* mode_name(gas::GasMode mode) {
-  switch (mode) {
-    case gas::GasMode::kPgas: return "pgas";
-    case gas::GasMode::kAgasSw: return "agas-sw";
-    case gas::GasMode::kAgasNet: return "agas-net";
-  }
-  return "?";
-}
-
-bool parse_mode(std::string_view text, gas::GasMode* out) {
-  if (text == "pgas") {
-    *out = gas::GasMode::kPgas;
-  } else if (text == "agas-sw") {
-    *out = gas::GasMode::kAgasSw;
-  } else if (text == "agas-net") {
-    *out = gas::GasMode::kAgasNet;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace nvgas::core

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/world.hpp"
@@ -85,8 +84,5 @@ struct Scenario {
 // Executes exactly one schedule (counterexample replay).
 [[nodiscard]] McheckResult run_one(const Scenario& sc, const McheckOptions& opt,
                                    const sim::Schedule& schedule);
-
-[[nodiscard]] const char* mode_name(gas::GasMode mode);
-[[nodiscard]] bool parse_mode(std::string_view text, gas::GasMode* out);
 
 }  // namespace nvgas::core

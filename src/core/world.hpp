@@ -14,9 +14,14 @@
 //   });
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/config.hpp"
 #include "lb/balancer.hpp"
@@ -109,56 +114,6 @@ inline gas::GasBase& gas_of(Context& ctx) {
   return *ctx.gas;
 }
 
-// Common completion plumbing: handles the completed-synchronously case
-// (the callback fires before await_suspend returns).
-struct SyncState {
-  bool completed = false;
-  bool suspended = false;
-
-  // Returns true if the fiber should suspend.
-  [[nodiscard]] bool after_issue() {
-    if (completed) return false;
-    suspended = true;
-    return true;
-  }
-
-  template <typename Handle>
-  void on_complete(Handle h, sim::Time t) {
-    if (!suspended) {
-      completed = true;
-      return;
-    }
-    auto& p = h.promise();
-    p.runtime->resume_fiber_at(p.node, h, t);
-  }
-};
-
-}  // namespace detail
-
-// --- memput ----------------------------------------------------------------
-
-struct MemputAwaiter {
-  Context& ctx;
-  Gva dst;
-  std::vector<std::byte> data;
-  detail::SyncState state;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    detail::gas_of(ctx).memput(detail::task_of(ctx), ctx.rank(), dst,
-                               std::move(data),
-                               [this, h](sim::Time t) { state.on_complete(h, t); });
-    return state.after_issue();
-  }
-  void await_resume() const {}
-};
-
-[[nodiscard]] inline MemputAwaiter memput(Context& ctx, Gva dst,
-                                          std::vector<std::byte> data) {
-  return MemputAwaiter{ctx, dst, std::move(data), {}};
-}
-
-namespace detail {
 // memcpy-based construction sidesteps a GCC 12 -Wstringop-overflow false
 // positive on span-iterator vector construction at -O2.
 inline std::vector<std::byte> to_vec(std::span<const std::byte> data) {
@@ -166,18 +121,124 @@ inline std::vector<std::byte> to_vec(std::span<const std::byte> data) {
   if (!data.empty()) std::memcpy(out.data(), data.data(), data.size());
   return out;
 }
+
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+std::vector<std::byte> value_bytes(const T& value) {
+  return to_vec(std::as_bytes(std::span(&value, 1)));
+}
+
+// The one awaiter behind every GAS op. `issue(ctx, done)` starts the op
+// from the current CPU task and arranges for `done(t)` — `done(t, result)`
+// when Result is not void — to run once, at completion time t. If `done`
+// runs before `issue` returns, the fiber never suspends; otherwise it
+// suspends and resumes as a CPU task at t. An `always_yield` op suspends
+// and resumes as a CPU task at t even when `done` runs inside `issue`.
+template <typename Result, typename Issue>
+class GasAwaiter {
+ public:
+  GasAwaiter(Context& ctx, Issue issue, bool always_yield)
+      : ctx_(ctx), issue_(std::move(issue)), suspended_(always_yield) {}
+
+  [[nodiscard]] bool await_ready() const { return false; }
+  bool await_suspend(Fiber::Handle h) {
+    handle_ = h;
+    if constexpr (std::is_void_v<Result>) {
+      issue_(ctx_, [this](sim::Time t) { complete(t); });
+    } else {
+      issue_(ctx_, [this](sim::Time t, Result r) {
+        result_ = std::move(r);
+        complete(t);
+      });
+    }
+    if (completed_) return false;
+    suspended_ = true;
+    return true;
+  }
+  Result await_resume() {
+    if constexpr (std::is_void_v<Result>) {
+      return;
+    } else {
+      return std::move(result_);
+    }
+  }
+
+ private:
+  struct NoResult {};
+
+  void complete(sim::Time t) {
+    if (!suspended_) {
+      completed_ = true;
+      return;
+    }
+    auto& p = handle_.promise();
+    p.runtime->resume_fiber_at(p.node, handle_, t);
+  }
+
+  Context& ctx_;
+  Issue issue_;
+  bool suspended_;  // `done` resumes the fiber as a CPU task
+  bool completed_ = false;
+  Fiber::Handle handle_;
+  [[no_unique_address]] std::conditional_t<std::is_void_v<Result>, NoResult, Result>
+      result_{};
+};
+
+template <typename Result, typename Issue>
+[[nodiscard]] GasAwaiter<Result, Issue> await_op(Context& ctx, Issue issue,
+                                                 bool always_yield = false) {
+  return {ctx, std::move(issue), always_yield};
+}
+
+// Bulk transfers over [start, start + len) split at block boundaries (a
+// block is the distribution and migration unit, so single ops reject
+// boundary crossings). Calls `issue_piece(at, off, n, arrived)` for each
+// piece in address order — bytes [off, off + n) of the transfer, at `at` —
+// and `done(t)` once the last piece has called `arrived(t)`; at once for
+// an empty range.
+template <typename Done, typename IssuePiece>
+void split_blocks(Context& ctx, Gva start, std::size_t len, Done done,
+                  IssuePiece issue_piece) {
+  const std::uint32_t bsize = gas_of(ctx).heap().meta_of(start).block_size;
+  if (len == 0) {
+    done(task_of(ctx).now());
+    return;
+  }
+  const std::size_t first = std::min<std::size_t>(bsize - start.offset(), len);
+  auto remaining =
+      std::make_shared<std::uint64_t>(1 + (len - first + bsize - 1) / bsize);
+  const auto arrived = [remaining, done = std::move(done)](sim::Time t) {
+    if (--*remaining == 0) done(t);
+  };
+  for (std::size_t off = 0; off < len;) {
+    const Gva at = start.advanced(static_cast<std::int64_t>(off), bsize);
+    const std::size_t n = std::min<std::size_t>(bsize - at.offset(), len - off);
+    issue_piece(at, off, n, arrived);
+    off += n;
+  }
+}
+
 }  // namespace detail
 
-[[nodiscard]] inline MemputAwaiter memput(Context& ctx, Gva dst,
-                                          std::span<const std::byte> data) {
-  return MemputAwaiter{ctx, dst, detail::to_vec(data), {}};
+// --- memput ----------------------------------------------------------------
+
+[[nodiscard]] inline auto memput(Context& ctx, Gva dst, std::vector<std::byte> data) {
+  return detail::await_op<void>(
+      ctx, [dst, data = std::move(data)](Context& c, auto done) mutable {
+        detail::gas_of(c).memput(detail::task_of(c), c.rank(), dst,
+                                 std::move(data), std::move(done));
+      });
+}
+
+[[nodiscard]] inline auto memput(Context& ctx, Gva dst,
+                                 std::span<const std::byte> data) {
+  return memput(ctx, dst, detail::to_vec(data));
 }
 
 template <typename T>
   requires std::is_trivially_copyable_v<T>
-[[nodiscard]] MemputAwaiter memput_value(Context& ctx, Gva dst, const T& value) {
-  return MemputAwaiter{ctx, dst, detail::to_vec(std::as_bytes(std::span(&value, 1))),
-                       {}};
+[[nodiscard]] auto memput_value(Context& ctx, Gva dst, const T& value) {
+  return memput(ctx, dst, detail::value_bytes(value));
 }
 
 // memput with remote notification: besides completing at the sender, the
@@ -188,156 +249,73 @@ template <typename T>
 //   consumer (on owner):  rt::Event arrived;           // registered ref
 //                         co_await arrived;            // data is there
 //   producer:             co_await memput_signal(ctx, dst, data, ref);
-struct MemputSignalAwaiter {
-  Context& ctx;
-  Gva dst;
-  std::vector<std::byte> data;
-  rt::LcoRef remote;
-  detail::SyncState state;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    auto* rtp = &ctx.runtime();
-    detail::gas_of(ctx).memput_notify(
-        detail::task_of(ctx), ctx.rank(), dst, std::move(data),
-        [this, h](sim::Time t) { state.on_complete(h, t); },
-        [rtp, remote = remote](sim::Time t) { rtp->ledger_set(remote, t); });
-    return state.after_issue();
-  }
-  void await_resume() const {}
-};
-
-[[nodiscard]] inline MemputSignalAwaiter memput_signal(Context& ctx, Gva dst,
-                                                       std::vector<std::byte> data,
-                                                       rt::LcoRef remote_event) {
-  return MemputSignalAwaiter{ctx, dst, std::move(data), remote_event, {}};
+[[nodiscard]] inline auto memput_signal(Context& ctx, Gva dst,
+                                        std::vector<std::byte> data,
+                                        rt::LcoRef remote_event) {
+  return detail::await_op<void>(
+      ctx, [dst, data = std::move(data), remote_event](Context& c,
+                                                       auto done) mutable {
+        detail::gas_of(c).memput_notify(
+            detail::task_of(c), c.rank(), dst, std::move(data), std::move(done),
+            [rtp = &c.runtime(), remote_event](sim::Time t) {
+              rtp->ledger_set(remote_event, t);
+            });
+      });
 }
 
 template <typename T>
   requires std::is_trivially_copyable_v<T>
-[[nodiscard]] MemputSignalAwaiter memput_signal_value(Context& ctx, Gva dst,
-                                                      const T& value,
-                                                      rt::LcoRef remote_event) {
-  return MemputSignalAwaiter{ctx, dst,
-                             detail::to_vec(std::as_bytes(std::span(&value, 1))),
-                             remote_event,
-                             {}};
+[[nodiscard]] auto memput_signal_value(Context& ctx, Gva dst, const T& value,
+                                       rt::LcoRef remote_event) {
+  return memput_signal(ctx, dst, detail::value_bytes(value), remote_event);
 }
 
 // --- memget ----------------------------------------------------------------
 
-struct MemgetAwaiter {
-  Context& ctx;
-  Gva src;
-  std::size_t len;
-  detail::SyncState state;
-  std::vector<std::byte> result;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    detail::gas_of(ctx).memget(detail::task_of(ctx), ctx.rank(), src, len,
-                               [this, h](sim::Time t, std::vector<std::byte> data) {
-                                 result = std::move(data);
-                                 state.on_complete(h, t);
-                               });
-    return state.after_issue();
-  }
-  [[nodiscard]] std::vector<std::byte> await_resume() { return std::move(result); }
-};
-
-[[nodiscard]] inline MemgetAwaiter memget(Context& ctx, Gva src, std::size_t len) {
-  return MemgetAwaiter{ctx, src, len, {}, {}};
+[[nodiscard]] inline auto memget(Context& ctx, Gva src, std::size_t len) {
+  return detail::await_op<std::vector<std::byte>>(
+      ctx, [src, len](Context& c, auto done) {
+        detail::gas_of(c).memget(detail::task_of(c), c.rank(), src, len,
+                                 std::move(done));
+      });
 }
 
 template <typename T>
   requires std::is_trivially_copyable_v<T>
-struct MemgetValueAwaiter {
-  MemgetAwaiter inner;
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) { return inner.await_suspend(h); }
-  [[nodiscard]] T await_resume() {
-    auto bytes = inner.await_resume();
-    NVGAS_CHECK(bytes.size() == sizeof(T));
-    T out;
-    std::memcpy(&out, bytes.data(), sizeof(T));
-    return out;
-  }
-};
-
-template <typename T>
-[[nodiscard]] MemgetValueAwaiter<T> memget_value(Context& ctx, Gva src) {
-  return MemgetValueAwaiter<T>{MemgetAwaiter{ctx, src, sizeof(T), {}, {}}};
+[[nodiscard]] auto memget_value(Context& ctx, Gva src) {
+  return detail::await_op<T>(ctx, [src](Context& c, auto done) {
+    detail::gas_of(c).memget(
+        detail::task_of(c), c.rank(), src, sizeof(T),
+        [done = std::move(done)](sim::Time t, std::vector<std::byte> bytes) {
+          NVGAS_CHECK(bytes.size() == sizeof(T));
+          T out;
+          std::memcpy(&out, bytes.data(), sizeof(T));
+          done(t, out);
+        });
+  });
 }
 
-// --- fetch_add ---------------------------------------------------------------
+// --- fetch_add, resolve, migrate ---------------------------------------------
 
-struct FetchAddAwaiter {
-  Context& ctx;
-  Gva addr;
-  std::uint64_t operand;
-  detail::SyncState state;
-  std::uint64_t old = 0;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    detail::gas_of(ctx).fetch_add(detail::task_of(ctx), ctx.rank(), addr, operand,
-                                  [this, h](sim::Time t, std::uint64_t v) {
-                                    old = v;
-                                    state.on_complete(h, t);
-                                  });
-    return state.after_issue();
-  }
-  [[nodiscard]] std::uint64_t await_resume() const { return old; }
-};
-
-[[nodiscard]] inline FetchAddAwaiter fetch_add(Context& ctx, Gva addr,
-                                               std::uint64_t operand) {
-  return FetchAddAwaiter{ctx, addr, operand, {}};
+[[nodiscard]] inline auto fetch_add(Context& ctx, Gva addr, std::uint64_t operand) {
+  return detail::await_op<std::uint64_t>(ctx, [addr, operand](Context& c, auto done) {
+    detail::gas_of(c).fetch_add(detail::task_of(c), c.rank(), addr, operand,
+                                std::move(done));
+  });
 }
 
-// --- resolve -----------------------------------------------------------------
-
-struct ResolveAwaiter {
-  Context& ctx;
-  Gva addr;
-  detail::SyncState state;
-  int owner = -1;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    detail::gas_of(ctx).resolve(detail::task_of(ctx), ctx.rank(), addr,
-                                [this, h](sim::Time t, int o) {
-                                  owner = o;
-                                  state.on_complete(h, t);
-                                });
-    return state.after_issue();
-  }
-  [[nodiscard]] int await_resume() const { return owner; }
-};
-
-[[nodiscard]] inline ResolveAwaiter resolve(Context& ctx, Gva addr) {
-  return ResolveAwaiter{ctx, addr, {}};
+// The addressed block's owner as this rank currently believes it.
+[[nodiscard]] inline auto resolve(Context& ctx, Gva addr) {
+  return detail::await_op<int>(ctx, [addr](Context& c, auto done) {
+    detail::gas_of(c).resolve(detail::task_of(c), c.rank(), addr, std::move(done));
+  });
 }
 
-// --- migrate -----------------------------------------------------------------
-
-struct MigrateAwaiter {
-  Context& ctx;
-  Gva block;
-  int dst;
-  detail::SyncState state;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    detail::gas_of(ctx).migrate(detail::task_of(ctx), ctx.rank(), block, dst,
-                                [this, h](sim::Time t) { state.on_complete(h, t); });
-    return state.after_issue();
-  }
-  void await_resume() const {}
-};
-
-[[nodiscard]] inline MigrateAwaiter migrate(Context& ctx, Gva block, int dst) {
-  return MigrateAwaiter{ctx, block, dst, {}};
+[[nodiscard]] inline auto migrate(Context& ctx, Gva block, int dst) {
+  return detail::await_op<void>(ctx, [block, dst](Context& c, auto done) {
+    detail::gas_of(c).migrate(detail::task_of(c), c.rank(), block, dst,
+                              std::move(done));
+  });
 }
 
 // --- allocation (synchronous metadata; handshake cost charged) ---------------
@@ -361,121 +339,56 @@ inline void free_alloc(Context& ctx, Gva base) {
 }
 
 // --- spanning transfers ------------------------------------------------------
-// memput/memget across block boundaries: split into per-block ops issued
-// concurrently; complete on an internal gate. Single-op memput/memget
-// reject boundary crossings by design (a block is the distribution and
-// migration unit), so bulk I/O goes through these.
+// memput/memget across block boundaries: one op per block, issued
+// back to back; the await completes when the last one does. A non-empty
+// spanning op always yields, even when every piece is local.
 
-struct SpanPutAwaiter {
-  Context& ctx;
-  Gva dst;
-  std::vector<std::byte> data;
-  detail::SyncState state;
-  std::unique_ptr<rt::AndGate> gate;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    auto& g = detail::gas_of(ctx);
-    const std::uint32_t bsize = g.heap().meta_of(dst).block_size;
-    // Count the pieces first.
-    std::uint64_t pieces = 0;
-    for (std::size_t off = 0; off < data.size();) {
-      const std::size_t in_block = bsize - dst.advanced(
-          static_cast<std::int64_t>(off), bsize).offset();
-      off += std::min(in_block, data.size() - off);
-      ++pieces;
-    }
-    if (pieces == 0) return false;  // empty put: nothing to wait for
-    gate = std::make_unique<rt::AndGate>(pieces);
-    gate->add_waiter(h);  // resume when every piece completes
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const Gva at = dst.advanced(static_cast<std::int64_t>(off), bsize);
-      const std::size_t n = std::min<std::size_t>(bsize - at.offset(),
-                                                  data.size() - off);
-      std::vector<std::byte> piece(data.begin() + static_cast<std::ptrdiff_t>(off),
-                                   data.begin() + static_cast<std::ptrdiff_t>(off + n));
-      g.memput(detail::task_of(ctx), ctx.rank(), at, std::move(piece),
-               [gp = gate.get()](sim::Time t) { gp->arrive(t); });
-      off += n;
-    }
-    return true;
-  }
-  void await_resume() const {}
-};
-
-[[nodiscard]] inline SpanPutAwaiter memput_span(Context& ctx, Gva dst,
-                                                std::vector<std::byte> data) {
-  return SpanPutAwaiter{ctx, dst, std::move(data), {}, nullptr};
+[[nodiscard]] inline auto memput_span(Context& ctx, Gva dst,
+                                      std::vector<std::byte> data) {
+  const bool yield = !data.empty();
+  return detail::await_op<void>(
+      ctx,
+      [dst, data = std::move(data)](Context& c, auto done) {
+        detail::split_blocks(
+            c, dst, data.size(), std::move(done),
+            [&](Gva at, std::size_t off, std::size_t n, const auto& arrived) {
+              detail::gas_of(c).memput(
+                  detail::task_of(c), c.rank(), at,
+                  detail::to_vec(std::span(data).subspan(off, n)), arrived);
+            });
+      },
+      yield);
 }
 
-struct SpanGetAwaiter {
-  Context& ctx;
-  Gva src;
-  std::size_t len;
-  detail::SyncState state;
-  std::vector<std::byte> result;
-  std::unique_ptr<rt::AndGate> gate;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    auto& g = detail::gas_of(ctx);
-    const std::uint32_t bsize = g.heap().meta_of(src).block_size;
-    result.assign(len, std::byte{});
-    std::uint64_t pieces = 0;
-    for (std::size_t off = 0; off < len;) {
-      const std::size_t in_block =
-          bsize - src.advanced(static_cast<std::int64_t>(off), bsize).offset();
-      off += std::min(in_block, len - off);
-      ++pieces;
-    }
-    if (pieces == 0) return false;  // empty get: result stays empty
-    gate = std::make_unique<rt::AndGate>(pieces);
-    gate->add_waiter(h);
-    std::size_t off = 0;
-    while (off < len) {
-      const Gva at = src.advanced(static_cast<std::int64_t>(off), bsize);
-      const std::size_t n = std::min<std::size_t>(bsize - at.offset(), len - off);
-      g.memget(detail::task_of(ctx), ctx.rank(), at, n,
-               [gp = gate.get(), out = result.data() + off](
-                   sim::Time t, std::vector<std::byte> piece) {
-                 std::memcpy(out, piece.data(), piece.size());
-                 gp->arrive(t);
-               });
-      off += n;
-    }
-    return true;
-  }
-  [[nodiscard]] std::vector<std::byte> await_resume() { return std::move(result); }
-};
-
-[[nodiscard]] inline SpanGetAwaiter memget_span(Context& ctx, Gva src,
-                                                std::size_t len) {
-  return SpanGetAwaiter{ctx, src, len, {}, {}, nullptr};
+[[nodiscard]] inline auto memget_span(Context& ctx, Gva src, std::size_t len) {
+  return detail::await_op<std::vector<std::byte>>(
+      ctx, [src, len, out = std::vector<std::byte>()](Context& c,
+                                                      auto done) mutable {
+        out.assign(len, std::byte{});
+        detail::split_blocks(
+            c, src, len,
+            [&out, done = std::move(done)](sim::Time t) { done(t, std::move(out)); },
+            [&](Gva at, std::size_t off, std::size_t n, const auto& arrived) {
+              detail::gas_of(c).memget(
+                  detail::task_of(c), c.rank(), at, n,
+                  [arrived, dst = out.data() + off](sim::Time t,
+                                                   std::vector<std::byte> piece) {
+                    std::memcpy(dst, piece.data(), piece.size());
+                    arrived(t);
+                  });
+            });
+      },
+      len != 0);
 }
 
 // --- memcpy between global addresses ----------------------------------------
 
-struct MemcpyAwaiter {
-  Context& ctx;
-  Gva dst;
-  Gva src;
-  std::size_t len;
-  detail::SyncState state;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    detail::gas_of(ctx).memcpy_gva(detail::task_of(ctx), ctx.rank(), dst, src,
-                                   len,
-                                   [this, h](sim::Time t) { state.on_complete(h, t); });
-    return state.after_issue();
-  }
-  void await_resume() const {}
-};
-
-[[nodiscard]] inline MemcpyAwaiter memcpy_gva(Context& ctx, Gva dst, Gva src,
-                                              std::size_t len) {
-  return MemcpyAwaiter{ctx, dst, src, len, {}};
+[[nodiscard]] inline auto memcpy_gva(Context& ctx, Gva dst, Gva src,
+                                     std::size_t len) {
+  return detail::await_op<void>(ctx, [dst, src, len](Context& c, auto done) {
+    detail::gas_of(c).memcpy_gva(detail::task_of(c), c.rank(), dst, src, len,
+                                 std::move(done));
+  });
 }
 
 // --- non-blocking variants ----------------------------------------------
@@ -492,7 +405,7 @@ inline void memput_nb(Context& ctx, Gva dst, std::vector<std::byte> data,
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 void memput_value_nb(Context& ctx, Gva dst, const T& value, rt::AndGate& gate) {
-  memput_nb(ctx, dst, detail::to_vec(std::as_bytes(std::span(&value, 1))), gate);
+  memput_nb(ctx, dst, detail::value_bytes(value), gate);
 }
 
 inline void fetch_add_nb(Context& ctx, Gva addr, std::uint64_t operand,
@@ -544,36 +457,28 @@ inline void prefetch_nb(Context& ctx, Gva base, std::uint32_t nblocks,
 // locally, send an apply-trampoline parcel to the believed owner; the
 // destination runtime re-resolves and forwards if the object has moved
 // (HPX's "apply at gva"). The await completes at local send time.
-struct ApplyAwaiter {
-  Context& ctx;
-  Gva addr;
-  rt::ActionId action;
-  util::Buffer args;
-  detail::SyncState state;
-
-  [[nodiscard]] bool await_ready() const { return false; }
-  bool await_suspend(Fiber::Handle h) {
-    auto* rtp = &ctx.runtime();
-    const int src = ctx.rank();
-    detail::gas_of(ctx).resolve(
-        detail::task_of(ctx), src, addr,
-        [this, h, rtp, src](sim::Time t, int owner) {
-          util::Buffer payload;
-          payload.put<std::uint64_t>(addr.bits());
-          payload.put<rt::ActionId>(action);
-          payload.append_raw(args.bytes());
-          rtp->send_parcel_at(src, t, owner, rtp->apply_action(),
-                              std::move(payload));
-          state.on_complete(h, t);
-        });
-    return state.after_issue();
-  }
-  void await_resume() const {}
-};
-
-[[nodiscard]] inline ApplyAwaiter apply(Context& ctx, Gva addr,
-                                        rt::ActionId action, util::Buffer args) {
-  return ApplyAwaiter{ctx, addr, action, std::move(args), {}};
+[[nodiscard]] inline auto apply(Context& ctx, Gva addr, rt::ActionId action,
+                                util::Buffer args) {
+  return detail::await_op<void>(
+      ctx, [addr, action, args = std::move(args)](Context& c, auto done) mutable {
+        const int src = c.rank();
+        detail::gas_of(c).resolve(
+            detail::task_of(c), src, addr,
+            [rtp = &c.runtime(), src, addr, action, args = std::move(args),
+             done = std::move(done)](sim::Time t, int owner) {
+              util::Buffer payload;
+              payload.put<std::uint64_t>(addr.bits());
+              payload.put<rt::ActionId>(action);
+              payload.append_raw(args.bytes());
+              rtp->send_parcel_at(src, t, owner, rtp->apply_action(),
+                                  std::move(payload));
+              done(t);
+            });
+      });
 }
+
+// Named so callers can return an apply() from their own functions.
+using ApplyAwaiter = decltype(apply(std::declval<Context&>(), Gva{},
+                                    rt::ActionId{}, util::Buffer{}));
 
 }  // namespace nvgas

@@ -130,9 +130,15 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
 // still in flight against this block" before acking an invalidation.
 // ---------------------------------------------------------------------------
 
-void AgasSw::begin_op(int node, std::uint64_t key) {
+template <typename... Args>
+std::function<void(sim::Time, Args...)> AgasSw::track_op(
+    int node, std::uint64_t key, std::function<void(sim::Time, Args...)> done) {
   ++st(node).outstanding[key];
   if (observer_ != nullptr) observer_->on_remote_op_begin(node, key);
+  return [this, node, key, done = std::move(done)](sim::Time t, Args... args) {
+    end_op(node, key, t);
+    if (done) done(t, std::move(args)...);
+  };
 }
 
 void AgasSw::end_op(int node, std::uint64_t key, sim::Time t) {
@@ -155,18 +161,9 @@ void AgasSw::end_op(int node, std::uint64_t key, sim::Time t) {
 // Data path.
 // ---------------------------------------------------------------------------
 
-void AgasSw::memput(sim::TaskCtx& task, int node, Gva dst,
-                    std::vector<std::byte> data, net::OnDone done) {
-  memput_notify(task, node, dst, std::move(data), std::move(done), nullptr);
-}
-
-void AgasSw::memput_notify(sim::TaskCtx& task, int node, Gva dst,
-                           std::vector<std::byte> data, net::OnDone done,
-                           net::OnDone remote_notify) {
-  heap_->check_extent(dst, data.size());
-  ++fabric_->counters().gas_memputs;
-  note_access(node, dst);
-  remote_notify = instrument_signal(std::move(remote_notify));
+void AgasSw::do_memput(sim::TaskCtx& task, int node, Gva dst,
+                       std::vector<std::byte> data, net::OnDone done,
+                       net::OnDone remote_notify) {
   const std::uint64_t key = dst.block_key();
   const std::uint32_t off = dst.offset();
   with_translation(
@@ -179,22 +176,15 @@ void AgasSw::memput_notify(sim::TaskCtx& task, int node, Gva dst,
           if (remote_notify) remote_notify(t.now());
           return;
         }
-        begin_op(node, key);
+        net::OnDone tracked = track_op(node, key, std::move(done));
         t.charge(ep(node).post_cost());
         ep(node).put(t.now(), e.owner, e.lva + off, std::move(data),
-                     [this, node, key, done = std::move(done)](sim::Time tt) {
-                       end_op(node, key, tt);
-                       if (done) done(tt);
-                     },
-                     std::move(remote_notify));
+                     std::move(tracked), std::move(remote_notify));
       });
 }
 
-void AgasSw::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                    net::OnData done) {
-  heap_->check_extent(src, len);
-  ++fabric_->counters().gas_memgets;
-  note_access(node, src);
+void AgasSw::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
+                       net::OnData done) {
   const std::uint64_t key = src.block_key();
   const std::uint32_t off = src.offset();
   with_translation(
@@ -205,22 +195,14 @@ void AgasSw::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
           local_get(t, node, e.lva + off, len, done);
           return;
         }
-        begin_op(node, key);
+        net::OnData tracked = track_op(node, key, std::move(done));
         t.charge(ep(node).post_cost());
-        ep(node).get(t.now(), e.owner, e.lva + off, len,
-                     [this, node, key, done = std::move(done)](
-                         sim::Time tt, std::vector<std::byte> bytes) {
-                       end_op(node, key, tt);
-                       if (done) done(tt, std::move(bytes));
-                     });
+        ep(node).get(t.now(), e.owner, e.lva + off, len, std::move(tracked));
       });
 }
 
-void AgasSw::fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                       std::uint64_t operand, net::OnU64 done) {
-  heap_->check_extent(addr, sizeof(std::uint64_t));
-  ++fabric_->counters().gas_atomics;
-  note_access(node, addr);
+void AgasSw::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
+                          std::uint64_t operand, net::OnU64 done) {
   const std::uint64_t key = addr.block_key();
   const std::uint32_t off = addr.offset();
   with_translation(
@@ -231,19 +213,14 @@ void AgasSw::fetch_add(sim::TaskCtx& task, int node, Gva addr,
           local_fadd(t, node, e.lva + off, operand, done);
           return;
         }
-        begin_op(node, key);
+        net::OnU64 tracked = track_op(node, key, std::move(done));
         t.charge(ep(node).post_cost());
         ep(node).fetch_add(t.now(), e.owner, e.lva + off, operand,
-                           [this, node, key, done = std::move(done)](
-                               sim::Time tt, std::uint64_t old) {
-                             end_op(node, key, tt);
-                             if (done) done(tt, old);
-                           });
+                           std::move(tracked));
       });
 }
 
-void AgasSw::resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
-  note_access(node, addr);
+void AgasSw::do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
   with_translation(task, node, addr.block_base(),
                    [done = std::move(done)](sim::TaskCtx& t, const CacheEntry& e) {
                      done(t.now(), e.owner);

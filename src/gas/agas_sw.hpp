@@ -45,16 +45,6 @@ class AgasSw final : public GasBase {
   Gva alloc(sim::TaskCtx& task, int node, Dist dist, std::uint32_t nblocks,
             std::uint32_t block_size) override;
 
-  void memput(sim::TaskCtx& task, int node, Gva dst,
-              std::vector<std::byte> data, net::OnDone done) override;
-  void memput_notify(sim::TaskCtx& task, int node, Gva dst,
-                     std::vector<std::byte> data, net::OnDone done,
-                     net::OnDone remote_notify) override;
-  void memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-              net::OnData done) override;
-  void fetch_add(sim::TaskCtx& task, int node, Gva addr, std::uint64_t operand,
-                 net::OnU64 done) override;
-  void resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) override;
   void migrate(sim::TaskCtx& task, int node, Gva block, int dst,
                net::OnDone done) override;
 
@@ -75,6 +65,14 @@ class AgasSw final : public GasBase {
   }
 
  protected:
+  void do_memput(sim::TaskCtx& task, int node, Gva dst,
+                 std::vector<std::byte> data, net::OnDone done,
+                 net::OnDone remote_notify) override;
+  void do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
+                 net::OnData done) override;
+  void do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
+                    std::uint64_t operand, net::OnU64 done) override;
+  void do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) override;
   std::pair<int, sim::Lva> drop_block_state(Gva block_base) override;
 
  private:
@@ -139,8 +137,12 @@ class AgasSw final : public GasBase {
   // Home-side request processing (runs as a CPU task at the home).
   void handle_resolve_request(sim::TaskCtx& task, Gva block_base, int requester);
 
-  // RMA issue helpers with fencing bookkeeping.
-  void begin_op(int node, std::uint64_t key);
+  // Fencing bookkeeping for one RMA from `node` against block `key`: the
+  // op counts as in flight from this call until the returned completion
+  // runs, and wraps `done`.
+  template <typename... Args>
+  std::function<void(sim::Time, Args...)> track_op(
+      int node, std::uint64_t key, std::function<void(sim::Time, Args...)> done);
   void end_op(int node, std::uint64_t key, sim::Time t);
 
   // Migration steps (all run at the home unless noted).

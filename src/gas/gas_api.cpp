@@ -28,8 +28,38 @@ Gva GasBase::alloc(sim::TaskCtx& task, int node, Dist dist,
       std::max<std::uint64_t>(1, nblocks / static_cast<std::uint32_t>(ranks()));
   task.charge(2 * p.wire_latency_ns + 2 * p.cpu_send_overhead_ns +
               blocks_here * costs_.alloc_block_ns);
-  const int creator = dist == Dist::kLocal ? node : node;
-  return heap_->alloc(dist, creator, nblocks, block_size);
+  return heap_->alloc(dist, node, nblocks, block_size);
+}
+
+void GasBase::memput_notify(sim::TaskCtx& task, int node, Gva dst,
+                            std::vector<std::byte> data, net::OnDone done,
+                            net::OnDone remote_notify) {
+  heap_->check_extent(dst, data.size());
+  ++fabric_->counters().gas_memputs;
+  note_access(node, dst);
+  do_memput(task, node, dst, std::move(data), std::move(done),
+            instrument_signal(std::move(remote_notify)));
+}
+
+void GasBase::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
+                     net::OnData done) {
+  heap_->check_extent(src, len);
+  ++fabric_->counters().gas_memgets;
+  note_access(node, src);
+  do_memget(task, node, src, len, std::move(done));
+}
+
+void GasBase::fetch_add(sim::TaskCtx& task, int node, Gva addr,
+                        std::uint64_t operand, net::OnU64 done) {
+  heap_->check_extent(addr, sizeof(std::uint64_t));
+  ++fabric_->counters().gas_atomics;
+  note_access(node, addr);
+  do_fetch_add(task, node, addr, operand, std::move(done));
+}
+
+void GasBase::resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
+  note_access(node, addr);
+  do_resolve(task, node, addr, std::move(done));
 }
 
 std::pair<int, sim::Lva> GasBase::drop_block_state(Gva block_base) {

@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,6 +33,14 @@ enum class GasMode : std::uint8_t { kPgas = 0, kAgasSw = 1, kAgasNet = 2 };
     case GasMode::kAgasNet: return "agas-net";
   }
   return "?";
+}
+
+// Inverse of to_string: the mode named `name`, or nullopt if none is.
+[[nodiscard]] constexpr std::optional<GasMode> parse_mode(std::string_view name) {
+  for (const GasMode mode : {GasMode::kPgas, GasMode::kAgasSw, GasMode::kAgasNet}) {
+    if (name == to_string(mode)) return mode;
+  }
+  return std::nullopt;
 }
 
 // Owner resolution result delivered to `OnOwner`.
@@ -82,26 +92,29 @@ class GasBase {
   virtual void free_alloc(sim::TaskCtx& task, int node, Gva base);
 
   // --- data path ----------------------------------------------------------
-  virtual void memput(sim::TaskCtx& task, int node, Gva dst,
-                      std::vector<std::byte> data, net::OnDone done) = 0;
+  // Every op enters through one of these front doors, which do the shared
+  // prologue (extent check, op counter, access observation, signal
+  // instrumentation) and then hand over to the manager's do_* step.
+  void memput(sim::TaskCtx& task, int node, Gva dst, std::vector<std::byte> data,
+              net::OnDone done) {
+    memput_notify(task, node, dst, std::move(data), std::move(done), nullptr);
+  }
 
   // Put with remote notification: `remote_notify` fires at the CURRENT
   // owner the instant the data is visible there (Photon's remote
-  // completion ledger). Used for producer/consumer signalling without
-  // parcels. The default forwards to memput and fires the notification at
-  // local-completion time with the resolved owner-side semantics lost —
-  // managers whose put path reaches the target directly override it.
-  virtual void memput_notify(sim::TaskCtx& task, int node, Gva dst,
-                             std::vector<std::byte> data, net::OnDone done,
-                             net::OnDone remote_notify) = 0;
-  virtual void memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                      net::OnData done) = 0;
-  virtual void fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                         std::uint64_t operand, net::OnU64 done) = 0;
+  // completion ledger), or at local completion when the issuer owns the
+  // block. Used for producer/consumer signalling without parcels.
+  void memput_notify(sim::TaskCtx& task, int node, Gva dst,
+                     std::vector<std::byte> data, net::OnDone done,
+                     net::OnDone remote_notify);
+  void memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
+              net::OnData done);
+  void fetch_add(sim::TaskCtx& task, int node, Gva addr, std::uint64_t operand,
+                 net::OnU64 done);
 
   // Resolve the current owner of the addressed block (used to route
   // parcels to mobile objects).
-  virtual void resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) = 0;
+  void resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done);
 
   // Copy `len` bytes between global addresses (each range within one
   // block). Composed from memget+memput through the issuing node.
@@ -150,21 +163,18 @@ class GasBase {
   [[nodiscard]] net::Endpoint& ep(int node) { return endpoints_->at(node); }
   [[nodiscard]] int ranks() const { return fabric_->nodes(); }
 
-  // Report one data-path access to the attached AccessObserver (no-op
-  // when none). Classifies local vs remote against the authoritative
-  // current owner; purely observational, charges nothing.
-  void note_access(int node, Gva addr) const {
-    if (access_observer_ == nullptr) return;
-    if (owner_of(addr.block_base()).first == node) {
-      access_observer_->on_local_access(node, addr.block_key());
-    } else {
-      access_observer_->on_remote_access(node, addr.block_key());
-    }
-  }
-
-  // Wrap a memput_notify remote-notification callback in the observer's
-  // exactly-once signal ledger; identity when no observer is attached.
-  [[nodiscard]] net::OnDone instrument_signal(net::OnDone remote_notify) const;
+  // The manager-specific half of each data-path op, called by its front
+  // door after the shared prologue. `remote_notify` is already
+  // instrumented and is null for a plain memput.
+  virtual void do_memput(sim::TaskCtx& task, int node, Gva dst,
+                         std::vector<std::byte> data, net::OnDone done,
+                         net::OnDone remote_notify) = 0;
+  virtual void do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
+                         net::OnData done) = 0;
+  virtual void do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
+                            std::uint64_t operand, net::OnU64 done) = 0;
+  virtual void do_resolve(sim::TaskCtx& task, int node, Gva addr,
+                          OnOwner done) = 0;
 
   // free_alloc hook: drop one block's translation state and return its
   // current {owner, lva} so the base can release the backing store. The
@@ -185,6 +195,23 @@ class GasBase {
   GasCosts costs_;
   InvariantObserver* observer_ = nullptr;
   AccessObserver* access_observer_ = nullptr;
+
+ private:
+  // Report one data-path access to the attached AccessObserver (no-op
+  // when none). Classifies local vs remote against the authoritative
+  // current owner; purely observational, charges nothing.
+  void note_access(int node, Gva addr) const {
+    if (access_observer_ == nullptr) return;
+    if (owner_of(addr.block_base()).first == node) {
+      access_observer_->on_local_access(node, addr.block_key());
+    } else {
+      access_observer_->on_remote_access(node, addr.block_key());
+    }
+  }
+
+  // Wrap a memput_notify remote-notification callback in the observer's
+  // exactly-once signal ledger; identity when no observer is attached.
+  [[nodiscard]] net::OnDone instrument_signal(net::OnDone remote_notify) const;
 };
 
 }  // namespace nvgas::gas

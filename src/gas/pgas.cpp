@@ -11,9 +11,6 @@ Pgas::Place Pgas::translate(Gva addr) const {
 void Pgas::do_memput(sim::TaskCtx& task, int node, Gva dst,
                      std::vector<std::byte> data, net::OnDone done,
                      net::OnDone remote_notify) {
-  heap_->check_extent(dst, data.size());
-  ++fabric_->counters().gas_memputs;
-  note_access(node, dst);
   task.charge(costs_.pgas_translate_ns);
   const Place p = translate(dst);
   if (p.owner == node) {
@@ -26,23 +23,8 @@ void Pgas::do_memput(sim::TaskCtx& task, int node, Gva dst,
                std::move(remote_notify));
 }
 
-void Pgas::memput(sim::TaskCtx& task, int node, Gva dst,
-                  std::vector<std::byte> data, net::OnDone done) {
-  do_memput(task, node, dst, std::move(data), std::move(done), nullptr);
-}
-
-void Pgas::memput_notify(sim::TaskCtx& task, int node, Gva dst,
-                         std::vector<std::byte> data, net::OnDone done,
-                         net::OnDone remote_notify) {
-  do_memput(task, node, dst, std::move(data), std::move(done),
-            instrument_signal(std::move(remote_notify)));
-}
-
-void Pgas::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                  net::OnData done) {
-  heap_->check_extent(src, len);
-  ++fabric_->counters().gas_memgets;
-  note_access(node, src);
+void Pgas::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
+                     net::OnData done) {
   task.charge(costs_.pgas_translate_ns);
   const Place p = translate(src);
   if (p.owner == node) {
@@ -53,11 +35,8 @@ void Pgas::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
   ep(node).get(task.now(), p.owner, p.lva, len, std::move(done));
 }
 
-void Pgas::fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                     std::uint64_t operand, net::OnU64 done) {
-  heap_->check_extent(addr, sizeof(std::uint64_t));
-  ++fabric_->counters().gas_atomics;
-  note_access(node, addr);
+void Pgas::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
+                        std::uint64_t operand, net::OnU64 done) {
   task.charge(costs_.pgas_translate_ns);
   const Place p = translate(addr);
   if (p.owner == node) {
@@ -68,8 +47,7 @@ void Pgas::fetch_add(sim::TaskCtx& task, int node, Gva addr,
   ep(node).fetch_add(task.now(), p.owner, p.lva, operand, std::move(done));
 }
 
-void Pgas::resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
-  note_access(node, addr);
+void Pgas::do_resolve(sim::TaskCtx& task, int /*node*/, Gva addr, OnOwner done) {
   task.charge(costs_.pgas_translate_ns);
   done(task.now(), addr.home(fabric_->nodes()));
 }

@@ -16,20 +16,20 @@ class Pgas final : public GasBase {
   [[nodiscard]] GasMode mode() const override { return GasMode::kPgas; }
   [[nodiscard]] bool supports_migration() const override { return false; }
 
-  void memput(sim::TaskCtx& task, int node, Gva dst,
-              std::vector<std::byte> data, net::OnDone done) override;
-  void memput_notify(sim::TaskCtx& task, int node, Gva dst,
-                     std::vector<std::byte> data, net::OnDone done,
-                     net::OnDone remote_notify) override;
-  void memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-              net::OnData done) override;
-  void fetch_add(sim::TaskCtx& task, int node, Gva addr, std::uint64_t operand,
-                 net::OnU64 done) override;
-  void resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) override;
   void migrate(sim::TaskCtx& task, int node, Gva block, int dst,
                net::OnDone done) override;
 
   [[nodiscard]] std::pair<int, sim::Lva> owner_of(Gva block) const override;
+
+ protected:
+  void do_memput(sim::TaskCtx& task, int node, Gva dst,
+                 std::vector<std::byte> data, net::OnDone done,
+                 net::OnDone remote_notify) override;
+  void do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
+                 net::OnData done) override;
+  void do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
+                    std::uint64_t operand, net::OnU64 done) override;
+  void do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) override;
 
  private:
   struct Place {
@@ -37,9 +37,6 @@ class Pgas final : public GasBase {
     sim::Lva lva;
   };
   [[nodiscard]] Place translate(Gva addr) const;
-  void do_memput(sim::TaskCtx& task, int node, Gva dst,
-                 std::vector<std::byte> data, net::OnDone done,
-                 net::OnDone remote_notify);
 };
 
 }  // namespace nvgas::gas

@@ -139,7 +139,6 @@ class EndpointGroup {
   ~EndpointGroup();  // out-of-line: ReliabilityGroup is incomplete here
 
   [[nodiscard]] Endpoint& at(int node) { return *endpoints_.at(static_cast<std::size_t>(node)); }
-  [[nodiscard]] ReliabilityGroup& reliability() { return *rels_; }
   [[nodiscard]] int size() const { return static_cast<int>(endpoints_.size()); }
   [[nodiscard]] const NetConfig& config() const { return config_; }
 

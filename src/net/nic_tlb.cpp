@@ -11,12 +11,10 @@ bool NicTlb::insert(std::uint64_t block, const TlbEntry& entry) {
     Slot& slot = it->second;
     const bool was_pinned = slot.entry.pinned;
     if (was_pinned && !entry.pinned) {
-      --pinned_count_;
       unpin_key(block);
       lru_.push_front(block);
       slot.lru_pos = lru_.begin();
     } else if (!was_pinned && entry.pinned) {
-      ++pinned_count_;
       pinned_keys_.push_back(block);
       lru_.erase(slot.lru_pos);
     } else if (!entry.pinned) {
@@ -32,7 +30,6 @@ bool NicTlb::insert(std::uint64_t block, const TlbEntry& entry) {
   Slot slot;
   slot.entry = entry;
   if (entry.pinned) {
-    ++pinned_count_;
     pinned_keys_.push_back(block);
   } else {
     lru_.push_front(block);
@@ -66,7 +63,6 @@ void NicTlb::erase(std::uint64_t block) {
   auto it = map_.find(block);
   if (it == map_.end()) return;
   if (it->second.entry.pinned) {
-    --pinned_count_;
     unpin_key(block);
   } else {
     lru_.erase(it->second.lru_pos);

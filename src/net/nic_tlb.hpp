@@ -86,7 +86,6 @@ class NicTlb {
   // Pinned keys in pin order; mirrors the pinned entries in map_ so
   // entries() can snapshot them deterministically.
   std::vector<std::uint64_t> pinned_keys_;
-  std::size_t pinned_count_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

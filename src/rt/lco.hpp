@@ -7,6 +7,7 @@
 // Context::set_remote).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -108,16 +109,6 @@ class Event : public LcoBase {
   void set(sim::Time t) { fire(t); }
 
   void remote_contribute(sim::Time t, util::Buffer::Reader&) override { set(t); }
-
-  [[nodiscard]] auto operator co_await() {
-    struct Awaiter {
-      Event& ev;
-      [[nodiscard]] bool await_ready() const { return ev.triggered(); }
-      void await_suspend(Fiber::Handle h) { ev.add_waiter(h); }
-      void await_resume() const {}
-    };
-    return Awaiter{*this};
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -144,16 +135,6 @@ class Future : public LcoBase {
     }
   }
 
-  [[nodiscard]] auto operator co_await() {
-    struct Awaiter {
-      Future& fut;
-      [[nodiscard]] bool await_ready() const { return fut.triggered(); }
-      void await_suspend(Fiber::Handle h) { fut.add_waiter(h); }
-      [[nodiscard]] T await_resume() const { return fut.value(); }
-    };
-    return Awaiter{*this};
-  }
-
  private:
   T value_{};
 };
@@ -175,16 +156,6 @@ class AndGate : public LcoBase {
   [[nodiscard]] std::uint64_t remaining() const { return remaining_; }
 
   void remote_contribute(sim::Time t, util::Buffer::Reader&) override { arrive(t); }
-
-  [[nodiscard]] auto operator co_await() {
-    struct Awaiter {
-      AndGate& gate;
-      [[nodiscard]] bool await_ready() const { return gate.triggered(); }
-      void await_suspend(Fiber::Handle h) { gate.add_waiter(h); }
-      void await_resume() const {}
-    };
-    return Awaiter{*this};
-  }
 
  private:
   std::uint64_t remaining_;
@@ -220,20 +191,33 @@ class ReduceLco : public LcoBase {
     contribute(t, r.get<T>());
   }
 
-  [[nodiscard]] auto operator co_await() {
-    struct Awaiter {
-      ReduceLco& red;
-      [[nodiscard]] bool await_ready() const { return red.triggered(); }
-      void await_suspend(Fiber::Handle h) { red.add_waiter(h); }
-      [[nodiscard]] T await_resume() const { return red.value(); }
-    };
-    return Awaiter{*this};
-  }
-
  private:
   std::uint64_t remaining_;
   T acc_;
   Op op_;
 };
+
+// ---------------------------------------------------------------------------
+// The one LCO awaiter: ready once the LCO has triggered, otherwise the
+// fiber parks on it; resumes with the LCO's value() when it has one.
+// ---------------------------------------------------------------------------
+template <typename Lco>
+struct LcoAwaiter {
+  Lco& lco;
+  [[nodiscard]] bool await_ready() const { return lco.triggered(); }
+  void await_suspend(Fiber::Handle h) { lco.add_waiter(h); }
+  auto await_resume() const {
+    if constexpr (requires { lco.value(); }) {
+      return lco.value();
+    } else {
+      return;
+    }
+  }
+};
+
+template <std::derived_from<LcoBase> Lco>
+[[nodiscard]] LcoAwaiter<Lco> operator co_await(Lco& lco) {
+  return {lco};
+}
 
 }  // namespace nvgas::rt

@@ -63,12 +63,12 @@ int main(int argc, char** argv) {
     modes = {nvgas::gas::GasMode::kPgas, nvgas::gas::GasMode::kAgasSw,
              nvgas::gas::GasMode::kAgasNet};
   } else {
-    nvgas::gas::GasMode m{};
-    if (!nvgas::core::parse_mode(mode_arg, &m)) {
+    const auto m = nvgas::gas::parse_mode(mode_arg);
+    if (!m) {
       std::fprintf(stderr, "unknown --mode=%s\n", mode_arg.c_str());
       return 2;
     }
-    modes = {m};
+    modes = {*m};
   }
 
   const std::string scenario_arg = opts.get("scenario", "all");
@@ -101,12 +101,12 @@ int main(int argc, char** argv) {
     const McheckResult res = nvgas::core::run_one(scenarios[0], mco, sched);
     if (res.violation) {
       std::printf("VIOLATION %s [%s] schedule %s\n  %s\n",
-                  res.scenario.c_str(), nvgas::core::mode_name(res.mode),
+                  res.scenario.c_str(), nvgas::gas::to_string(res.mode),
                   text.c_str(), res.message.c_str());
       return 1;
     }
     std::printf("ok: %s [%s] schedule %s holds (%llu invariant checks)\n",
-                res.scenario.c_str(), nvgas::core::mode_name(res.mode),
+                res.scenario.c_str(), nvgas::gas::to_string(res.mode),
                 text.c_str(),
                 static_cast<unsigned long long>(res.invariant_checks));
     return 0;
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     for (const auto& sc : scenarios) {
       const McheckResult res = nvgas::core::run_scenario(sc, mco);
       table.cell(res.scenario)
-          .cell(nvgas::core::mode_name(res.mode))
+          .cell(nvgas::gas::to_string(res.mode))
           .cell(res.choice_points)
           .cell(res.schedules_run)
           .cell(res.distinct_orders)
@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
     std::printf(
         "\nVIOLATION %s [%s]\n  %s\n  replay: %s --scenario=%s --mode=%s "
         "--nodes=%d%s --replay=%s\n",
-        res.scenario.c_str(), nvgas::core::mode_name(res.mode),
+        res.scenario.c_str(), nvgas::gas::to_string(res.mode),
         res.message.c_str(), opts.program().c_str(), res.scenario.c_str(),
-        nvgas::core::mode_name(res.mode), mco.nodes,
+        nvgas::gas::to_string(res.mode), mco.nodes,
         mco.fault_sw_skip_sharer_inv ? " --fault" : "",
         res.counterexample.c_str());
   }
