@@ -181,40 +181,35 @@ void AgasNet::route(sim::Time t, int at, Op op) {
 
 void AgasNet::execute(sim::Time t, int owner, const net::TlbEntry& entry,
                       Op op) {
-  auto& nic = fabric_->nic(owner);
-  const auto& p = fabric_->params();
   const sim::Lva lva = entry.base + op.offset;
-
   switch (op.kind) {
     case Op::Kind::kPut: {
-      const sim::Time done =
-          nic.occupy_command_processor(t, p.nic_dma_ns + p.copy_time(op.data.size()));
-      fabric_->engine().at(done, [this, owner, lva, entry, done,
-                                  op = std::move(op)]() mutable {
-        fabric_->mem(owner).write(lva, op.data);
-        if (op.on_remote) op.on_remote(done);  // remote completion ledger
-        reply(done, owner, entry, std::move(op), {}, 0);
-      });
+      std::vector<std::byte> data = std::move(op.data);
+      ep(owner).nic_write(t, lva, std::move(data),
+                          [this, owner, entry, op = std::move(op)](sim::Time done) mutable {
+                            if (op.on_remote) op.on_remote(done);  // remote completion ledger
+                            reply(done, owner, entry, std::move(op), {}, 0);
+                          });
       break;
     }
     case Op::Kind::kGet: {
-      const sim::Time done =
-          nic.occupy_command_processor(t, p.nic_dma_ns + p.copy_time(op.len));
-      fabric_->engine().at(done, [this, owner, lva, entry, done,
-                                  op = std::move(op)]() mutable {
-        std::vector<std::byte> data = fabric_->mem(owner).read_vec(lva, op.len);
-        reply(done, owner, entry, std::move(op), std::move(data), 0);
-      });
+      const std::size_t len = op.len;
+      ep(owner).nic_read(t, lva, len,
+                         [this, owner, entry, op = std::move(op)](
+                             sim::Time done, std::vector<std::byte> data) mutable {
+                           reply(done, owner, entry, std::move(op), std::move(data), 0);
+                         });
       break;
     }
     case Op::Kind::kFadd: {
-      const sim::Time done = nic.occupy_command_processor(t, p.nic_atomic_ns);
-      fabric_->engine().at(done, [this, owner, lva, entry, done,
-                                  op = std::move(op)]() mutable {
-        const std::uint64_t old =
-            fabric_->mem(owner).fetch_add_u64(lva, op.operand);
-        reply(done, owner, entry, std::move(op), {}, old);
-      });
+      const std::uint64_t operand = op.operand;
+      ep(owner).nic_atomic(
+          t,
+          [lva, operand](sim::Memory& mem) { return mem.fetch_add_u64(lva, operand); },
+          [this, owner, entry, op = std::move(op)](sim::Time done,
+                                                   std::uint64_t old) mutable {
+            reply(done, owner, entry, std::move(op), {}, old);
+          });
       break;
     }
   }
@@ -255,8 +250,7 @@ void AgasNet::reply(sim::Time depart, int owner, const net::TlbEntry& entry,
         sim::Time done = src_nic.occupy_command_processor(t, p.nic_tlb_ns);
         maybe_piggyback(src, op.key, update);
         if (op.kind == Op::Kind::kGet) {
-          done = src_nic.occupy_command_processor(
-              done, p.nic_dma_ns + p.copy_time(get_data.size()));
+          done = src_nic.occupy_dma(done, get_data.size());
         }
         fabric_->engine().at(done, [done, fadd_old, op = std::move(op),
                                     get_data = std::move(get_data)]() mutable {
@@ -409,19 +403,16 @@ void AgasNet::mig_request(sim::Time t, gas::Gva block_base, int dst,
   // The single CPU involvement: the destination allocates backing store
   // (registered memory management is software's job even here).
   const std::uint32_t bsize = heap_->meta_of(block_base).block_size;
-  ep(home).raw_send(looked, dst, kCtrlBytes, [this, block_base, dst, home,
-                                              bsize](sim::Time t2) {
-    fabric_->cpu(dst).submit_at(t2, [this, block_base, dst, home,
-                                     bsize](sim::TaskCtx& task) {
-      task.charge(fabric_->params().cpu_recv_overhead_ns + costs_.alloc_block_ns);
-      const sim::Lva lva = heap_->store(dst).allocate(bsize);
-      task.charge(ep(dst).post_cost());
-      ep(dst).raw_send(task.now(), home, kCtrlBytes,
-                       [this, block_base, lva](sim::Time t3) {
-                         mig_alloc_ok(t3, block_base, lva);
+  ep(home).send_to_cpu(looked, dst, kCtrlBytes,
+                       [this, block_base, dst, home, bsize](sim::TaskCtx& task) {
+                         task.charge(costs_.alloc_block_ns);
+                         const sim::Lva lva = heap_->store(dst).allocate(bsize);
+                         task.charge(ep(dst).post_cost());
+                         ep(dst).raw_send(task.now(), home, kCtrlBytes,
+                                          [this, block_base, lva](sim::Time t3) {
+                                            mig_alloc_ok(t3, block_base, lva);
+                                          });
                        });
-    });
-  });
 }
 
 void AgasNet::mig_alloc_ok(sim::Time t, gas::Gva block_base, sim::Lva dst_lva) {
@@ -461,30 +452,18 @@ void AgasNet::mig_alloc_ok(sim::Time t, gas::Gva block_base, sim::Lva dst_lva) {
       (void)tlb_mut(owner).insert(key, hint);
     }
 
-    auto& onic = fabric_->nic(owner);
-    const auto& p = fabric_->params();
-    const sim::Time read_done =
-        onic.occupy_command_processor(t2, p.nic_dma_ns + p.copy_time(bsize));
-    fabric_->engine().at(read_done, [this, block_base, key, owner, dst, old_lva,
-                                     dst_lva, bsize, next_gen, home,
-                                     read_done] {
-      std::vector<std::byte> data = fabric_->mem(owner).read_vec(old_lva, bsize);
-      (void)next_gen;
+    ep(owner).nic_read(t2, old_lva, bsize, [this, block_base, key, owner, dst,
+                                            old_lva, dst_lva, bsize, next_gen,
+                                            home](sim::Time read_done,
+                                                  std::vector<std::byte> data) {
       heap_->store(owner).release(old_lva, bsize);
-
       ep(owner).raw_send(
           read_done, dst, kOpHeaderBytes + bsize,
-          [this, block_base, key, dst, dst_lva, bsize, next_gen, home,
+          [this, block_base, key, dst, dst_lva, next_gen, home,
            data = std::move(data)](sim::Time t3) mutable {
-            auto& dnic = fabric_->nic(dst);
-            const auto& pp = fabric_->params();
-            const sim::Time write_done = dnic.occupy_command_processor(
-                t3, pp.nic_dma_ns + pp.copy_time(bsize));
-            fabric_->engine().at(write_done, [this, block_base, key, dst,
-                                              dst_lva, next_gen, home,
-                                              write_done,
-                                              data = std::move(data)]() mutable {
-              fabric_->mem(dst).write(dst_lva, data);
+            ep(dst).nic_write(t3, dst_lva, std::move(data),
+                              [this, block_base, key, dst, dst_lva, next_gen,
+                               home](sim::Time write_done) {
               if (dst != home) {
                 net::TlbEntry owned;
                 owned.owner = dst;

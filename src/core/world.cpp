@@ -1,5 +1,6 @@
 #include "core/world.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "gas/agas_sw.hpp"
@@ -8,6 +9,11 @@
 #include "util/table.hpp"
 
 namespace nvgas {
+
+// Every node id the GVA format can address must fit a trace record.
+static_assert(gas::Gva::kMaxNodes - 1 <=
+                  std::numeric_limits<decltype(sim::TraceRecord::node)>::max(),
+              "sim::TraceRecord::node cannot hold every GVA creator id");
 
 World::World(const Config& cfg) : cfg_(cfg) {
   NVGAS_CHECK_MSG(cfg_.machine.nodes <= gas::Gva::kMaxNodes,

@@ -80,14 +80,10 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
 
   // Request/response to the home directory.
   task.charge(ep(node).post_cost());
-  ep(node).raw_send(task.now(), home, kCtrlBytes,
-                    [this, block_base, node](sim::Time arrived) {
-                      fabric_->cpu(home_of_key(block_base))
-                          .submit_at(arrived, [this, block_base, node](sim::TaskCtx& t2) {
-                            t2.charge(fabric_->params().cpu_recv_overhead_ns);
-                            handle_resolve_request(t2, block_base, node);
-                          });
-                    });
+  ep(node).send_to_cpu(task.now(), home, kCtrlBytes,
+                       [this, block_base, node](sim::TaskCtx& t2) {
+                         handle_resolve_request(t2, block_base, node);
+                       });
 }
 
 void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
@@ -109,19 +105,16 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
   const CacheEntry entry{e.owner, e.lva, e.generation};
 
   task.charge(ep(home).post_cost());
-  ep(home).raw_send(
-      task.now(), requester, kReplyBytes,
-      [this, key, requester, entry](sim::Time arrived) {
-        fabric_->cpu(requester).submit_at(
-            arrived, [this, key, requester, entry](sim::TaskCtx& t2) {
-              t2.charge(fabric_->params().cpu_recv_overhead_ns +
-                        costs_.sw_cache_insert_ns);
-              NodeState& ns = st(requester);
-              ns.cache.insert(key, entry);
-              auto conts = std::move(ns.pending_resolves[key]);
-              ns.pending_resolves.erase(key);
-              for (auto& c : conts) c(t2, entry);
-            });
+  // The handler finds the requester as the node it runs on, which keeps
+  // the hop's closure within its inline buffer.
+  ep(home).send_to_cpu(
+      task.now(), requester, kReplyBytes, [this, key, entry](sim::TaskCtx& t2) {
+        t2.charge(costs_.sw_cache_insert_ns);
+        NodeState& ns = st(t2.cpu().node());
+        ns.cache.insert(key, entry);
+        auto conts = std::move(ns.pending_resolves[key]);
+        ns.pending_resolves.erase(key);
+        for (auto& c : conts) c(t2, entry);
       });
 }
 
@@ -241,16 +234,11 @@ void AgasSw::migrate(sim::TaskCtx& task, int node, Gva block, int dst,
     return;
   }
   task.charge(ep(node).post_cost());
-  ep(node).raw_send(task.now(), home, kCtrlBytes,
-                    [this, base, dst, node, home,
-                     done = std::move(done)](sim::Time arrived) mutable {
-                      fabric_->cpu(home).submit_at(
-                          arrived, [this, base, dst, node,
-                                    done = std::move(done)](sim::TaskCtx& t2) mutable {
-                            t2.charge(fabric_->params().cpu_recv_overhead_ns);
-                            start_migration(t2, base, dst, node, std::move(done));
-                          });
-                    });
+  ep(node).send_to_cpu(task.now(), home, kCtrlBytes,
+                       [this, base, dst, node,
+                        done = std::move(done)](sim::TaskCtx& t2) mutable {
+                         start_migration(t2, base, dst, node, std::move(done));
+                       });
 }
 
 void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
@@ -305,34 +293,25 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
 
   for (int s : sharers) {
     task.charge(ep(home).post_cost());
-    ep(home).raw_send(
-        task.now(), s, kCtrlBytes, [this, key, block_base, s, home](sim::Time arrived) {
-          fabric_->cpu(s).submit_at(arrived, [this, key, block_base, s,
-                                              home](sim::TaskCtx& t2) {
-            t2.charge(fabric_->params().cpu_recv_overhead_ns +
-                      costs_.invalidate_ns);
-            NodeState& ns = st(s);
-            if (ns.cache.invalidate(key)) {
-              ++fabric_->counters().sw_cache_invalidations;
-            }
-            auto send_ack = [this, block_base, s, home](sim::Time t) {
-              ep(s).raw_send(t, home, kCtrlBytes,
-                             [this, block_base, home](sim::Time arrived2) {
-                               fabric_->cpu(home).submit_at(
-                                   arrived2, [this, block_base](sim::TaskCtx& t3) {
-                                     t3.charge(
-                                         fabric_->params().cpu_recv_overhead_ns);
-                                     migration_acked(t3, block_base);
-                                   });
-                             });
-            };
-            if (ns.outstanding.count(key) != 0) {
-              ns.fence_waiters[key].push_back(std::move(send_ack));
-            } else {
-              t2.charge(ep(s).post_cost());
-              send_ack(t2.now());
-            }
-          });
+    ep(home).send_to_cpu(
+        task.now(), s, kCtrlBytes, [this, key, block_base, s, home](sim::TaskCtx& t2) {
+          t2.charge(costs_.invalidate_ns);
+          NodeState& ns = st(s);
+          if (ns.cache.invalidate(key)) {
+            ++fabric_->counters().sw_cache_invalidations;
+          }
+          auto send_ack = [this, block_base, s, home](sim::Time t) {
+            ep(s).send_to_cpu(t, home, kCtrlBytes,
+                              [this, block_base](sim::TaskCtx& t3) {
+                                migration_acked(t3, block_base);
+                              });
+          };
+          if (ns.outstanding.count(key) != 0) {
+            ns.fence_waiters[key].push_back(std::move(send_ack));
+          } else {
+            t2.charge(ep(s).post_cost());
+            send_ack(t2.now());
+          }
         });
   }
   if (home_fence) {
@@ -365,29 +344,19 @@ void AgasSw::migration_alloc(sim::TaskCtx& task, Gva block_base) {
   const int dst = mig.dst;
 
   task.charge(ep(home).post_cost());
-  ep(home).raw_send(
-      task.now(), dst, kCtrlBytes, [this, key, block_base, dst, home,
-                                    bsize](sim::Time arrived) {
-        fabric_->cpu(dst).submit_at(arrived, [this, key, block_base, dst, home,
-                                              bsize](sim::TaskCtx& t2) {
-          t2.charge(fabric_->params().cpu_recv_overhead_ns +
-                    costs_.alloc_block_ns);
-          const sim::Lva lva = heap_->store(dst).allocate(bsize);
-          t2.charge(ep(dst).post_cost());
-          ep(dst).raw_send(t2.now(), home, kReplyBytes,
-                           [this, key, block_base, lva, home](sim::Time arrived2) {
-                             fabric_->cpu(home).submit_at(
-                                 arrived2,
-                                 [this, key, block_base, lva](sim::TaskCtx& t3) {
-                                   t3.charge(
-                                       fabric_->params().cpu_recv_overhead_ns);
-                                   st(home_of_key(block_base))
-                                       .migrations.at(key)
-                                       .dst_lva = lva;
-                                   migration_transfer(t3, block_base);
-                                 });
-                           });
-        });
+  ep(home).send_to_cpu(
+      task.now(), dst, kCtrlBytes,
+      [this, block_base, dst, home, bsize](sim::TaskCtx& t2) {
+        t2.charge(costs_.alloc_block_ns);
+        const sim::Lva lva = heap_->store(dst).allocate(bsize);
+        t2.charge(ep(dst).post_cost());
+        ep(dst).send_to_cpu(t2.now(), home, kReplyBytes,
+                            [this, block_base, lva](sim::TaskCtx& t3) {
+                              st(home_of_key(block_base))
+                                  .migrations.at(block_base.block_key())
+                                  .dst_lva = lva;
+                              migration_transfer(t3, block_base);
+                            });
       });
 }
 
@@ -397,38 +366,29 @@ void AgasSw::migration_transfer(sim::TaskCtx& task, Gva block_base) {
   Migration& mig = st(home).migrations.at(key);
   DirEntry& e = st(home).dir.at(key);
   const std::uint32_t bsize = heap_->meta_of(block_base).block_size;
-  const int owner = e.owner;
   const sim::Lva old_lva = e.lva;
   const sim::Lva dst_lva = mig.dst_lva;
   const int dst = mig.dst;
 
   task.charge(ep(home).post_cost());
-  ep(home).raw_send(
-      task.now(), owner, kCtrlBytes,
-      [this, key, block_base, owner, dst, old_lva, dst_lva, bsize,
-       home](sim::Time arrived) {
-        fabric_->cpu(owner).submit_at(arrived, [this, key, block_base, owner,
-                                                dst, old_lva, dst_lva, bsize,
-                                                home](sim::TaskCtx& t2) {
-          t2.charge(fabric_->params().cpu_recv_overhead_ns);
-          t2.charge(fabric_->params().copy_time(bsize));
-          std::vector<std::byte> data = fabric_->mem(owner).read_vec(old_lva, bsize);
-          t2.charge(ep(owner).post_cost());
-          ep(owner).put(
-              t2.now(), dst, dst_lva, std::move(data),
-              [this, key, block_base, owner, old_lva, bsize, home](sim::Time t3) {
-                heap_->store(owner).release(old_lva, bsize);
-                ep(owner).raw_send(
-                    t3, home, kCtrlBytes, [this, key, block_base](sim::Time arrived2) {
-                      fabric_->cpu(home_of_key(block_base))
-                          .submit_at(arrived2, [this, block_base](sim::TaskCtx& t4) {
-                            t4.charge(fabric_->params().cpu_recv_overhead_ns);
-                            finish_migration(t4, block_base);
-                          });
-                      (void)key;
-                    });
-              });
-        });
+  // As in the resolve reply, the handler finds the owner as the node it
+  // runs on, which keeps the hop's closure within its inline buffer.
+  ep(home).send_to_cpu(
+      task.now(), e.owner, kCtrlBytes,
+      [this, block_base, old_lva, dst_lva, dst, bsize](sim::TaskCtx& t2) {
+        const int owner = t2.cpu().node();
+        t2.charge(fabric_->params().copy_time(bsize));
+        std::vector<std::byte> data = fabric_->mem(owner).read_vec(old_lva, bsize);
+        t2.charge(ep(owner).post_cost());
+        ep(owner).put(t2.now(), dst, dst_lva, std::move(data),
+                      [this, block_base, owner, old_lva, bsize](sim::Time t3) {
+                        heap_->store(owner).release(old_lva, bsize);
+                        ep(owner).send_to_cpu(
+                            t3, home_of_key(block_base), kCtrlBytes,
+                            [this, block_base](sim::TaskCtx& t4) {
+                              finish_migration(t4, block_base);
+                            });
+                      });
       });
 }
 

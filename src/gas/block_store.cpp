@@ -4,7 +4,6 @@ namespace nvgas::gas {
 
 bool BlockStore::try_allocate(std::size_t bytes, sim::Lva* out) {
   NVGAS_CHECK(bytes > 0);
-  std::lock_guard<std::mutex> lock(mu_);
   const unsigned cls = size_class(bytes);
   auto& list = free_lists_[cls];
   if (!list.empty()) {
@@ -22,7 +21,6 @@ bool BlockStore::try_allocate(std::size_t bytes, sim::Lva* out) {
 }
 
 void BlockStore::release(sim::Lva lva, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
   const unsigned cls = size_class(bytes);
   const std::size_t size = 1ULL << cls;
   NVGAS_CHECK_MSG(in_use_ >= size, "release without matching allocate");

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "sim/memory.hpp"
@@ -23,8 +22,8 @@ class BlockStore {
   explicit BlockStore(std::size_t segment_bytes)
       : segment_bytes_(segment_bytes) {}
 
-  // Allocate `bytes` (rounded up to a power of two, min 64). Aborts on
-  // exhaustion only if `nofail`; otherwise returns false.
+  // Allocate `bytes` (rounded up to a power of two, min 64). try_allocate
+  // returns false on exhaustion; allocate aborts instead.
   [[nodiscard]] bool try_allocate(std::size_t bytes, sim::Lva* out);
   [[nodiscard]] sim::Lva allocate(std::size_t bytes) {
     sim::Lva lva = 0;
@@ -35,12 +34,10 @@ class BlockStore {
   void release(sim::Lva lva, std::size_t bytes);
 
   [[nodiscard]] std::size_t bytes_in_use() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return in_use_;
   }
   [[nodiscard]] std::size_t bytes_total() const { return segment_bytes_; }
   [[nodiscard]] std::size_t high_water() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return bump_;
   }
 
@@ -52,11 +49,6 @@ class BlockStore {
     return util::ceil_log2(rounded);
   }
 
-  // A creator reserves homes on every node at alloc time and a migration
-  // releases at the source while allocating at the destination, so the
-  // free lists are mutex-guarded. The returned Lva values are never
-  // hashed or timed, so lock order cannot leak into traces.
-  mutable std::mutex mu_;
   std::size_t segment_bytes_;
   std::size_t bump_ = 0;
   std::size_t in_use_ = 0;

@@ -17,7 +17,6 @@ Gva GlobalHeap::alloc(Dist dist, int creator, std::uint32_t nblocks,
   NVGAS_CHECK(block_size >= 1 && block_size <= Gva::kMaxBlockSize);
   NVGAS_CHECK(creator >= 0 && creator < fabric_->nodes());
 
-  std::lock_guard<std::mutex> lock(mu_);
   AllocMeta meta;
   NVGAS_CHECK_MSG(next_alloc_id_ <= Gva::kMaxAllocs,
                   "allocation ids exhausted");
@@ -39,7 +38,6 @@ Gva GlobalHeap::alloc(Dist dist, int creator, std::uint32_t nblocks,
 }
 
 void GlobalHeap::release_meta(std::uint32_t alloc_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = metas_.find(alloc_id);
   NVGAS_CHECK_MSG(it != metas_.end(), "release of unknown allocation");
   const AllocMeta meta = it->second;
@@ -51,17 +49,15 @@ void GlobalHeap::release_meta(std::uint32_t alloc_id) {
 }
 
 const AllocMeta& GlobalHeap::meta(std::uint32_t alloc_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = metas_.find(alloc_id);
   NVGAS_CHECK_MSG(it != metas_.end(), "unknown allocation id");
   // References into an unordered_map survive rehash; erasure only
-  // happens in release_meta, whose collective contract forbids
-  // concurrent access to the allocation being freed.
+  // happens in release_meta, whose collective contract forbids any
+  // outstanding access to the allocation being freed.
   return it->second;
 }
 
 bool GlobalHeap::contains(Gva gva) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = metas_.find(gva.alloc_id());
   if (it == metas_.end()) return false;
   const AllocMeta& m = it->second;
@@ -69,7 +65,6 @@ bool GlobalHeap::contains(Gva gva) const {
 }
 
 sim::Lva GlobalHeap::initial_lva(Gva block_base) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = initial_.find(block_base.block_key());
   NVGAS_CHECK_MSG(it != initial_.end(), "no initial placement for block");
   return it->second;

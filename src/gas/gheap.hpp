@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -63,10 +62,6 @@ class GlobalHeap {
  private:
   sim::Fabric* fabric_;
   std::vector<std::unique_ptr<BlockStore>> stores_;
-  // Metadata is read by every node (translation) and inserted into by
-  // any creator's fiber; mutex-guarded at uncontended single-lock cost.
-  // Lock order: mu_ is a leaf (nothing is called while holding it).
-  mutable std::mutex mu_;
   // simlint:allow(D1: keyed find only, never iterated)
   std::unordered_map<std::uint32_t, AllocMeta> metas_;
   // block_key -> initial lva at the home node.

@@ -1,9 +1,12 @@
-// Software-level network configuration (the middleware knobs, as opposed
-// to the hardware model in sim::MachineParams).
+// Software-level network configuration (the middleware knob, as opposed
+// to the hardware model in sim::MachineParams), and the fixed sizes and
+// timers of the middleware's wire protocol.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+
+#include "sim/time.hpp"
 
 namespace nvgas::net {
 
@@ -11,24 +14,24 @@ struct NetConfig {
   // Parcels at or below this payload size go eager (payload rides the
   // first message); larger ones use the rendezvous (RTS + get) protocol.
   std::size_t eager_threshold = 4096;
-
-  // Wire header sizes, charged on every message of the given class.
-  std::uint64_t rma_header_bytes = 32;
-  std::uint64_t ack_bytes = 16;
-  std::uint64_t atomic_bytes = 40;
-  std::uint64_t parcel_header_bytes = 48;
-  std::uint64_t rts_bytes = 40;
-
-  // End-to-end reliability layer (net/reliability), active only when a
-  // fault plan is armed. The sequence/ack header rides every data frame;
-  // retransmit timers start at retransmit_timeout_ns (sized a few RTTs
-  // above the ~2.5 µs put round trip of the default machine) and double
-  // per retry up to the cap. Receivers delay pure acks by ack_delay_ns
-  // hoping to piggyback on reverse traffic instead.
-  std::uint64_t rel_header_bytes = 12;
-  std::uint64_t retransmit_timeout_ns = 12000;
-  std::uint64_t retransmit_backoff_cap_ns = 96000;
-  std::uint64_t ack_delay_ns = 1500;
 };
+
+// Wire header sizes, charged on every message of the given class.
+inline constexpr std::uint64_t kRmaHeaderBytes = 32;     // RMA request/reply
+inline constexpr std::uint64_t kAckBytes = 16;           // put / parcel delivery ack
+inline constexpr std::uint64_t kAtomicBytes = 40;        // atomic request/reply
+inline constexpr std::uint64_t kParcelHeaderBytes = 48;  // parcel envelope
+inline constexpr std::uint64_t kRtsBytes = 40;           // rendezvous RTS
+
+// End-to-end reliability layer (net/reliability), active only when a
+// fault plan is armed. The sequence/ack header rides every data frame;
+// retransmit timers start at kRetransmitTimeoutNs (sized a few RTTs
+// above the ~2.5 µs put round trip of the default machine) and double
+// per retry up to the cap. Receivers delay pure acks by kAckDelayNs
+// hoping to piggyback on reverse traffic instead.
+inline constexpr std::uint64_t kRelHeaderBytes = 12;
+inline constexpr sim::Time kRetransmitTimeoutNs = 12000;
+inline constexpr sim::Time kRetransmitBackoffCapNs = 96000;
+inline constexpr sim::Time kAckDelayNs = 1500;
 
 }  // namespace nvgas::net

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "sim/fabric.hpp"
 #include "sim/memory.hpp"
 #include "util/buffer.hpp"
+#include "util/inline_function.hpp"
 
 namespace nvgas::net {
 
@@ -50,17 +50,17 @@ using OnU64 = std::function<void(Time, std::uint64_t)>;
 
 // Parcel handlers run as CPU tasks at the destination.
 using ParcelHandler =
-    // simlint:allow(D4: installed once per endpoint, not a per-event allocation)
-    std::function<void(sim::TaskCtx&, int src, util::Buffer payload)>;
+    util::InlineFunction<void(sim::TaskCtx&, int src, util::Buffer payload)>;
+
+class EndpointGroup;
 
 class Endpoint {
  public:
-  Endpoint(sim::Fabric& fabric, int node, const NetConfig& config);
+  Endpoint(EndpointGroup& group, sim::Fabric& fabric, int node);
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
   [[nodiscard]] int node() const { return node_; }
-  [[nodiscard]] const NetConfig& config() const { return config_; }
   [[nodiscard]] sim::Fabric& fabric() { return *fabric_; }
 
   // --- one-sided RMA ------------------------------------------------------
@@ -84,6 +84,44 @@ class Endpoint {
   void compare_swap(Time depart, int dst, Lva lva, std::uint64_t expected,
                     std::uint64_t desired, OnU64 on_old);
 
+  // --- NIC-side RMA execution ----------------------------------------------
+  // What this node's NIC command processor does for a one-sided op that
+  // reaches it at `ready`: occupy the command processor (one DMA, or
+  // nic_atomic_ns), then apply the memory effect and run the continuation
+  // as one engine event at the completion time `done`.
+
+  // DMA `data` into memory at lva, then then(done).
+  template <typename Then>
+  void nic_write(Time ready, Lva lva, std::vector<std::byte> data, Then then) {
+    const Time done = fabric_->nic(node_).occupy_dma(ready, data.size());
+    fabric_->engine().at(done, [this, lva, done, data = std::move(data),
+                                then = std::move(then)]() mutable {
+      fabric_->mem(node_).write(lva, data);
+      then(done);
+    });
+  }
+
+  // DMA `len` bytes out of memory at lva, then then(done, bytes).
+  template <typename Then>
+  void nic_read(Time ready, Lva lva, std::size_t len, Then then) {
+    const Time done = fabric_->nic(node_).occupy_dma(ready, len);
+    fabric_->engine().at(done, [this, lva, len, done,
+                                then = std::move(then)]() mutable {
+      then(done, fabric_->mem(node_).read_vec(lva, len));
+    });
+  }
+
+  // Apply op(memory) -> old word, then then(done, old).
+  template <typename Op, typename Then>
+  void nic_atomic(Time ready, Op op, Then then) {
+    const Time done = fabric_->nic(node_).occupy_command_processor(
+        ready, fabric_->params().nic_atomic_ns);
+    fabric_->engine().at(done, [this, done, op = std::move(op),
+                                then = std::move(then)]() mutable {
+      then(done, op(fabric_->mem(node_)));
+    });
+  }
+
   // --- two-sided parcels --------------------------------------------------
 
   void set_parcel_handler(ParcelHandler handler) { handler_ = std::move(handler); }
@@ -94,12 +132,21 @@ class Endpoint {
   void send_parcel(Time depart, int dst, util::Buffer payload,
                    OnDone on_delivered = nullptr);
 
-  // --- escape hatch for NIC-level protocols --------------------------------
-  // The network-managed AGAS builds its GVA ops directly on raw messages so
-  // it can run entirely on NIC command processors (see core/agas_net). Like
-  // every other verb, raw sends go through the reliability gateway: a plain
-  // Nic::send without faults armed, a sequenced channel frame with them.
+  // --- message hops for protocols built on raw messages --------------------
+  // The software and network-managed AGAS build their control and GVA
+  // ops directly on raw messages. Like every other verb, raw sends go
+  // through the reliability gateway: a plain Nic::send without faults
+  // armed, a sequenced channel frame with them.
+
+  // A message whose handler `fn(arrival)` runs on dst's NIC: no CPU.
   void raw_send(Time depart, int dst, std::uint64_t bytes, sim::Nic::Deliver fn);
+
+  // A message whose handler `handler(ctx)` is a CPU task at dst: the task
+  // is queued at arrival and pays the receive overhead o_recv before
+  // the handler runs. This is the cost the network-managed data path
+  // avoids.
+  template <typename Handler>
+  void send_to_cpu(Time depart, int dst, std::uint64_t bytes, Handler handler);
 
   // CPU cost of posting a descriptor; callers charge this before picking
   // the departure time.
@@ -108,22 +155,28 @@ class Endpoint {
   }
 
  private:
-  friend class EndpointGroup;
+  // The receiving half of send_to_cpu, run at this (the destination)
+  // node when the message arrives at `at`.
+  template <typename Handler>
+  void deliver_to_cpu(Time at, Handler handler) {
+    fabric_->cpu(node_).submit_at(
+        at, [this, handler = std::move(handler)](sim::TaskCtx& ctx) mutable {
+          ctx.charge(fabric_->params().cpu_recv_overhead_ns);
+          handler(ctx);
+        });
+  }
 
-  void deliver_parcel_to_cpu(Time at, int src, util::Buffer payload);
+  // The CPU-task body that hands a parcel from `src` to this node's
+  // parcel handler.
+  auto parcel_task(int src, util::Buffer payload);
 
+  template <typename Op>
+  void atomic(Time depart, int dst, OnU64 on_old, Op op);
+
+  EndpointGroup& group_;
   sim::Fabric* fabric_;
   int node_;
-  NetConfig config_;
   ParcelHandler handler_;
-
-  // Resolves a node id to its Endpoint; installed by EndpointGroup.
-  // simlint:allow(D4: installed once at wiring time, never on the event path)
-  std::function<Endpoint*(int)> peer_;
-
-  // Retransmission channels; installed by EndpointGroup, null for
-  // standalone endpoints (which can never have faults armed).
-  ReliabilityGroup* rels_ = nullptr;
 
   // Rendezvous staging: payloads parked at the source until the target
   // pulls them.
@@ -132,7 +185,7 @@ class Endpoint {
   std::uint64_t next_stage_id_ = 1;
 };
 
-// All endpoints of a fabric; wires up cross-endpoint delivery.
+// All endpoints of a fabric, with the reliability channels they share.
 class EndpointGroup {
  public:
   EndpointGroup(sim::Fabric& fabric, const NetConfig& config);
@@ -141,11 +194,22 @@ class EndpointGroup {
   [[nodiscard]] Endpoint& at(int node) { return *endpoints_.at(static_cast<std::size_t>(node)); }
   [[nodiscard]] int size() const { return static_cast<int>(endpoints_.size()); }
   [[nodiscard]] const NetConfig& config() const { return config_; }
+  [[nodiscard]] ReliabilityGroup& reliability() { return *rels_; }
 
  private:
   NetConfig config_;
   std::unique_ptr<ReliabilityGroup> rels_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };
+
+template <typename Handler>
+void Endpoint::send_to_cpu(Time depart, int dst, std::uint64_t bytes,
+                           Handler handler) {
+  Endpoint* target = &group_.at(dst);
+  raw_send(depart, dst, bytes,
+           [target, handler = std::move(handler)](Time arrived) mutable {
+             target->deliver_to_cpu(arrived, std::move(handler));
+           });
+}
 
 }  // namespace nvgas::net

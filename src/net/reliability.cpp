@@ -6,11 +6,9 @@
 
 namespace nvgas::net {
 
-Reliability::Reliability(sim::Fabric& fabric, int node, const NetConfig& cfg,
-                         ReliabilityGroup& group)
+Reliability::Reliability(sim::Fabric& fabric, int node, ReliabilityGroup& group)
     : fabric_(&fabric),
       node_(node),
-      cfg_(cfg),
       group_(&group),
       // protolint:allow(P4: dense per-(src,dst) send windows, the canonical reliability O(P) site; ROADMAP item 2 pools them over active peers)
       tx_(static_cast<std::size_t>(fabric.nodes())),
@@ -51,7 +49,7 @@ void Reliability::send(sim::Time depart, int dst, std::uint64_t bytes,
   s.seq = seq;
   s.bytes = bytes;
   s.payload = std::move(deliver);
-  s.rto_ns = cfg_.retransmit_timeout_ns;
+  s.rto_ns = kRetransmitTimeoutNs;
   s.delivered = false;
   ch.unacked.emplace(seq, idx);
   send_frame(depart, dst, seq);
@@ -79,7 +77,7 @@ void Reliability::send_frame(sim::Time depart, int dst, std::uint64_t seq) {
   Reliability* peer = &group_->at(dst);
   const int src = node_;
   fabric_->nic(node_).send(
-      depart, dst, cfg_.rel_header_bytes + s.bytes,
+      depart, dst, kRelHeaderBytes + s.bytes,
       [peer, src, seq, piggy](sim::Time t) { peer->on_data(t, src, seq, piggy); });
 }
 
@@ -100,7 +98,7 @@ void Reliability::on_rto(int dst, std::uint64_t seq) {
   TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
   s.rto = {};
   ++fabric_->counters().net_retransmits;
-  s.rto_ns = std::min<sim::Time>(s.rto_ns * 2, cfg_.retransmit_backoff_cap_ns);
+  s.rto_ns = std::min<sim::Time>(s.rto_ns * 2, kRetransmitBackoffCapNs);
   // Resend even if already delivered: the ack was lost, and the
   // retransmitted frame solicits a fresh one via the dedup path.
   const sim::Time now = fabric_->engine().now();
@@ -184,7 +182,7 @@ void Reliability::schedule_ack(sim::Time t, int src) {
   if (rx.ack_armed) return;
   rx.ack_armed = true;
   rx.ack_timer = fabric_->engine().at_cancellable(
-      t + cfg_.ack_delay_ns, [this, src] {
+      t + kAckDelayNs, [this, src] {
         RxChannel& r = rx_[static_cast<std::size_t>(src)];
         r.ack_armed = false;
         r.ack_timer = {};
@@ -200,7 +198,7 @@ void Reliability::send_pure_ack(sim::Time t, int dst) {
   const int src = node_;
   const std::uint64_t acked = rx_[static_cast<std::size_t>(dst)].floor;
   fabric_->nic(node_).send(
-      t, dst, cfg_.rel_header_bytes,
+      t, dst, kRelHeaderBytes,
       [peer, src, acked](sim::Time at) { peer->on_ack(at, src, acked); });
 }
 
@@ -220,25 +218,22 @@ void Reliability::simsan_double_cancel_rto(int dst) {
 }
 #endif
 
-ReliabilityGroup::ReliabilityGroup(sim::Fabric& fabric, const NetConfig& cfg) {
+ReliabilityGroup::ReliabilityGroup(sim::Fabric& fabric) {
   // protolint:allow(P4: simulator-host array, one Reliability instance per simulated node)
   rels_.reserve(static_cast<std::size_t>(fabric.nodes()));
   for (int n = 0; n < fabric.nodes(); ++n) {
-    rels_.push_back(std::make_unique<Reliability>(fabric, n, cfg, *this));
+    rels_.push_back(std::make_unique<Reliability>(fabric, n, *this));
   }
 }
 
-void channel_send(sim::Fabric& fabric, ReliabilityGroup* rel, int from,
+void channel_send(sim::Fabric& fabric, ReliabilityGroup& rel, int from,
                   int dst, sim::Time depart, std::uint64_t bytes,
                   sim::Nic::Deliver fn) {
   if (from == dst || fabric.faults() == nullptr) {
     fabric.nic(from).send(depart, dst, bytes, std::move(fn));
     return;
   }
-  NVGAS_CHECK_MSG(
-      rel != nullptr,
-      "fault injection armed on an endpoint outside a reliability group");
-  rel->at(from).send(depart, dst, bytes, std::move(fn));
+  rel.at(from).send(depart, dst, bytes, std::move(fn));
 }
 
 }  // namespace nvgas::net

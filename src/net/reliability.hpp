@@ -11,14 +11,14 @@
 //   * sender window — each unacked frame holds its upper-layer Deliver
 //     closure in a pooled slot with an O(1)-cancellable retransmit
 //     timer (Engine::at_cancellable) backing off exponentially to a
-//     configurable cap (NetConfig::retransmit_backoff_cap_ns);
+//     fixed cap (kRetransmitBackoffCapNs, net/config.hpp);
 //   * receiver reassembly — frames at or below the channel floor (or
 //     already buffered) are discarded as duplicates; out-of-order
 //     frames wait in a reorder buffer until the gap fills, so
 //     fault-induced reordering never reaches the upper layers (the
 //     base simulator's per-link FIFO is part of their contract);
 //   * delayed acks — a receiver arms one ack timer per channel
-//     (NetConfig::ack_delay_ns); any reverse data frame departing first
+//     (kAckDelayNs); any reverse data frame departing first
 //     cancels it and piggybacks the floor instead. Pure acks are
 //     unsequenced and themselves fault-exposed: a lost ack is repaired
 //     by the next retransmission soliciting a fresh one.
@@ -58,14 +58,13 @@ class ReliabilityGroup;
 
 class Reliability {
  public:
-  Reliability(sim::Fabric& fabric, int node, const NetConfig& cfg,
-              ReliabilityGroup& group);
+  Reliability(sim::Fabric& fabric, int node, ReliabilityGroup& group);
   Reliability(const Reliability&) = delete;
   Reliability& operator=(const Reliability&) = delete;
 
   // Sender entry: queue `deliver` for exactly-once in-order delivery at
   // `dst` (!= node; loopback never enters the channel). `bytes` is the
-  // upper-layer payload size; the data frame adds rel_header_bytes.
+  // upper-layer payload size; the data frame adds kRelHeaderBytes.
   void send(sim::Time depart, int dst, std::uint64_t bytes,
             sim::Nic::Deliver deliver);
 
@@ -128,7 +127,6 @@ class Reliability {
 
   sim::Fabric* fabric_;
   int node_;
-  NetConfig cfg_;
   ReliabilityGroup* group_;
   std::vector<TxChannel> tx_;  // indexed by dst
   std::vector<RxChannel> rx_;  // indexed by src
@@ -140,7 +138,7 @@ class Reliability {
 // by the EndpointGroup.
 class ReliabilityGroup {
  public:
-  ReliabilityGroup(sim::Fabric& fabric, const NetConfig& cfg);
+  explicit ReliabilityGroup(sim::Fabric& fabric);
 
   [[nodiscard]] Reliability& at(int node) {
     return *rels_.at(static_cast<std::size_t>(node));
@@ -153,10 +151,8 @@ class ReliabilityGroup {
 // THE traffic gateway above the NIC: every endpoint-level send funnels
 // through here. Without faults armed (or on loopback) it is a plain
 // Nic::send — structurally inert, nothing added to the event stream —
-// otherwise the frame enters `from`'s reliability channel. `rel` may be
-// null only for standalone endpoints outside a group, which can never
-// have faults armed.
-void channel_send(sim::Fabric& fabric, ReliabilityGroup* rel, int from,
+// otherwise the frame enters `from`'s reliability channel.
+void channel_send(sim::Fabric& fabric, ReliabilityGroup& rel, int from,
                   int dst, sim::Time depart, std::uint64_t bytes,
                   sim::Nic::Deliver fn);
 

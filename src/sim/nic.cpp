@@ -153,4 +153,9 @@ Time Nic::occupy_command_processor(Time ready, Time cost) {
   return cp_avail_;
 }
 
+Time Nic::occupy_dma(Time ready, std::uint64_t bytes) {
+  const auto& p = fabric_->params();
+  return occupy_command_processor(ready, p.nic_dma_ns + p.copy_time(bytes));
+}
+
 }  // namespace nvgas::sim

@@ -44,6 +44,9 @@ class Nic {
   // Reserve the command processor from `ready` for `cost` ns; returns the
   // completion time. Used by NIC-level op handlers.
   Time occupy_command_processor(Time ready, Time cost);
+  // The same for one DMA of `bytes` between the wire and memory:
+  // nic_dma_ns of setup plus copy_time(bytes).
+  Time occupy_dma(Time ready, std::uint64_t bytes);
 
   // Sentinel injection index for messages sent with no Explorer armed.
   static constexpr std::uint64_t kNoInjection = ~std::uint64_t{0};

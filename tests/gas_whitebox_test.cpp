@@ -186,7 +186,6 @@ TEST(CostModel, PgasRemoteMemgetMatchesAnalyticFormula) {
   // target cp (dma + len·G_mem), reply (g + (hdr+len)·G + L + g),
   // source cp (dma + len·G_mem), fiber resume.
   const auto& p = cfg.machine;
-  const auto& n = cfg.net;
   const std::uint64_t len = 8;
   auto wire = [&](std::uint64_t bytes) {
     return p.nic_gap_ns + sim::bytes_time(bytes, p.byte_time_ns) +
@@ -194,8 +193,8 @@ TEST(CostModel, PgasRemoteMemgetMatchesAnalyticFormula) {
   };
   const sim::Time expected =
       cfg.gas_costs.pgas_translate_ns + p.cpu_send_overhead_ns +
-      wire(n.rma_header_bytes) + (p.nic_dma_ns + p.copy_time(len)) +
-      wire(n.rma_header_bytes + len) + (p.nic_dma_ns + p.copy_time(len)) +
+      wire(net::kRmaHeaderBytes) + (p.nic_dma_ns + p.copy_time(len)) +
+      wire(net::kRmaHeaderBytes + len) + (p.nic_dma_ns + p.copy_time(len)) +
       cfg.rt_costs.fiber_resume_ns;
   EXPECT_EQ(measured, expected);
 }
@@ -215,11 +214,10 @@ TEST(CostModel, ParcelOneWayMatchesAnalyticFormula) {
   world.run();
 
   const auto& p = cfg.machine;
-  const auto& n = cfg.net;
   const std::uint64_t payload = sizeof(rt::ActionId) + 8;
   const sim::Time expected =
       sent_at + p.cpu_send_overhead_ns + p.nic_gap_ns +
-      sim::bytes_time(n.parcel_header_bytes + payload, p.byte_time_ns) +
+      sim::bytes_time(net::kParcelHeaderBytes + payload, p.byte_time_ns) +
       p.wire_latency_ns + p.nic_gap_ns + p.cpu_recv_overhead_ns +
       cfg.rt_costs.action_dispatch_ns;
   EXPECT_EQ(handled_at, expected);

@@ -91,8 +91,7 @@ nvgas::sim::MachineParams tiny_machine() {
 
 TEST(SimSanDeath, ReliabilityDoubleCancelRtoAborts) {
   nvgas::sim::Fabric fabric(tiny_machine());
-  nvgas::net::NetConfig cfg;
-  nvgas::net::ReliabilityGroup rels(fabric, cfg);
+  nvgas::net::ReliabilityGroup rels(fabric);
   // Queue a frame but do not run the engine: the window slot is unacked
   // and its retransmit timer armed. Cancelling that live timer twice is
   // the lifetime bug the hook reproduces.
@@ -102,8 +101,7 @@ TEST(SimSanDeath, ReliabilityDoubleCancelRtoAborts) {
 
 TEST(SimSanDeath, ReliabilityRetiredSlotInvokeAborts) {
   nvgas::sim::Fabric fabric(tiny_machine());
-  nvgas::net::NetConfig cfg;
-  nvgas::net::ReliabilityGroup rels(fabric, cfg);
+  nvgas::net::ReliabilityGroup rels(fabric);
   int delivered = 0;
   rels.at(0).send(0, 1, 64, [&delivered](nvgas::sim::Time) { ++delivered; });
   fabric.engine().run();  // data, delivery, ack: slot 0 retired + poisoned
