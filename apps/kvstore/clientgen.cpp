@@ -62,7 +62,7 @@ rt::Fiber ClientGen::drive(rt::Context& ctx) {
 }
 
 void ClientGen::issue(rt::Context& c, NodeState& st, util::Rng& rng,
-                      sim::Time /*t_sched*/) {
+                      sim::Time t_due) {
   std::uint64_t key_idx = zipf_.sample(rng);
   if (cfg_.t_shift != 0 && c.now() >= cfg_.t_shift) {
     key_idx = (key_idx + cfg_.keyspace / 2) % cfg_.keyspace;
@@ -90,7 +90,9 @@ void ClientGen::issue(rt::Context& c, NodeState& st, util::Rng& rng,
   }
   ReqMeta meta;
   meta.token = token;
-  meta.t_issue = c.now();
+  // Latency counts from the scheduled arrival, so a generator that runs
+  // late (its node's CPU busy) shows up in the recorded latency.
+  meta.t_issue = t_due;
   meta.reply_action = reply_action_;
   meta.reply_node = c.rank();
 

@@ -86,7 +86,7 @@ class ClientGen {
         : slo(window, target) {}
   };
 
-  void issue(rt::Context& c, NodeState& st, util::Rng& rng, sim::Time t);
+  void issue(rt::Context& c, NodeState& st, util::Rng& rng, sim::Time t_due);
   void on_reply(rt::Context& c, util::Buffer raw);
   [[nodiscard]] double rate_at(sim::Time t) const;
 

@@ -194,8 +194,9 @@ double parcel_flood_ns(std::size_t payload, std::size_t threshold) {
 }  // namespace
 }  // namespace nvgas::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvgas::bench;
+  nvgas::util::Options(argc, argv).reject_unknown();  // takes no flags
   print_header("R-T3", "design-choice ablations");
 
   {

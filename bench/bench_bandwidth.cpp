@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const auto sizes =
       opt.get_uint_list("sizes", {256, 1024, 4096, 16384, 65536, 262144});
+  opt.reject_unknown();
 
   print_header("R-F2", "memput bandwidth vs size (window 32, 2 nodes)");
 

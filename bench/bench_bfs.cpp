@@ -199,6 +199,7 @@ int main(int argc, char** argv) {
   const int nodes = static_cast<int>(opt.get_int("nodes", 8));
   const auto vertices = static_cast<std::uint32_t>(opt.get_uint("vertices", 8192));
   const auto degree = static_cast<std::uint32_t>(opt.get_uint("degree", 8));
+  opt.reject_unknown();
 
   print_header("S-3", "distributed BFS: managers x parcel coalescing");
   const Graph graph = make_graph(vertices, degree, 3);

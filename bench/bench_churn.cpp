@@ -90,8 +90,9 @@ std::vector<double> run_timeline(GasMode mode, bool with_churn) {
 }  // namespace
 }  // namespace nvgas::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvgas::bench;
+  nvgas::util::Options(argc, argv).reject_unknown();  // takes no flags
   print_header("S-7", "throughput time-series under migration churn");
 
   const auto pgas = run_timeline(nvgas::GasMode::kPgas, false);

@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
   const auto node_counts = opt.get_uint_list("nodes", {4, 16, 64, 128, 256});
+  opt.reject_unknown();
 
   print_header("S-1", "collective algorithms: flat vs binomial tree");
 

@@ -208,6 +208,7 @@ int main(int argc, char** argv) {
   const std::uint64_t events =
       !pos.empty() ? std::strtoull(pos[0].c_str(), nullptr, 10) : 2'000'000ULL;
   const std::string out = pos.size() > 1 ? pos[1] : "BENCH_engine.json";
+  opt.reject_unknown();
   if (events == 0) {
     std::fprintf(stderr,
                  "usage: %s [events_per_workload > 0] [out.json]\n"

@@ -97,6 +97,7 @@ int main(int argc, char** argv) {
   const auto delay_ns =
       static_cast<nvgas::sim::Time>(opt.get_uint("fault-delay-ns", 0));
   const std::string out_path = opt.get("out", "BENCH_faults.json");
+  opt.reject_unknown();
 
   print_header("R-S8", "goodput and put latency vs wire drop probability");
 

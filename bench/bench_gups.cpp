@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
   const std::size_t sw_cache = opt.get_uint("sw-cache", 1024);
 
   const auto node_counts = opt.get_uint_list("nodes", {2, 4, 8, 16, 32});
+  opt.reject_unknown();
   print_header("R-F3", "random-access throughput vs nodes (weak scaling)");
 
   nvgas::util::Table t("GUPS-style update rate");

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const std::string out_path = opt.get("out", "BENCH_kvstore.json");
   const std::vector<nvgas::GasMode> modes =
       parse_mode_list(opt.get("sweep-modes", "all"));
+  opt.reject_unknown();
 
   print_header("R-S9",
                "kvstore SLO under Zipf load, hot-set churn and faults");

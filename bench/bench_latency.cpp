@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const auto sizes = opt.get_uint_list(
       "sizes", {8, 64, 512, 4096, 32768, 262144, 1048576 / 2});
+  opt.reject_unknown();
 
   print_header("R-F1", "memget latency vs size (2 nodes, warm translation)");
 

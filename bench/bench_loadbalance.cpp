@@ -117,6 +117,7 @@ int main(int argc, char** argv) {
   const std::uint64_t tasks = opt.get_uint("tasks", 1200);
   const int nodes = static_cast<int>(opt.get_int("nodes", 8));
   const std::string out_path = opt.get("out", "BENCH_loadbalance.json");
+  opt.reject_unknown();
 
   print_header("R-F6", "skewed actor workload: makespan across lb policies");
 

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const auto windows = opt.get_uint_list("windows", {1, 2, 4, 8, 16, 32, 64});
   const std::size_t sw_cache = opt.get_uint("sw-cache", 256);
+  opt.reject_unknown();
 
   print_header("S-5", "loaded latency: per-op latency & rate vs window depth");
 

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
   const auto sizes =
       opt.get_uint_list("sizes", {4096, 16384, 65536, 262144, 1048576 / 2});
   const int sharers = static_cast<int>(opt.get_int("sharers", 4));
+  opt.reject_unknown();
 
   print_header("R-F4", "migration latency vs block size + stale-access penalty");
 

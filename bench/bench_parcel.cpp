@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   const auto payloads =
       opt.get_uint_list("payloads", {0, 64, 512, 2048, 4096, 8192, 65536});
   const std::size_t threshold = opt.get_uint("eager-threshold", 4096);
+  opt.reject_unknown();
 
   print_header("R-T2", "parcel transport: latency and rate vs payload");
 

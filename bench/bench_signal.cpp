@@ -95,6 +95,7 @@ int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const auto chunks = static_cast<std::uint32_t>(opt.get_uint("chunks", 64));
   const auto sizes = opt.get_uint_list("sizes", {1024, 8192, 65536, 262144});
+  opt.reject_unknown();
 
   print_header("S-4", "producer/consumer notification: NIC ledger vs parcels");
 

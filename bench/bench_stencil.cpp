@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
   const auto node_counts = opt.get_uint_list("nodes", {2, 4, 8, 16});
+  opt.reject_unknown();
 
   print_header("R-F5", "stencil (heat2d) time per iteration, weak scaling");
 

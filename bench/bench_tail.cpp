@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
   const nvgas::sim::Time jitter = opt.get_uint("jitter", 400);
+  opt.reject_unknown();
 
   print_header("S-6", "tail latency under wire jitter (8 B memget)");
 

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
   const int nodes = static_cast<int>(opt.get_int("nodes", 16));
+  opt.reject_unknown();
 
   print_header("S-2", "topology sensitivity (random access, 16 nodes)");
 

@@ -112,8 +112,9 @@ Probe measure_cold(GasMode mode) {
 }  // namespace
 }  // namespace nvgas::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvgas::bench;
+  nvgas::util::Options(argc, argv).reject_unknown();  // takes no flags
   print_header("R-T1", "translation-path cost breakdown (8 B memget, 4 nodes)");
 
   const Probe pgas = measure_warm(nvgas::GasMode::kPgas);

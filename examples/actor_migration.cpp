@@ -36,9 +36,11 @@ int main(int argc, char** argv) {
   const std::uint64_t tasks = opt.get_uint("tasks", 2000);
   const double zipf_s = opt.get_double("zipf", 0.9);
   const bool rebalance = opt.get_bool("rebalance", true);
+  const bool report = opt.get_bool("report", false);
 
   nvgas::Config cfg =
       nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
+  opt.reject_unknown();
   nvgas::World world(cfg);
   const bool can_migrate = world.gas().supports_migration();
 
@@ -171,7 +173,7 @@ int main(int argc, char** argv) {
   std::printf("peak rank load      : %llu tasks (perfect balance would be %.0f)\n",
               static_cast<unsigned long long>(peak), mean);
   std::printf("imbalance factor    : %.2fx\n", static_cast<double>(peak) / mean);
-  if (opt.get_bool("report", false)) {
+  if (report) {
     std::printf("\n%s", world.report().c_str());
   }
   return 0;

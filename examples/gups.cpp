@@ -19,9 +19,11 @@ int main(int argc, char** argv) {
   const std::uint64_t table_mib = opt.get_uint("table-mib", 4);
   const std::uint64_t window = opt.get_uint("window", 16);
   const std::uint64_t seed = opt.get_uint("seed", 7);
+  const bool report = opt.get_bool("report", false);
 
   nvgas::Config cfg =
       nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
+  opt.reject_unknown();
   cfg.machine.mem_bytes_per_node = (table_mib + 8) << 20;
   nvgas::World world(cfg);
 
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(c.sw_cache_hits),
               static_cast<unsigned long long>(c.sw_cache_misses),
               static_cast<unsigned long long>(c.directory_lookups));
-  if (opt.get_bool("report", false)) {
+  if (report) {
     std::printf("\n%s", world.report().c_str());
   }
   return 0;

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
 
   nvgas::Config cfg =
       nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
+  opt.reject_unknown();
   nvgas::World world(cfg);
   const bool can_migrate = world.gas().supports_migration();
 

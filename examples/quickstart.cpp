@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   nvgas::Config cfg = nvgas::Config::with_nodes(
       static_cast<int>(opt.get_int("nodes", 8)),
       nvgas::mode_option(opt));
+  opt.reject_unknown();
 
   nvgas::World world(cfg);
   std::printf("nvgas quickstart: %d nodes, %s address space\n\n", world.ranks(),

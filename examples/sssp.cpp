@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
 
   nvgas::Config cfg =
       nvgas::Config::with_nodes(nodes, nvgas::mode_option(opt));
+  opt.reject_unknown();
   cfg.machine.mem_bytes_per_node = 32u << 20;
   nvgas::World world(cfg);
 

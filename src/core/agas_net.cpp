@@ -9,9 +9,9 @@ namespace nvgas::core {
 
 namespace {
 constexpr std::uint64_t kOpHeaderBytes = 40;
-constexpr std::uint64_t kAckBytes = 40;   // completion + piggybacked entry
-constexpr std::uint64_t kCtrlBytes = 32;  // migration control messages
-constexpr int kMaxHops = 64;              // forwarding-loop watchdog
+constexpr std::uint64_t kReplyBytes = 40;  // completion + piggybacked entry
+constexpr std::uint64_t kCtrlBytes = 32;   // migration control messages
+constexpr int kMaxHops = 64;               // forwarding-loop watchdog
 }  // namespace
 
 void AgasNet::maybe_piggyback(int node, std::uint64_t key,
@@ -35,9 +35,8 @@ std::uint64_t AgasNet::Op::wire_bytes() const {
 }
 
 AgasNet::AgasNet(sim::Fabric& fabric, net::EndpointGroup& endpoints,
-                 gas::GlobalHeap& heap, gas::GasCosts costs,
-                 AgasNetConfig config)
-    : GasBase(fabric, endpoints, heap, costs), config_(config) {
+                 gas::GlobalHeap& heap, AgasNetConfig config)
+    : GasBase(fabric, endpoints, heap), config_(config) {
   // Host array of per-node NIC TLB devices; each TLB is capacity-bounded,
   // so per-simulated-node state stays O(tlb_capacity), not O(P).
   // protolint:allow(P4: host array of capacity-bounded per-node TLB devices)
@@ -77,7 +76,7 @@ void AgasNet::issue(sim::TaskCtx& task, int node, Op op) {
   task.charge(ep(node).post_cost());
   auto& nic = fabric_->nic(node);
   const sim::Time looked_up = nic.occupy_command_processor(
-      task.now(), fabric_->params().nic_tlb_ns);
+      task.now(), sim::kNicTlbNs);
 
   const auto hit = tlb_mut(node).lookup(op.key);
   if (hit.has_value()) {
@@ -113,8 +112,7 @@ void AgasNet::send_op(sim::Time depart, int from, int to, Op op) {
 void AgasNet::route(sim::Time t, int at, Op op) {
   auto& counters = fabric_->counters();
   auto& nic = fabric_->nic(at);
-  const sim::Time looked_up =
-      nic.occupy_command_processor(t, fabric_->params().nic_tlb_ns);
+  const sim::Time looked_up = nic.occupy_command_processor(t, sim::kNicTlbNs);
 
   net::TlbEntry* e = tlb_mut(at).find(op.key);
   const int home = home_of(base_of_key(op.key));
@@ -135,7 +133,7 @@ void AgasNet::route(sim::Time t, int at, Op op) {
     // Authoritative forward.
     ++counters.nic_forwards;
     const sim::Time fwd =
-        nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
+        nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
     send_op(fwd, at, e->owner, std::move(op));
     return;
   }
@@ -146,12 +144,12 @@ void AgasNet::route(sim::Time t, int at, Op op) {
     // the home. (R-T3 ablation: costs a full extra round trip.)
     const int src = op.src;
     const sim::Time nack_t =
-        nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
+        nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
     ep(at).raw_send(
         nack_t, src, kCtrlBytes, [this, src, op = std::move(op)](sim::Time t2) mutable {
           auto& src_nic = fabric_->nic(src);
           const sim::Time done = src_nic.occupy_command_processor(
-              t2, fabric_->params().nic_tlb_ns);
+              t2, sim::kNicTlbNs);
           const int home2 = home_of(base_of_key(op.key));
           if (src != home2) tlb_mut(src).erase(op.key);  // never the pinned entry
           send_op(done, src, home2, std::move(op));
@@ -167,15 +165,14 @@ void AgasNet::route(sim::Time t, int at, Op op) {
     op.used_hint = true;
     ++counters.nic_forwards;
     const sim::Time fwd =
-        nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
+        nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
     send_op(fwd, at, e->owner, std::move(op));
     return;
   }
 
   // No knowledge here: defer to the home.
   ++counters.nic_forwards;
-  const sim::Time fwd =
-      nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
+  const sim::Time fwd = nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
   send_op(fwd, at, home, std::move(op));
 }
 
@@ -236,7 +233,7 @@ void AgasNet::reply(sim::Time depart, int owner, const net::TlbEntry& entry,
   }
 
   const std::uint64_t bytes =
-      kAckBytes + (op.kind == Op::Kind::kGet ? get_data.size() : 0);
+      kReplyBytes + (op.kind == Op::Kind::kGet ? get_data.size() : 0);
   net::TlbEntry update = entry;  // piggybacked translation
   update.pinned = false;
   update.in_flight = false;
@@ -246,8 +243,7 @@ void AgasNet::reply(sim::Time depart, int owner, const net::TlbEntry& entry,
       [this, src, update, fadd_old, op = std::move(op),
        get_data = std::move(get_data)](sim::Time t) mutable {
         auto& src_nic = fabric_->nic(src);
-        const auto& p = fabric_->params();
-        sim::Time done = src_nic.occupy_command_processor(t, p.nic_tlb_ns);
+        sim::Time done = src_nic.occupy_command_processor(t, sim::kNicTlbNs);
         maybe_piggyback(src, op.key, update);
         if (op.kind == Op::Kind::kGet) {
           done = src_nic.occupy_dma(done, get_data.size());
@@ -323,7 +319,7 @@ void AgasNet::do_resolve(sim::TaskCtx& task, int node, gas::Gva addr,
                          gas::OnOwner done) {
   // The CPU consults the local NIC TLB; on a miss the home NIC answers
   // (one round trip, no CPU at the home).
-  task.charge(fabric_->params().nic_tlb_ns);
+  task.charge(sim::kNicTlbNs);
   const std::uint64_t key = addr.block_key();
   if (const auto hit = tlb_mut(node).lookup(key)) {
     ++fabric_->counters().nic_tlb_hits;
@@ -338,15 +334,15 @@ void AgasNet::do_resolve(sim::TaskCtx& task, int node, gas::Gva addr,
       [this, key, node, home, done = std::move(done)](sim::Time t) mutable {
         auto& hnic = fabric_->nic(home);
         const sim::Time looked =
-            hnic.occupy_command_processor(t, fabric_->params().nic_tlb_ns);
+            hnic.occupy_command_processor(t, sim::kNicTlbNs);
         net::TlbEntry* e = tlb_mut(home).find(key);
         NVGAS_CHECK_MSG(e != nullptr, "resolve of unallocated address");
         const net::TlbEntry entry = *e;
-        ep(home).raw_send(looked, node, kAckBytes,
+        ep(home).raw_send(looked, node, kReplyBytes,
                   [this, key, node, entry, done = std::move(done)](sim::Time t2) mutable {
                     auto& snic = fabric_->nic(node);
                     const sim::Time done_t = snic.occupy_command_processor(
-                        t2, fabric_->params().nic_tlb_ns);
+                        t2, sim::kNicTlbNs);
                     net::TlbEntry update = entry;
                     update.pinned = false;
                     update.in_flight = false;
@@ -381,8 +377,7 @@ void AgasNet::mig_request(sim::Time t, gas::Gva block_base, int dst,
   const std::uint64_t key = block_base.block_key();
   const int home = home_of(block_base);
   auto& hnic = fabric_->nic(home);
-  const sim::Time looked =
-      hnic.occupy_command_processor(t, fabric_->params().nic_tlb_ns);
+  const sim::Time looked = hnic.occupy_command_processor(t, sim::kNicTlbNs);
 
   net::TlbEntry* e = tlb_mut(home).find(key);
   NVGAS_CHECK_MSG(e != nullptr, "migrate of unallocated address");
@@ -405,7 +400,7 @@ void AgasNet::mig_request(sim::Time t, gas::Gva block_base, int dst,
   const std::uint32_t bsize = heap_->meta_of(block_base).block_size;
   ep(home).send_to_cpu(looked, dst, kCtrlBytes,
                        [this, block_base, dst, home, bsize](sim::TaskCtx& task) {
-                         task.charge(costs_.alloc_block_ns);
+                         task.charge(gas::kAllocBlockNs);
                          const sim::Lva lva = heap_->store(dst).allocate(bsize);
                          task.charge(ep(dst).post_cost());
                          ep(dst).raw_send(task.now(), home, kCtrlBytes,
@@ -432,8 +427,7 @@ void AgasNet::mig_alloc_ok(sim::Time t, gas::Gva block_base, sim::Lva dst_lva) {
   // XFER command to the current owner's NIC: DMA-read the block and ship
   // it to the destination NIC, which installs it and reports back.
   auto& hnic = fabric_->nic(home);
-  const sim::Time cmd =
-      hnic.occupy_command_processor(t, fabric_->params().nic_fwd_ns);
+  const sim::Time cmd = hnic.occupy_command_processor(t, sim::kNicFwdNs);
   ep(home).raw_send(cmd, owner, kCtrlBytes,
                     [this, block_base, key, owner, dst, old_lva,
                      dst_lva, bsize, next_gen, home](sim::Time t2) {
@@ -487,8 +481,7 @@ void AgasNet::mig_commit(sim::Time t, gas::Gva block_base) {
   const std::uint64_t key = block_base.block_key();
   const int home = home_of(block_base);
   auto& hnic = fabric_->nic(home);
-  const sim::Time committed =
-      hnic.occupy_command_processor(t, fabric_->params().nic_tlb_ns);
+  const sim::Time committed = hnic.occupy_command_processor(t, sim::kNicTlbNs);
 
   HomeState& hs = hstate(key);
   Migration mig = std::move(hs.migrations.at(key));
@@ -516,7 +509,7 @@ void AgasNet::mig_commit(sim::Time t, gas::Gva block_base) {
     hs.queued_ops.erase(qit);
     sim::Time depart = committed;
     for (auto& op : ops) {
-      depart = hnic.occupy_command_processor(depart, fabric_->params().nic_fwd_ns);
+      depart = hnic.occupy_command_processor(depart, sim::kNicFwdNs);
       ++counters.nic_forwards;
       send_op(depart, home, mig.dst, std::move(op));
     }

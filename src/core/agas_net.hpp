@@ -43,7 +43,7 @@ struct AgasNetConfig {
 class AgasNet final : public gas::GasBase {
  public:
   AgasNet(sim::Fabric& fabric, net::EndpointGroup& endpoints,
-          gas::GlobalHeap& heap, gas::GasCosts costs, AgasNetConfig config);
+          gas::GlobalHeap& heap, AgasNetConfig config);
 
   [[nodiscard]] gas::GasMode mode() const override {
     return gas::GasMode::kAgasNet;

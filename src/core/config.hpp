@@ -11,7 +11,6 @@
 #include "lb/policy.hpp"
 #include "net/config.hpp"
 #include "rt/collectives.hpp"
-#include "rt/costs.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
 #include "util/options.hpp"
@@ -19,11 +18,10 @@
 namespace nvgas {
 
 struct Config {
-  sim::MachineParams machine;      // hardware model
+  sim::MachineParams machine;      // machine size, topology, wire jitter
   net::NetConfig net;              // middleware knobs
-  rt::RtCosts rt_costs;            // runtime software costs
   rt::CollAlgo coll_algo = rt::CollAlgo::kFlat;  // collective algorithm
-  gas::GasCosts gas_costs;         // address-space software costs
+  gas::GasCosts gas_costs;         // software-AGAS cache size (+ mcheck fault)
   core::AgasNetConfig agas_net;    // contribution's design knobs
   lb::LbConfig lb;                 // adaptive migration subsystem (src/lb)
   sim::FaultPlan faults;           // wire-fault injection; inert when empty

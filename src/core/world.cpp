@@ -27,14 +27,13 @@ World::World(const Config& cfg) : cfg_(cfg) {
     fabric_->set_faults(faults_.get());
   }
   endpoints_ = std::make_unique<net::EndpointGroup>(*fabric_, cfg_.net);
-  runtime_ = std::make_unique<rt::Runtime>(*fabric_, *endpoints_, cfg_.rt_costs);
+  runtime_ = std::make_unique<rt::Runtime>(*fabric_, *endpoints_);
   coll_ = std::make_unique<rt::Collectives>(*runtime_, cfg_.coll_algo);
   heap_ = std::make_unique<gas::GlobalHeap>(*fabric_);
 
   switch (cfg_.gas_mode) {
     case GasMode::kPgas:
-      gas_ = std::make_unique<gas::Pgas>(*fabric_, *endpoints_, *heap_,
-                                         cfg_.gas_costs);
+      gas_ = std::make_unique<gas::Pgas>(*fabric_, *endpoints_, *heap_);
       break;
     case GasMode::kAgasSw:
       gas_ = std::make_unique<gas::AgasSw>(*fabric_, *endpoints_, *heap_,
@@ -42,7 +41,7 @@ World::World(const Config& cfg) : cfg_(cfg) {
       break;
     case GasMode::kAgasNet:
       gas_ = std::make_unique<core::AgasNet>(*fabric_, *endpoints_, *heap_,
-                                             cfg_.gas_costs, cfg_.agas_net);
+                                             cfg_.agas_net);
       break;
   }
 

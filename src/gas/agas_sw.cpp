@@ -14,14 +14,14 @@ constexpr std::uint64_t kReplyBytes = 48;
 }  // namespace
 
 AgasSw::AgasSw(sim::Fabric& fabric, net::EndpointGroup& endpoints,
-               GlobalHeap& heap, GasCosts costs)
-    : GasBase(fabric, endpoints, heap, costs) {
+               GlobalHeap& heap, GasCosts config)
+    : GasBase(fabric, endpoints, heap), config_(config) {
   // Host array of per-node SW translation caches; each cache is bounded by
   // sw_cache_capacity, so per-simulated-node state is O(1).
   // protolint:allow(P4: host array of capacity-bounded per-node SW caches)
   nodes_.reserve(static_cast<std::size_t>(fabric.nodes()));
   for (int n = 0; n < fabric.nodes(); ++n) {
-    nodes_.emplace_back(costs_.sw_cache_capacity);
+    nodes_.emplace_back(config_.sw_cache_capacity);
   }
 }
 
@@ -51,7 +51,7 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
 
   if (node == home) {
     // The home consults its directory directly (CPU cost, no wire).
-    task.charge(costs_.dir_lookup_ns);
+    task.charge(kDirLookupNs);
     ++counters.directory_lookups;
     DirEntry& e = st(home).dir.at(key);
     if (e.moving) {
@@ -66,7 +66,7 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
   }
 
   NodeState& ns = st(node);
-  task.charge(costs_.sw_cache_hit_ns);
+  task.charge(kSwCacheHitNs);
   if (auto hit = ns.cache.lookup(key)) {
     ++counters.sw_cache_hits;
     cont(task, *hit);
@@ -90,7 +90,7 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
                                     int requester) {
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
-  task.charge(costs_.dir_lookup_ns);
+  task.charge(kDirLookupNs);
   ++fabric_->counters().directory_lookups;
 
   DirEntry& e = st(home).dir.at(key);
@@ -109,7 +109,7 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
   // the hop's closure within its inline buffer.
   ep(home).send_to_cpu(
       task.now(), requester, kReplyBytes, [this, key, entry](sim::TaskCtx& t2) {
-        t2.charge(costs_.sw_cache_insert_ns);
+        t2.charge(kSwCacheInsertNs);
         NodeState& ns = st(t2.cpu().node());
         ns.cache.insert(key, entry);
         auto conts = std::move(ns.pending_resolves[key]);
@@ -247,7 +247,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
   const int home = home_of_key(block_base);
   NodeState& hs = st(home);
 
-  task.charge(costs_.dir_lookup_ns);
+  task.charge(kDirLookupNs);
   DirEntry& e = hs.dir.at(key);
   if (e.moving) {
     hs.queued_migrations[key].push_back({dst, initiator, std::move(done)});
@@ -269,7 +269,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
     return;
   }
 
-  task.charge(costs_.dir_update_ns);
+  task.charge(kDirUpdateNs);
   e.moving = true;
   if (observer_ != nullptr) observer_->on_migration_start(key);
   Migration mig;
@@ -280,7 +280,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
   // Invalidate every sharer; each acks only once its in-flight RMAs have
   // drained. The home fences its own outstanding RMAs the same way.
   auto sharers = e.sharers;  // copy: set mutates on replay
-  if (costs_.fault_sw_skip_one_sharer_inv && !sharers.empty()) {
+  if (config_.fault_sw_skip_one_sharer_inv && !sharers.empty()) {
     // Test-only seeded fault (mcheck self-validation): "forget" the
     // highest-ranked sharer — send it no INV and do not await its ACK —
     // so its cached translation survives the move stale.
@@ -295,7 +295,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
     task.charge(ep(home).post_cost());
     ep(home).send_to_cpu(
         task.now(), s, kCtrlBytes, [this, key, block_base, s, home](sim::TaskCtx& t2) {
-          t2.charge(costs_.invalidate_ns);
+          t2.charge(kInvalidateNs);
           NodeState& ns = st(s);
           if (ns.cache.invalidate(key)) {
             ++fabric_->counters().sw_cache_invalidations;
@@ -347,7 +347,7 @@ void AgasSw::migration_alloc(sim::TaskCtx& task, Gva block_base) {
   ep(home).send_to_cpu(
       task.now(), dst, kCtrlBytes,
       [this, block_base, dst, home, bsize](sim::TaskCtx& t2) {
-        t2.charge(costs_.alloc_block_ns);
+        t2.charge(kAllocBlockNs);
         const sim::Lva lva = heap_->store(dst).allocate(bsize);
         t2.charge(ep(dst).post_cost());
         ep(dst).send_to_cpu(t2.now(), home, kReplyBytes,
@@ -399,7 +399,7 @@ void AgasSw::finish_migration(sim::TaskCtx& task, Gva block_base) {
   Migration mig = std::move(hs.migrations.at(key));
   hs.migrations.erase(key);
 
-  task.charge(costs_.dir_update_ns);
+  task.charge(kDirUpdateNs);
   DirEntry& e = hs.dir.at(key);
   e.owner = mig.dst;
   e.lva = mig.dst_lva;
@@ -457,7 +457,10 @@ std::pair<int, sim::Lva> AgasSw::drop_block_state(Gva block_base) {
   NodeState& hs = st(home);
   DirEntry& e = hs.dir.at(key);
   NVGAS_CHECK_MSG(!e.moving, "free_alloc while a block is migrating");
-  NVGAS_CHECK_MSG(queued_migrations_empty(key), "free_alloc with queued migrations");
+  // Migrations queue only at the block's home, and an emptied queue is
+  // erased (chain_queued_migration).
+  NVGAS_CHECK_MSG(hs.queued_migrations.count(key) == 0,
+                  "free_alloc with queued migrations");
   const std::pair<int, sim::Lva> place{e.owner, e.lva};
   // Collective free: every rank drops its cached translation.
   for (auto& ns : nodes_) {
@@ -467,14 +470,6 @@ std::pair<int, sim::Lva> AgasSw::drop_block_state(Gva block_base) {
   }
   hs.dir.erase(key);
   return place;
-}
-
-bool AgasSw::queued_migrations_empty(std::uint64_t key) const {
-  for (const auto& ns : nodes_) {
-    const auto it = ns.queued_migrations.find(key);
-    if (it != ns.queued_migrations.end() && !it->second.empty()) return false;
-  }
-  return true;
 }
 
 std::string AgasSw::audit_translation() const {

@@ -5,7 +5,7 @@
 //   * each block's HOME rank holds the authoritative directory entry
 //     (owner, lva, generation, sharers, move state) — every directory
 //     access is a CPU task at the home;
-//   * every other rank keeps a bounded LRU translation cache, filled by
+//   * every other rank keeps a bounded CLOCK translation cache, filled by
 //     request/response parcels to the home.
 //
 // Invariant: a cached translation is never stale. The home enforces it by
@@ -37,7 +37,7 @@ namespace nvgas::gas {
 class AgasSw final : public GasBase {
  public:
   AgasSw(sim::Fabric& fabric, net::EndpointGroup& endpoints, GlobalHeap& heap,
-         GasCosts costs);
+         GasCosts config);
 
   [[nodiscard]] GasMode mode() const override { return GasMode::kAgasSw; }
   [[nodiscard]] bool supports_migration() const override { return true; }
@@ -124,7 +124,6 @@ class AgasSw final : public GasBase {
   [[nodiscard]] NodeState& st(int node) {
     return nodes_.at(static_cast<std::size_t>(node));
   }
-  [[nodiscard]] bool queued_migrations_empty(std::uint64_t key) const;
   [[nodiscard]] int home_of_key(Gva block_base) const {
     return block_base.home(fabric_->nodes());
   }
@@ -154,6 +153,7 @@ class AgasSw final : public GasBase {
   void finish_migration(sim::TaskCtx& task, Gva block_base);
   void chain_queued_migration(sim::TaskCtx& task, Gva block_base);
 
+  GasCosts config_;
   std::vector<NodeState> nodes_;
 };
 

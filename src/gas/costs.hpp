@@ -1,7 +1,8 @@
-// Software cost parameters for the address-space managers.
+// Software cost model of the address-space managers, and the two
+// settings a caller may choose for the software AGAS.
 //
-// These are CPU nanoseconds charged on the node executing the step; the
-// ordering (arithmetic < cache hit < cache insert < directory work)
+// The costs are CPU nanoseconds charged on the node executing the step;
+// the ordering (arithmetic < cache hit < cache insert < directory work)
 // mirrors measured software AGAS implementations.
 #pragma once
 
@@ -11,15 +12,15 @@
 
 namespace nvgas::gas {
 
-struct GasCosts {
-  sim::Time pgas_translate_ns = 5;    // block-cyclic arithmetic
-  sim::Time sw_cache_hit_ns = 25;     // source-side translation cache hit
-  sim::Time sw_cache_insert_ns = 40;  // fill after a miss
-  sim::Time dir_lookup_ns = 180;      // home directory resolve (CPU)
-  sim::Time dir_update_ns = 220;      // home directory mutation (CPU)
-  sim::Time invalidate_ns = 60;       // processing one cache invalidation
-  sim::Time alloc_block_ns = 120;     // per-block local heap allocation
+inline constexpr sim::Time kPgasTranslateNs = 5;    // block-cyclic arithmetic
+inline constexpr sim::Time kSwCacheHitNs = 25;      // source-side translation cache hit
+inline constexpr sim::Time kSwCacheInsertNs = 40;   // fill after a miss
+inline constexpr sim::Time kDirLookupNs = 180;      // home directory resolve (CPU)
+inline constexpr sim::Time kDirUpdateNs = 220;      // home directory mutation (CPU)
+inline constexpr sim::Time kInvalidateNs = 60;      // processing one cache invalidation
+inline constexpr sim::Time kAllocBlockNs = 120;     // per-block local heap allocation
 
+struct GasCosts {
   std::size_t sw_cache_capacity = 4096;  // entries per node
 
   // Test-only protocol fault injection (mcheck self-validation; see

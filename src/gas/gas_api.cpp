@@ -23,11 +23,10 @@ Gva GasBase::alloc(sim::TaskCtx& task, int node, Dist dist,
   // plus the per-block heap work amortized across ranks. The metadata
   // itself is installed atomically (the simulator is the single source of
   // truth, standing in for the allocation broadcast).
-  const auto& p = fabric_->params();
   const std::uint64_t blocks_here =
       std::max<std::uint64_t>(1, nblocks / static_cast<std::uint32_t>(ranks()));
-  task.charge(2 * p.wire_latency_ns + 2 * p.cpu_send_overhead_ns +
-              blocks_here * costs_.alloc_block_ns);
+  task.charge(2 * sim::kWireLatencyNs + 2 * sim::kCpuSendOverheadNs +
+              blocks_here * kAllocBlockNs);
   return heap_->alloc(dist, node, nblocks, block_size);
 }
 
@@ -70,11 +69,10 @@ void GasBase::free_alloc(sim::TaskCtx& task, int /*node*/, Gva base) {
   const AllocMeta meta = heap_->meta_of(base);  // copy: released below
   // Cost model mirrors alloc: a collective round trip plus per-block
   // local heap work amortized across ranks.
-  const auto& p = fabric_->params();
   const std::uint64_t blocks_here = std::max<std::uint64_t>(
       1, meta.nblocks / static_cast<std::uint32_t>(ranks()));
-  task.charge(2 * p.wire_latency_ns + 2 * p.cpu_send_overhead_ns +
-              blocks_here * costs_.alloc_block_ns);
+  task.charge(2 * sim::kWireLatencyNs + 2 * sim::kCpuSendOverheadNs +
+              blocks_here * kAllocBlockNs);
   // Collective-free teardown releases every block at its CURRENT owner
   // (the caller guarantees nothing is in flight).
   for (std::uint32_t b = 0; b < meta.nblocks; ++b) {
@@ -120,7 +118,7 @@ void GasBase::local_get(sim::TaskCtx& task, int node, sim::Lva lva,
 
 void GasBase::local_fadd(sim::TaskCtx& task, int node, sim::Lva lva,
                          std::uint64_t operand, const net::OnU64& done) {
-  task.charge(fabric_->params().nic_atomic_ns);
+  task.charge(sim::kNicAtomicNs);
   const auto old = fabric_->mem(node).fetch_add_u64(lva, operand);
   if (done) done(task.now(), old);
 }

@@ -68,9 +68,8 @@ class AccessObserver {
 
 class GasBase {
  public:
-  GasBase(sim::Fabric& fabric, net::EndpointGroup& endpoints, GlobalHeap& heap,
-          GasCosts costs)
-      : fabric_(&fabric), endpoints_(&endpoints), heap_(&heap), costs_(costs) {}
+  GasBase(sim::Fabric& fabric, net::EndpointGroup& endpoints, GlobalHeap& heap)
+      : fabric_(&fabric), endpoints_(&endpoints), heap_(&heap) {}
   virtual ~GasBase() = default;
   GasBase(const GasBase&) = delete;
   GasBase& operator=(const GasBase&) = delete;
@@ -156,7 +155,6 @@ class GasBase {
   [[nodiscard]] virtual std::string audit_quiescent() const { return {}; }
 
   [[nodiscard]] GlobalHeap& heap() { return *heap_; }
-  [[nodiscard]] const GasCosts& costs() const { return costs_; }
 
  protected:
   [[nodiscard]] sim::Fabric& fabric() { return *fabric_; }
@@ -192,7 +190,6 @@ class GasBase {
   sim::Fabric* fabric_;
   net::EndpointGroup* endpoints_;
   GlobalHeap* heap_;
-  GasCosts costs_;
   InvariantObserver* observer_ = nullptr;
   AccessObserver* access_observer_ = nullptr;
 

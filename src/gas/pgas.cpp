@@ -11,7 +11,7 @@ Pgas::Place Pgas::translate(Gva addr) const {
 void Pgas::do_memput(sim::TaskCtx& task, int node, Gva dst,
                      std::vector<std::byte> data, net::OnDone done,
                      net::OnDone remote_notify) {
-  task.charge(costs_.pgas_translate_ns);
+  task.charge(kPgasTranslateNs);
   const Place p = translate(dst);
   if (p.owner == node) {
     local_put(task, node, p.lva, data, done);
@@ -25,7 +25,7 @@ void Pgas::do_memput(sim::TaskCtx& task, int node, Gva dst,
 
 void Pgas::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
                      net::OnData done) {
-  task.charge(costs_.pgas_translate_ns);
+  task.charge(kPgasTranslateNs);
   const Place p = translate(src);
   if (p.owner == node) {
     local_get(task, node, p.lva, len, done);
@@ -37,7 +37,7 @@ void Pgas::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
 
 void Pgas::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
                         std::uint64_t operand, net::OnU64 done) {
-  task.charge(costs_.pgas_translate_ns);
+  task.charge(kPgasTranslateNs);
   const Place p = translate(addr);
   if (p.owner == node) {
     local_fadd(task, node, p.lva, operand, done);
@@ -48,7 +48,7 @@ void Pgas::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
 }
 
 void Pgas::do_resolve(sim::TaskCtx& task, int /*node*/, Gva addr, OnOwner done) {
-  task.charge(costs_.pgas_translate_ns);
+  task.charge(kPgasTranslateNs);
   done(task.now(), addr.home(fabric_->nodes()));
 }
 

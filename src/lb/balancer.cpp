@@ -14,7 +14,6 @@ Balancer::Balancer(sim::Fabric& fabric, gas::GasBase& gas, const LbConfig& cfg)
       // protolint:allow(P4: coordinator-resident heat table, one per world; sparse per-source rows are the ROADMAP item 6 follow-up)
       heat_(fabric.nodes()),
       policy_(make_policy(cfg.policy)) {
-  NVGAS_CHECK(cfg_.coordinator >= 0 && cfg_.coordinator < fabric.nodes());
   NVGAS_CHECK(cfg_.max_inflight > 0);
   active_ = gas.supports_migration() && cfg_.policy != PolicyKind::kNone;
   if (active_) gas_->set_access_observer(this);
@@ -58,7 +57,7 @@ void Balancer::tick() {
   }
   // The decision runs as a CPU task on the coordinator so its cost is
   // charged there and migrations are issued from a proper task context.
-  fabric_->cpu(cfg_.coordinator)
+  fabric_->cpu(kCoordinator)
       .submit_at(fabric_->engine().now(),
                  [this](sim::TaskCtx& t) { epoch(t); });
 }
@@ -86,9 +85,8 @@ void Balancer::epoch(sim::TaskCtx& task) {
     snap_.blocks.push_back(PlacedBlock{v.key, owner, v.heat, v.by_node, frozen});
     snap_.node_load[static_cast<std::size_t>(owner)] += v.heat;
   }
-  task.charge(cfg_.decide_base_ns +
-              cfg_.decide_per_block_ns *
-                  static_cast<sim::Time>(snap_.blocks.size()));
+  task.charge(kDecideBaseNs +
+              kDecidePerBlockNs * static_cast<sim::Time>(snap_.blocks.size()));
 
   plan_.clear();
   policy_->plan(snap_, cfg_, plan_);
@@ -131,7 +129,7 @@ void Balancer::issue(sim::TaskCtx& task, const Move& m,
   if (gas::InvariantObserver* obs = gas_->observer()) {
     obs->on_balancer_migrate_issued(m.key);
   }
-  gas_->migrate(task, cfg_.coordinator, block, m.dst,
+  gas_->migrate(task, kCoordinator, block, m.dst,
                 [this, key = m.key, dst = m.dst](sim::Time) {
                   on_migrate_done(key, dst);
                 });
@@ -160,8 +158,6 @@ void Balancer::on_migrate_done(std::uint64_t key, int dst) {
 
 bool Balancer::profitable(std::uint64_t heat_units,
                           std::uint32_t block_size) const {
-  const gas::GasCosts& c = gas_->costs();
-  const sim::MachineParams& p = fabric_->params();
   // Benefit: expected accesses over the next decay window, each saving
   // the modeled remote-vs-local delta.
   const std::uint64_t benefit =
@@ -170,9 +166,9 @@ bool Balancer::profitable(std::uint64_t heat_units,
   // Cost: directory update at the home, invalidation fan-out to every
   // other node, one fence round trip, and pushing the block's bytes.
   const std::uint64_t cost =
-      c.dir_update_ns +
-      static_cast<std::uint64_t>(fabric_->nodes() - 1) * c.invalidate_ns +
-      2 * p.wire_latency_ns + p.wire_time(block_size);
+      gas::kDirUpdateNs +
+      static_cast<std::uint64_t>(fabric_->nodes() - 1) * gas::kInvalidateNs +
+      2 * sim::kWireLatencyNs + sim::MachineParams::wire_time(block_size);
   return benefit > cost;
 }
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-#include "util/options.hpp"
-
 namespace nvgas::lb {
 namespace {
 
@@ -42,7 +39,7 @@ std::vector<std::vector<std::size_t>> candidates_by_owner(
     if (last_move != nullptr) {
       const auto it = last_move->find(b.key);
       if (it != last_move->end() &&
-          snap.epoch < it->second + cfg.cooldown_epochs) {
+          snap.epoch < it->second + kCooldownEpochs) {
         continue;  // per-block cooldown: recently moved, leave it alone
       }
     }
@@ -106,7 +103,7 @@ void plan_transfer(const Snapshot& snap, const LbConfig& cfg, bool hysteresis,
       const std::uint64_t hi = loads[static_cast<std::size_t>(dc)];
       const std::uint64_t gap = hi - lo;
       const bool triggered =
-          hysteresis ? hi * 100 > lo * cfg.imbalance_pct + cfg.min_heat * 100
+          hysteresis ? hi * 100 > lo * kImbalancePct + cfg.min_heat * 100
                      : gap > cfg.min_heat;
       if (!triggered) break;  // loads are ordered: nobody below triggers
       const std::uint64_t limit = hysteresis ? gap / 2 : gap;
@@ -213,21 +210,6 @@ class DiffusivePolicy final : public Policy {
 
 }  // namespace
 
-bool parse_policy(const std::string& name, PolicyKind& out) {
-  if (name == "none") {
-    out = PolicyKind::kNone;
-  } else if (name == "greedy") {
-    out = PolicyKind::kGreedy;
-  } else if (name == "hysteresis") {
-    out = PolicyKind::kHysteresis;
-  } else if (name == "diffusive") {
-    out = PolicyKind::kDiffusive;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::unique_ptr<Policy> make_policy(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kNone: return std::make_unique<NonePolicy>();
@@ -236,29 +218,6 @@ std::unique_ptr<Policy> make_policy(PolicyKind kind) {
     case PolicyKind::kDiffusive: return std::make_unique<DiffusivePolicy>();
   }
   return std::make_unique<NonePolicy>();
-}
-
-void apply_options(LbConfig& cfg, const util::Options& opts) {
-  const std::string name = opts.get("lb-policy", to_string(cfg.policy));
-  NVGAS_CHECK_MSG(parse_policy(name, cfg.policy),
-                  "unknown --lb-policy (want none/greedy/hysteresis/diffusive)");
-  cfg.epoch_ns = static_cast<sim::Time>(
-      opts.get_uint("lb-epoch-ns", static_cast<std::uint64_t>(cfg.epoch_ns)));
-  cfg.decay_shift = static_cast<std::uint32_t>(
-      opts.get_uint("lb-decay-shift", cfg.decay_shift));
-  cfg.max_moves_per_epoch = static_cast<std::uint32_t>(
-      opts.get_uint("lb-max-moves", cfg.max_moves_per_epoch));
-  cfg.max_inflight = static_cast<std::uint32_t>(
-      opts.get_uint("lb-max-inflight", cfg.max_inflight));
-  cfg.imbalance_pct = static_cast<std::uint32_t>(
-      opts.get_uint("lb-imbalance-pct", cfg.imbalance_pct));
-  cfg.cooldown_epochs = static_cast<std::uint32_t>(
-      opts.get_uint("lb-cooldown", cfg.cooldown_epochs));
-  cfg.min_heat = opts.get_uint("lb-min-heat", cfg.min_heat);
-  cfg.benefit_ns_per_access = static_cast<sim::Time>(opts.get_uint(
-      "lb-benefit-ns", static_cast<std::uint64_t>(cfg.benefit_ns_per_access)));
-  cfg.coordinator =
-      static_cast<int>(opts.get_int("lb-coordinator", cfg.coordinator));
 }
 
 }  // namespace nvgas::lb

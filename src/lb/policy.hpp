@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "lb/heat.hpp"
@@ -33,12 +32,20 @@ enum class PolicyKind : std::uint8_t {
   return "?";
 }
 
-// Parse a policy name ("none"/"greedy"/"hysteresis"/"diffusive").
-// Returns false (and leaves `out` untouched) on an unknown name.
-[[nodiscard]] bool parse_policy(const std::string& name, PolicyKind& out);
+// Hysteresis: act only when busiest*100 > idlest*kImbalancePct (plus
+// the min_heat absolute floor), and never re-move a block within
+// kCooldownEpochs of its last move.
+inline constexpr std::uint32_t kImbalancePct = 150;
+inline constexpr std::uint32_t kCooldownEpochs = 2;
 
-// Balancer / policy tuning knobs. Plumbed through core::Config and, for
-// the bench/tool CLIs, util::Options (see apply_options).
+// Node that runs the epoch decision task and issues the migrations.
+inline constexpr int kCoordinator = 0;
+
+// Decision CPU cost charged to the coordinator per epoch.
+inline constexpr sim::Time kDecideBaseNs = 400;
+inline constexpr sim::Time kDecidePerBlockNs = 25;
+
+// Balancer / policy tuning knobs, set through core::Config.
 struct LbConfig {
   PolicyKind policy = PolicyKind::kNone;
 
@@ -54,12 +61,6 @@ struct LbConfig {
   std::uint32_t max_moves_per_epoch = 8;
   std::uint32_t max_inflight = 4;
 
-  // Hysteresis: act only when busiest*100 > idlest*imbalance_pct (plus
-  // the min_heat absolute floor), and never re-move a block within
-  // cooldown_epochs of its last move.
-  std::uint32_t imbalance_pct = 150;
-  std::uint32_t cooldown_epochs = 2;
-
   // Blocks colder than this (decayed units; kAccessUnit per access) are
   // never moved, and diffusive ignores neighbor gaps below 2x this.
   std::uint64_t min_heat = 2 * kAccessUnit;
@@ -68,13 +69,6 @@ struct LbConfig {
   // would localize, weighed against directory-update + invalidation +
   // transfer cost (see Balancer::profitable).
   sim::Time benefit_ns_per_access = 600;
-
-  // Node that runs the epoch decision task and issues the migrations.
-  int coordinator = 0;
-
-  // Decision CPU cost charged to the coordinator per epoch.
-  sim::Time decide_base_ns = 400;
-  sim::Time decide_per_block_ns = 25;
 };
 
 // One block of a placed snapshot: heat plus authoritative owner.
@@ -119,17 +113,4 @@ class Policy {
 
 [[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind);
 
-}  // namespace nvgas::lb
-
-// CLI plumbing lives next to the knobs it fills.
-namespace nvgas::util {
-class Options;
-}  // namespace nvgas::util
-
-namespace nvgas::lb {
-// Overlay --lb-* flags onto `cfg`: --lb-policy, --lb-epoch-ns,
-// --lb-decay-shift, --lb-max-moves, --lb-max-inflight,
-// --lb-imbalance-pct, --lb-cooldown, --lb-min-heat, --lb-benefit-ns,
-// --lb-coordinator. Aborts on an unknown policy name.
-void apply_options(LbConfig& cfg, const util::Options& opts);
 }  // namespace nvgas::lb

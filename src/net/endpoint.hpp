@@ -65,7 +65,7 @@ class Endpoint {
 
   // --- one-sided RMA ------------------------------------------------------
   // All verbs take an explicit departure time; runtime-layer callers pass
-  // TaskCtx::now() after charging cpu_send_overhead_ns (use post_cost()).
+  // TaskCtx::now() after charging kCpuSendOverheadNs (use post_cost()).
 
   // Write `data` into dst's registered segment at dst_lva. `on_complete`
   // fires at the source once the remote write is acknowledged;
@@ -87,7 +87,7 @@ class Endpoint {
   // --- NIC-side RMA execution ----------------------------------------------
   // What this node's NIC command processor does for a one-sided op that
   // reaches it at `ready`: occupy the command processor (one DMA, or
-  // nic_atomic_ns), then apply the memory effect and run the continuation
+  // kNicAtomicNs), then apply the memory effect and run the continuation
   // as one engine event at the completion time `done`.
 
   // DMA `data` into memory at lva, then then(done).
@@ -114,8 +114,8 @@ class Endpoint {
   // Apply op(memory) -> old word, then then(done, old).
   template <typename Op, typename Then>
   void nic_atomic(Time ready, Op op, Then then) {
-    const Time done = fabric_->nic(node_).occupy_command_processor(
-        ready, fabric_->params().nic_atomic_ns);
+    const Time done =
+        fabric_->nic(node_).occupy_command_processor(ready, sim::kNicAtomicNs);
     fabric_->engine().at(done, [this, done, op = std::move(op),
                                 then = std::move(then)]() mutable {
       then(done, op(fabric_->mem(node_)));
@@ -150,9 +150,7 @@ class Endpoint {
 
   // CPU cost of posting a descriptor; callers charge this before picking
   // the departure time.
-  [[nodiscard]] Time post_cost() const {
-    return fabric_->params().cpu_send_overhead_ns;
-  }
+  [[nodiscard]] static Time post_cost() { return sim::kCpuSendOverheadNs; }
 
  private:
   // The receiving half of send_to_cpu, run at this (the destination)
@@ -161,7 +159,7 @@ class Endpoint {
   void deliver_to_cpu(Time at, Handler handler) {
     fabric_->cpu(node_).submit_at(
         at, [this, handler = std::move(handler)](sim::TaskCtx& ctx) mutable {
-          ctx.charge(fabric_->params().cpu_recv_overhead_ns);
+          ctx.charge(sim::kCpuRecvOverheadNs);
           handler(ctx);
         });
   }

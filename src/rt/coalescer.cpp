@@ -22,7 +22,7 @@ Coalescer::Coalescer(Runtime& rt, CoalescerConfig config)
           util::Buffer args;
           args.append_raw(r.rest().subspan(0, len));
           r.skip(len);
-          c.charge(rt_.costs().action_dispatch_ns);
+          c.charge(kActionDispatchNs);
           rt_.actions().handler(action)(c, src, std::move(args));
         }
       });

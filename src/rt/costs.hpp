@@ -1,16 +1,14 @@
-// Runtime-software cost parameters (CPU nanoseconds charged by the
-// message-driven runtime itself, on top of the hardware model).
+// Runtime-software cost model: CPU nanoseconds charged by the
+// message-driven runtime itself, on top of the hardware model.
 #pragma once
 
 #include "sim/time.hpp"
 
 namespace nvgas::rt {
 
-struct RtCosts {
-  sim::Time action_dispatch_ns = 150;  // decode parcel, look up action
-  sim::Time fiber_resume_ns = 80;      // scheduler wakeup of a suspended fiber
-  sim::Time lco_set_ns = 30;           // LCO state transition
-  sim::Time spawn_ns = 100;            // create a new fiber/task
-};
+inline constexpr sim::Time kActionDispatchNs = 150;  // decode parcel, look up action
+inline constexpr sim::Time kFiberResumeNs = 80;      // scheduler wakeup of a suspended fiber
+inline constexpr sim::Time kLcoSetNs = 30;           // LCO state transition
+inline constexpr sim::Time kSpawnNs = 100;           // create a new fiber/task
 
 }  // namespace nvgas::rt

@@ -12,9 +12,8 @@ CurrentTaskScope::CurrentTaskScope(Runtime& rt, sim::TaskCtx& task)
 }
 CurrentTaskScope::~CurrentTaskScope() { rt_.set_current(node_, prev_); }
 
-Runtime::Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints,
-                 RtCosts costs)
-    : fabric_(&fabric), endpoints_(&endpoints), costs_(costs) {
+Runtime::Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints)
+    : fabric_(&fabric), endpoints_(&endpoints) {
   // protolint:allow(P4: simulator-host array, one runtime state per simulated node)
   states_.resize(static_cast<std::size_t>(fabric.nodes()));
   for (int n = 0; n < fabric.nodes(); ++n) {
@@ -32,7 +31,7 @@ Runtime::Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints,
         const auto id = r.get<std::uint64_t>();
         LcoBase* lco = find_lco(c.rank(), id);
         NVGAS_CHECK_MSG(lco != nullptr, "lco_set for unknown LCO");
-        c.charge(costs_.lco_set_ns);
+        c.charge(kLcoSetNs);
         lco->remote_contribute(c.now(), r);
       });
 }
@@ -50,7 +49,7 @@ void Runtime::spawn_at(int node, sim::Time not_before,
   fabric_->cpu(node).submit_at(
       not_before, [this, node, slot, fptr](sim::TaskCtx& tctx) {
         CurrentTaskScope scope(*this, tctx);
-        tctx.charge(costs_.spawn_ns);
+        tctx.charge(kSpawnNs);
         auto& ns = states_.at(static_cast<std::size_t>(node));
         ns.pending_spawn_slot = slot;
         (void)(*fptr)(ctx(node));  // eager start: first segment runs here
@@ -80,7 +79,7 @@ void Runtime::invoke_action_at(int node, sim::Time t, ActionId action, int src,
   fabric_->cpu(node).submit_at(
       t, [this, node, action, src, args = std::move(args)](sim::TaskCtx& tctx) mutable {
         CurrentTaskScope scope(*this, tctx);
-        tctx.charge(costs_.action_dispatch_ns);
+        tctx.charge(kActionDispatchNs);
         actions_.handler(action)(ctx(node), src, std::move(args));
       });
 }
@@ -88,7 +87,7 @@ void Runtime::invoke_action_at(int node, sim::Time t, ActionId action, int src,
 void Runtime::dispatch(int node, sim::TaskCtx& tctx, int src,
                        util::Buffer payload) {
   CurrentTaskScope scope(*this, tctx);
-  tctx.charge(costs_.action_dispatch_ns);
+  tctx.charge(kActionDispatchNs);
   auto r = payload.reader();
   const auto action = r.get<ActionId>();
   // Hand the handler its own copy of the remaining bytes so a suspending
@@ -128,7 +127,7 @@ void Runtime::release_lco(int node, std::uint64_t id) {
 void Runtime::resume_fiber_at(int node, Fiber::Handle h, sim::Time not_before) {
   fabric_->cpu(node).submit_at(not_before, [this, h](sim::TaskCtx& tctx) {
     CurrentTaskScope scope(*this, tctx);
-    tctx.charge(costs_.fiber_resume_ns);
+    tctx.charge(kFiberResumeNs);
     h.resume();
   });
 }
@@ -171,7 +170,7 @@ void Context::set_lco(LcoRef ref, util::Buffer value) {
   NVGAS_CHECK(ref.valid());
   if (ref.node == node_) {
     // Local fast path: no parcel, just the LCO transition cost.
-    charge(runtime_->costs().lco_set_ns);
+    charge(kLcoSetNs);
     LcoBase* lco = runtime_->find_lco(node_, ref.id);
     NVGAS_CHECK_MSG(lco != nullptr, "set_lco for unknown local LCO");
     auto r = value.reader();

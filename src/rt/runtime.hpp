@@ -24,14 +24,12 @@ namespace nvgas::rt {
 
 class Runtime {
  public:
-  Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints,
-          RtCosts costs = {});
+  Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints);
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
   [[nodiscard]] sim::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] net::EndpointGroup& endpoints() { return *endpoints_; }
-  [[nodiscard]] const RtCosts& costs() const { return costs_; }
   [[nodiscard]] ActionRegistry& actions() { return actions_; }
   [[nodiscard]] int nodes() const { return fabric_->nodes(); }
   [[nodiscard]] Context& ctx(int node) {
@@ -124,7 +122,6 @@ class Runtime {
 
   sim::Fabric* fabric_;
   net::EndpointGroup* endpoints_;
-  RtCosts costs_;
   ActionRegistry actions_;
   std::vector<NodeState> states_;
   ActionId lco_set_action_ = kInvalidAction;

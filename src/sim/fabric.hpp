@@ -62,8 +62,7 @@ class Fabric {
   // loopback path.
   [[nodiscard]] Time latency(int src, int dst) {
     if (src == dst) return 0;
-    Time l = topology_.latency(src, dst, params_.wire_latency_ns,
-                               params_.per_hop_latency_ns);
+    Time l = topology_.latency(src, dst, kWireLatencyNs, kPerHopLatencyNs);
     if (params_.wire_jitter_ns > 0) {
       l += jitter_rng_.below(params_.wire_jitter_ns);
     }

@@ -1,11 +1,13 @@
-// Hardware model parameters for the simulated cluster.
+// Hardware model of the simulated cluster.
 //
 // The network follows a LogGP-style decomposition: per-message CPU
 // overheads (o), per-message NIC gaps (g), per-byte serialization (G) and
-// wire latency (L). Defaults are shaped after a QDR-InfiniBand-era
-// commodity cluster — the class of machine the original evaluation ran
-// on. Absolute values are configurable; the benchmark conclusions depend
-// only on their ordering (CPU overheads ≫ NIC processing ≫ per-byte).
+// wire latency (L). The costs are fixed constants shaped after a
+// QDR-InfiniBand-era commodity cluster — the class of machine the
+// original evaluation ran on. The benchmark conclusions depend only on
+// their ordering (CPU overheads ≫ NIC processing ≫ per-byte), not on any
+// one value. MachineParams holds what a caller chooses: the machine's
+// size, its topology and the wire jitter.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +18,26 @@
 
 namespace nvgas::sim {
 
+// --- topology ---
+inline constexpr int kDragonflyGroupSize = 4;
+inline constexpr Time kPerHopLatencyNs = 150;    // extra latency per switch hop past 1
+
+// --- network (LogGP-ish) ---
+inline constexpr Time kWireLatencyNs = 900;      // L: one-way 1-hop latency
+inline constexpr Time kNicGapNs = 40;            // g: per-message port occupancy (tx and rx)
+inline constexpr double kByteTimeNs = 0.233;     // G: ~4 GiB/s link
+inline constexpr Time kCpuSendOverheadNs = 120;  // o_send: CPU cost to post a descriptor
+inline constexpr Time kCpuRecvOverheadNs = 250;  // o_recv: CPU cost to take a two-sided rx
+
+// --- NIC processing (one-sided path, no CPU involvement) ---
+inline constexpr Time kNicDmaNs = 100;           // DMA engine setup per RMA op
+inline constexpr Time kNicTlbNs = 60;            // NIC translation-table lookup
+inline constexpr Time kNicFwdNs = 80;            // NIC-level forward of a stale-address op
+inline constexpr Time kNicAtomicNs = 150;        // NIC-executed fetch-add / cswap
+
+// --- local memory system ---
+inline constexpr double kMembusByteNs = 0.0625;  // ~16 GiB/s local copy bandwidth
+
 struct MachineParams {
   int nodes = 8;
   int workers_per_node = 2;          // schedulable CPU workers per node
@@ -25,36 +47,18 @@ struct MachineParams {
   // benchmark provenance reads it.
   static constexpr int threads = 0;
 
-  // --- topology ---
   TopologyKind topology = TopologyKind::kFlat;
-  int dragonfly_group_size = 4;
-  Time per_hop_latency_ns = 150;     // extra latency per switch hop past 1
 
-  // --- network (LogGP-ish) ---
-  Time wire_latency_ns = 900;        // L: one-way 1-hop latency
   Time wire_jitter_ns = 0;           // uniform [0, jitter) added per message
                                      // (deterministic, seeded; models switch
                                      // arbitration variance for tail studies)
   std::uint64_t jitter_seed = 0x7177e4;
-  Time nic_gap_ns = 40;              // g: per-message port occupancy (tx and rx)
-  double byte_time_ns = 0.233;       // G: ~4 GiB/s link
-  Time cpu_send_overhead_ns = 120;   // o_send: CPU cost to post a descriptor
-  Time cpu_recv_overhead_ns = 250;   // o_recv: CPU cost to take a two-sided rx
 
-  // --- NIC processing (one-sided path, no CPU involvement) ---
-  Time nic_dma_ns = 100;             // DMA engine setup per RMA op
-  Time nic_tlb_ns = 60;              // NIC translation-table lookup
-  Time nic_fwd_ns = 80;              // NIC-level forward of a stale-address op
-  Time nic_atomic_ns = 150;          // NIC-executed fetch-add / cswap
-
-  // --- local memory system ---
-  double membus_byte_ns = 0.0625;    // ~16 GiB/s local copy bandwidth
-
-  [[nodiscard]] Time wire_time(std::uint64_t bytes) const {
-    return nic_gap_ns + bytes_time(bytes, byte_time_ns);
+  [[nodiscard]] static constexpr Time wire_time(std::uint64_t bytes) {
+    return kNicGapNs + bytes_time(bytes, kByteTimeNs);
   }
-  [[nodiscard]] Time copy_time(std::uint64_t bytes) const {
-    return bytes_time(bytes, membus_byte_ns);
+  [[nodiscard]] static constexpr Time copy_time(std::uint64_t bytes) {
+    return bytes_time(bytes, kMembusByteNs);
   }
 };
 

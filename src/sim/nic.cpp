@@ -93,7 +93,6 @@ void Nic::send(Time depart, int dst, std::uint64_t bytes, Deliver deliver) {
 
 void Nic::arrive(std::int32_t idx, Time at_port) {
   auto& engine = fabric_->engine();
-  const auto& p = fabric_->params();
   PendingMsg& m = inflight_[static_cast<std::size_t>(idx)];
 #ifdef NVGAS_SIMSAN
   NVGAS_CHECK_MSG(m.parked,
@@ -101,7 +100,7 @@ void Nic::arrive(std::int32_t idx, Time at_port) {
 #endif
 
   // rx port occupancy.
-  rx_avail_ = std::max(at_port, rx_avail_) + p.nic_gap_ns;
+  rx_avail_ = std::max(at_port, rx_avail_) + kNicGapNs;
   const Time done = rx_avail_;
   fabric_->trace().record(done, TraceEvent::kMsgArrive, node_, m.src, m.bytes);
 
@@ -154,8 +153,8 @@ Time Nic::occupy_command_processor(Time ready, Time cost) {
 }
 
 Time Nic::occupy_dma(Time ready, std::uint64_t bytes) {
-  const auto& p = fabric_->params();
-  return occupy_command_processor(ready, p.nic_dma_ns + p.copy_time(bytes));
+  return occupy_command_processor(ready,
+                                  kNicDmaNs + MachineParams::copy_time(bytes));
 }
 
 }  // namespace nvgas::sim

@@ -45,7 +45,7 @@ class Nic {
   // completion time. Used by NIC-level op handlers.
   Time occupy_command_processor(Time ready, Time cost);
   // The same for one DMA of `bytes` between the wire and memory:
-  // nic_dma_ns of setup plus copy_time(bytes).
+  // kNicDmaNs of setup plus copy_time(bytes).
   Time occupy_dma(Time ready, std::uint64_t bytes);
 
   // Sentinel injection index for messages sent with no Explorer armed.

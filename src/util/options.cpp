@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/assert.hpp"
@@ -48,47 +49,51 @@ Options::Options(int argc, const char* const* argv) {
   }
 }
 
-bool Options::has(const std::string& key) const { return flags_.count(key) != 0; }
+const std::string* Options::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = flags_.find(key);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool Options::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string Options::get(const std::string& key, const std::string& def) const {
-  const auto it = flags_.find(key);
-  return it == flags_.end() ? def : it->second;
+  const std::string* v = find(key);
+  return v == nullptr ? def : *v;
 }
 
 std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
   return parse_number<std::int64_t>(
-      key, it->second,
-      [](const char* b, char** e) { return std::strtoll(b, e, 0); });
+      key, *v, [](const char* b, char** e) { return std::strtoll(b, e, 0); });
 }
 
 std::uint64_t Options::get_uint(const std::string& key, std::uint64_t def) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
-  return to_uint(key, it->second);
+  const std::string* v = find(key);
+  return v == nullptr ? def : to_uint(key, *v);
 }
 
 double Options::get_double(const std::string& key, double def) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
-  return parse_number<double>(key, it->second, [](const char* b, char** e) {
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
+  return parse_number<double>(key, *v, [](const char* b, char** e) {
     return std::strtod(b, e);
   });
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
+  return *v == "true" || *v == "1" || *v == "yes";
 }
 
 std::vector<std::uint64_t> Options::get_uint_list(
     const std::string& key, std::vector<std::uint64_t> def) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
   std::vector<std::uint64_t> out;
-  const std::string& s = it->second;
+  const std::string& s = *v;
   std::size_t pos = 0;
   while (pos < s.size()) {
     auto comma = s.find(',', pos);
@@ -98,6 +103,17 @@ std::vector<std::uint64_t> Options::get_uint_list(
   }
   NVGAS_CHECK_MSG(!out.empty(), "empty list option");
   return out;
+}
+
+void Options::reject_unknown() const {
+  bool unknown = false;
+  for (const auto& [key, value] : flags_) {
+    if (read_.count(key) == 0) {
+      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+      unknown = true;
+    }
+  }
+  if (unknown) std::exit(2);
 }
 
 }  // namespace nvgas::util

@@ -3,11 +3,13 @@
 // Accepts "--key=value" and "--flag" arguments; everything else is a
 // positional. Typed getters with defaults keep call sites one line; a
 // numeric getter aborts, naming the flag, when the value is empty or not
-// entirely a number.
+// entirely a number. Every getter (and has()) records the key it was
+// asked for, so reject_unknown() can tell a misspelt flag from a real one.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,10 +33,19 @@ class Options {
   [[nodiscard]] const std::vector<std::string>& positionals() const { return positionals_; }
   [[nodiscard]] const std::string& program() const { return program_; }
 
+  // A binary calls this once it has read all its flags: every --flag on
+  // the command line that no getter asked for is printed as
+  // "unknown flag --X", and the process exits with status 2.
+  void reject_unknown() const;
+
  private:
+  // The value of `key`, or null if it was not given; records the read.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positionals_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace nvgas::util

@@ -185,17 +185,18 @@ TEST(CostModel, PgasRemoteMemgetMatchesAnalyticFormula) {
   // Analytic: translate + o_send, request (g + hdr·G + L + g),
   // target cp (dma + len·G_mem), reply (g + (hdr+len)·G + L + g),
   // source cp (dma + len·G_mem), fiber resume.
-  const auto& p = cfg.machine;
   const std::uint64_t len = 8;
-  auto wire = [&](std::uint64_t bytes) {
-    return p.nic_gap_ns + sim::bytes_time(bytes, p.byte_time_ns) +
-           p.wire_latency_ns + p.nic_gap_ns;
+  auto wire = [](std::uint64_t bytes) {
+    return sim::kNicGapNs + sim::bytes_time(bytes, sim::kByteTimeNs) +
+           sim::kWireLatencyNs + sim::kNicGapNs;
+  };
+  auto dma = [](std::uint64_t bytes) {
+    return sim::kNicDmaNs + sim::bytes_time(bytes, sim::kMembusByteNs);
   };
   const sim::Time expected =
-      cfg.gas_costs.pgas_translate_ns + p.cpu_send_overhead_ns +
-      wire(net::kRmaHeaderBytes) + (p.nic_dma_ns + p.copy_time(len)) +
-      wire(net::kRmaHeaderBytes + len) + (p.nic_dma_ns + p.copy_time(len)) +
-      cfg.rt_costs.fiber_resume_ns;
+      gas::kPgasTranslateNs + sim::kCpuSendOverheadNs +
+      wire(net::kRmaHeaderBytes) + dma(len) +
+      wire(net::kRmaHeaderBytes + len) + dma(len) + rt::kFiberResumeNs;
   EXPECT_EQ(measured, expected);
 }
 
@@ -213,13 +214,12 @@ TEST(CostModel, ParcelOneWayMatchesAnalyticFormula) {
   });
   world.run();
 
-  const auto& p = cfg.machine;
   const std::uint64_t payload = sizeof(rt::ActionId) + 8;
   const sim::Time expected =
-      sent_at + p.cpu_send_overhead_ns + p.nic_gap_ns +
-      sim::bytes_time(net::kParcelHeaderBytes + payload, p.byte_time_ns) +
-      p.wire_latency_ns + p.nic_gap_ns + p.cpu_recv_overhead_ns +
-      cfg.rt_costs.action_dispatch_ns;
+      sent_at + sim::kCpuSendOverheadNs + sim::kNicGapNs +
+      sim::bytes_time(net::kParcelHeaderBytes + payload, sim::kByteTimeNs) +
+      sim::kWireLatencyNs + sim::kNicGapNs + sim::kCpuRecvOverheadNs +
+      rt::kActionDispatchNs;
   EXPECT_EQ(handled_at, expected);
 }
 

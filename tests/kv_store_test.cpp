@@ -384,5 +384,55 @@ TEST(KvWorkloadTest, LossyWireStillAnswersEverything) {
   EXPECT_EQ(r.torn, 0u);
 }
 
+// --- generator lateness ---------------------------------------------------
+
+// ClientGen stamps each request with its scheduled arrival, not with the
+// time its node's CPU got round to issuing it. Both workers of node 0 are
+// held busy from before the first arrival until kBusyUntil, so every
+// request of the window [kArrivalStart, kArrivalEnd) is issued late, and
+// its recorded latency must include that wait: at least
+// kBusyUntil - kArrivalEnd for each one, far above the few microseconds
+// a request takes once issued.
+TEST(KvClientGenTest, LatencyCountsFromTheDueTime) {
+  constexpr sim::Time kArrivalStart = 200'000;
+  constexpr sim::Time kArrivalEnd = 210'000;
+  constexpr sim::Time kBusyUntil = 310'000;
+
+  Config cfg = Config::with_nodes(2, GasMode::kAgasNet);
+  World world(cfg);
+  KvServer server(world, KvParams{});
+  ClientConfig cc;
+  cc.t_start = kArrivalStart;
+  cc.duration = kArrivalEnd - kArrivalStart;
+  ClientGen gen(world, server, cc, /*slo_window_ns=*/100'000,
+                /*slo_target_ns=*/150'000);
+
+  sim::Time ready_at = 0;
+  world.run_spmd([&](Context& ctx) -> Fiber {
+    if (ctx.rank() == 0) server.setup(ctx);
+    co_await world.coll().barrier(ctx);
+    if (ctx.rank() != 0) co_return;
+    ready_at = ctx.now();
+    for (int w = 0; w < cfg.machine.workers_per_node; ++w) {
+      world.fabric().cpu(0).submit_at(
+          kArrivalStart - 1,
+          [busy = kBusyUntil - kArrivalStart + 1](sim::TaskCtx& t) {
+            t.charge(busy);
+          });
+    }
+    (void)gen.drive(ctx);
+  });
+
+  ASSERT_LT(ready_at, kArrivalStart);
+  EXPECT_GT(gen.issued(), 5u);
+  EXPECT_EQ(gen.completed(), gen.issued());
+  // percentile(0) is the smallest recorded latency (rounded up to its
+  // histogram bucket).
+  const SloTracker slo = gen.merged_slo();
+  const LatencyHistogram& get = slo.hist(OP_GET);
+  ASSERT_GT(get.total(), 0u);
+  EXPECT_GE(get.percentile(0.0), kBusyUntil - kArrivalEnd);
+}
+
 }  // namespace
 }  // namespace nvgas::apps::kv

@@ -90,8 +90,6 @@ TEST(Policy, HysteresisNeverPingPongsAnEvenlySharedBlock) {
   const std::uint32_t by_node[2] = {half, half};
   lb::LbConfig cfg;
   cfg.min_heat = 2 * kAccessUnit;
-  cfg.imbalance_pct = 150;
-  cfg.cooldown_epochs = 0;
 
   const auto snapshot_with_owner = [&](int owner) {
     lb::Snapshot snap;

@@ -101,8 +101,7 @@ TEST_F(EdgeFixture, PutAckReflectsRemoteCompletionTime) {
   group.at(0).put(0, 1, 0, std::vector<std::byte>(8),
                   [&](sim::Time t) { done_at = t; });
   fabric.engine().run();
-  const auto& p = fabric.params();
-  EXPECT_GE(done_at, 2 * p.wire_latency_ns);
+  EXPECT_GE(done_at, 2 * sim::kWireLatencyNs);
 }
 
 TEST_F(EdgeFixture, RemoteNotifyFiresBeforeSourceAck) {

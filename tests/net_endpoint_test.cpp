@@ -38,7 +38,7 @@ TEST_F(EndpointFixture, PutWritesRemoteMemory) {
   });
   fabric.engine().run();
   ASSERT_TRUE(done);
-  EXPECT_GT(done_at, 2 * fabric.params().wire_latency_ns);  // round trip
+  EXPECT_GT(done_at, 2 * sim::kWireLatencyNs);  // round trip
   char out[9] = {};
   fabric.mem(2).read(128, std::as_writable_bytes(std::span(out, 8)));
   EXPECT_STREQ(out, "payload!");
@@ -174,7 +174,7 @@ TEST_F(EndpointFixture, RendezvousSlowerThanEagerForSamePayload) {
   };
   const auto eager = one_way(8192, 16384);
   const auto rendezvous = one_way(8192, 4096);
-  EXPECT_GT(rendezvous, eager + 2 * machine().wire_latency_ns);
+  EXPECT_GT(rendezvous, eager + 2 * sim::kWireLatencyNs);
 }
 
 TEST_F(EndpointFixture, ParcelOrderPreservedBetweenPair) {

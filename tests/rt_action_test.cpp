@@ -72,12 +72,11 @@ TEST_F(ActionFixture, ParcelLatencyIncludesWireAndCpuCosts) {
     co_return;
   });
   fabric.engine().run();
-  const auto& p = fabric.params();
   // At minimum: spawn + o_send + gap + wire + rx gap + o_recv + dispatch.
-  const sim::Time lower_bound = rt.costs().spawn_ns + p.cpu_send_overhead_ns +
-                                p.nic_gap_ns + p.wire_latency_ns + p.nic_gap_ns +
-                                p.cpu_recv_overhead_ns +
-                                rt.costs().action_dispatch_ns;
+  const sim::Time lower_bound = kSpawnNs + sim::kCpuSendOverheadNs +
+                                sim::kNicGapNs + sim::kWireLatencyNs +
+                                sim::kNicGapNs + sim::kCpuRecvOverheadNs +
+                                kActionDispatchNs;
   EXPECT_GE(handled_at, lower_bound);
   EXPECT_LT(handled_at, lower_bound + 2000);
 }

@@ -50,10 +50,10 @@ TEST_F(RtFixture, SleepSuspendsAndResumesAtTheRightTime) {
   fabric.engine().run();
   ASSERT_EQ(marks.size(), 3u);
   // Segment 1 starts after the spawn cost.
-  EXPECT_EQ(marks[0], rt.costs().spawn_ns);
+  EXPECT_EQ(marks[0], kSpawnNs);
   // Resume adds the fiber_resume cost after the sleep.
-  EXPECT_EQ(marks[1], marks[0] + 1000 + rt.costs().fiber_resume_ns);
-  EXPECT_EQ(marks[2], marks[1] + 500 + rt.costs().fiber_resume_ns);
+  EXPECT_EQ(marks[1], marks[0] + 1000 + kFiberResumeNs);
+  EXPECT_EQ(marks[2], marks[1] + 500 + kFiberResumeNs);
 }
 
 TEST_F(RtFixture, ChargeAdvancesFiberTime) {
@@ -193,7 +193,7 @@ TEST_F(RtFixture, OnTriggerCallbackRuns) {
     co_return;
   });
   fabric.engine().run();
-  EXPECT_EQ(cb_time, rt.costs().spawn_ns + 777);
+  EXPECT_EQ(cb_time, kSpawnNs + 777);
 }
 
 TEST_F(RtFixture, OnTriggerAfterSetRunsImmediately) {
@@ -217,7 +217,7 @@ TEST_F(RtFixture, NestedSpawnInheritsTime) {
   fabric.engine().run();
   ASSERT_EQ(starts.size(), 1u);
   // Child starts on node 2 no earlier than parent's logical time.
-  EXPECT_GE(starts[0], rt.costs().spawn_ns + 300);
+  EXPECT_GE(starts[0], kSpawnNs + 300);
 }
 
 TEST_F(RtFixture, SingleWorkerSerializesFibers) {
@@ -233,8 +233,8 @@ TEST_F(RtFixture, SingleWorkerSerializesFibers) {
   }
   fabric.engine().run();
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_LE(spans[0].second, spans[1].first + rt.costs().spawn_ns);
-  EXPECT_GE(spans[1].first, spans[0].second - rt.costs().spawn_ns);
+  EXPECT_LE(spans[0].second, spans[1].first + kSpawnNs);
+  EXPECT_GE(spans[1].first, spans[0].second - kSpawnNs);
 }
 
 TEST_F(RtFixture, ReusedGateSlotAcrossBatchesIsSafe) {

@@ -9,14 +9,17 @@
 namespace nvgas::sim {
 namespace {
 
+// The expected times below are worked out by hand from the machine
+// constants: L = kWireLatencyNs = 900, g = kNicGapNs = 40 and
+// G = kByteTimeNs = 0.233 ns/B, rounded up to whole ns per message
+// (100 B -> 24 ns, 1 KiB -> 239 ns, 1 MiB -> 244319 ns).
+static_assert(kWireLatencyNs == 900 && kNicGapNs == 40 && kByteTimeNs == 0.233);
+
 MachineParams small_machine() {
   MachineParams p;
   p.nodes = 4;
   p.workers_per_node = 1;
   p.mem_bytes_per_node = 1 << 20;
-  p.wire_latency_ns = 1000;
-  p.nic_gap_ns = 50;
-  p.byte_time_ns = 1.0;  // 1 ns/B keeps arithmetic easy to check
   return p;
 }
 
@@ -25,8 +28,8 @@ TEST(Nic, SingleMessageTiming) {
   Time delivered = 0;
   f.nic(0).send(0, 1, 100, [&](Time t) { delivered = t; });
   f.engine().run();
-  // tx: 0 + g(50) + 100 B * 1 ns = 150; wire: +1000 = 1150; rx gap: +50.
-  EXPECT_EQ(delivered, 1200u);
+  // tx: 0 + g(40) + ceil(100 B * 0.233) = 64; wire: +900 = 964; rx gap: +40.
+  EXPECT_EQ(delivered, 1004u);
 }
 
 TEST(Nic, ZeroByteMessageStillPaysGapAndLatency) {
@@ -34,7 +37,7 @@ TEST(Nic, ZeroByteMessageStillPaysGapAndLatency) {
   Time delivered = 0;
   f.nic(0).send(0, 1, 0, [&](Time t) { delivered = t; });
   f.engine().run();
-  EXPECT_EQ(delivered, 50u + 1000u + 50u);
+  EXPECT_EQ(delivered, 40u + 900u + 40u);
 }
 
 TEST(Nic, TxPortSerializesBackToBackSends) {
@@ -45,10 +48,10 @@ TEST(Nic, TxPortSerializesBackToBackSends) {
   }
   f.engine().run();
   ASSERT_EQ(deliveries.size(), 3u);
-  // Each message occupies the tx port for 150 ns.
-  EXPECT_EQ(deliveries[0], 1200u);
-  EXPECT_EQ(deliveries[1], 1350u);
-  EXPECT_EQ(deliveries[2], 1500u);
+  // Each message occupies the tx port for 40 + 24 = 64 ns.
+  EXPECT_EQ(deliveries[0], 1004u);
+  EXPECT_EQ(deliveries[1], 1068u);
+  EXPECT_EQ(deliveries[2], 1132u);
 }
 
 TEST(Nic, RxPortSerializesFanIn) {
@@ -59,9 +62,9 @@ TEST(Nic, RxPortSerializesFanIn) {
   f.nic(1).send(0, 2, 100, [&](Time t) { deliveries.push_back(t); });
   f.engine().run();
   ASSERT_EQ(deliveries.size(), 2u);
-  // Both hit the rx port at 1150; the port takes them 50 ns apart.
-  EXPECT_EQ(deliveries[0], 1200u);
-  EXPECT_EQ(deliveries[1], 1250u);
+  // Both hit the rx port at 64 + 900 = 964; the port takes them 40 ns apart.
+  EXPECT_EQ(deliveries[0], 1004u);
+  EXPECT_EQ(deliveries[1], 1044u);
 }
 
 TEST(Nic, LoopbackSkipsWire) {
@@ -69,7 +72,7 @@ TEST(Nic, LoopbackSkipsWire) {
   Time delivered = 0;
   f.nic(1).send(0, 1, 100, [&](Time t) { delivered = t; });
   f.engine().run();
-  EXPECT_EQ(delivered, 150u + 0u + 50u);
+  EXPECT_EQ(delivered, 64u + 0u + 40u);
 }
 
 TEST(Nic, DepartureTimeRespected) {
@@ -79,7 +82,7 @@ TEST(Nic, DepartureTimeRespected) {
     f.nic(0).send(500, 1, 0, [&](Time t) { delivered = t; });
   });
   f.engine().run();
-  EXPECT_EQ(delivered, 500u + 50u + 1000u + 50u);
+  EXPECT_EQ(delivered, 500u + 40u + 900u + 40u);
 }
 
 TEST(Nic, CountersTrackTraffic) {
@@ -119,8 +122,10 @@ TEST(Nic, BandwidthShapeLargeVsSmall) {
   const Time one_big = run(1, 1 << 20);
   const Time many_small = run(1024, 1 << 10);
   EXPECT_GT(many_small, one_big);
-  // Overhead difference should be close to 1023 extra gaps (tx side).
-  EXPECT_NEAR(static_cast<double>(many_small - one_big), 1023.0 * 50.0, 2048.0);
+  // Overhead difference should be close to 1023 extra gaps (tx side):
+  // (1024 * 279 + 900 + 40) - (40 + 244319 + 900 + 40) = 41337, which is
+  // 1023 * 40 plus the per-message rounding up of G.
+  EXPECT_NEAR(static_cast<double>(many_small - one_big), 1023.0 * 40.0, 2048.0);
 }
 
 TEST(Nic, JitterIsDeterministicPerSeed) {
@@ -163,7 +168,7 @@ TEST(Nic, JitterBoundedByConfiguredMax) {
   ASSERT_EQ(with_jitter.size(), baseline.size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_GE(with_jitter[i], baseline[i]);
-    EXPECT_LT(with_jitter[i], baseline[i] + 300 + 50 /*rx queue slack*/);
+    EXPECT_LT(with_jitter[i], baseline[i] + 300 + 40 /*rx queue slack: one g*/);
   }
 }
 

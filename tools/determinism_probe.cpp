@@ -17,7 +17,6 @@
 // simulated model shows up as a failing test (update the file in the
 // same change that deliberately alters the model).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -241,10 +240,8 @@ constexpr Scenario kScenarios[] = {
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const std::uint64_t seed = static_cast<std::uint64_t>(opt.get_int("seed", 0x5eed));
-  bool self_check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--self-check") == 0) self_check = true;
-  }
+  const bool self_check = opt.has("self-check");
+  opt.reject_unknown();
 
   int failures = 0;
   for (const Scenario& s : kScenarios) {

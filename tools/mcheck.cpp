@@ -72,6 +72,8 @@ int main(int argc, char** argv) {
   }
 
   const std::string scenario_arg = opts.get("scenario", "all");
+  const bool replay = opts.has("replay");
+  opts.reject_unknown();
   std::vector<Scenario> scenarios;
   for (const auto& sc : library) {
     if (scenario_arg == "all" || scenario_arg == sc.name) {
@@ -85,7 +87,7 @@ int main(int argc, char** argv) {
   }
 
   // Replay mode: run exactly one schedule of one scenario on one mode.
-  if (opts.has("replay")) {
+  if (replay) {
     if (scenarios.size() != 1 || modes.size() != 1) {
       std::fprintf(stderr,
                    "--replay needs a single --scenario and --mode\n");
