@@ -7,6 +7,7 @@
 //   C. NIC TLB capacity sweep under the same load.
 //   D. eager/rendezvous threshold sweep at a fixed parcel size.
 #include "common.hpp"
+#include "workloads/gups.hpp"
 
 namespace nvgas::bench {
 namespace {
@@ -133,33 +134,15 @@ double worker_sweep_rate(GasMode mode, int workers) {
   cfg.machine.mem_bytes_per_node = 16u << 20;
   cfg.gas_costs.sw_cache_capacity = 256;  // force directory traffic
   World world(cfg);
-  constexpr std::uint32_t kBlocks = 512;
-  constexpr std::uint32_t kBlockSize = 4096;
-  const std::uint64_t words = static_cast<std::uint64_t>(kBlocks) * kBlockSize / 8;
   constexpr std::uint64_t kUpdatesPerRank = 800;
-
-  Gva table;
-  world.run_spmd([&](Context& ctx) -> Fiber {
-    if (ctx.rank() == 0) table = alloc_cyclic(ctx, kBlocks, kBlockSize);
-    co_await world.coll().barrier(ctx);
-    util::Rng rng(4242 + static_cast<std::uint64_t>(ctx.rank()));
-    std::uint64_t remaining = kUpdatesPerRank;
-    while (remaining > 0) {
-      const std::uint64_t batch = std::min<std::uint64_t>(16, remaining);
-      remaining -= batch;
-      rt::AndGate gate(batch);
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        const auto w = static_cast<std::int64_t>(rng.below(words));
-        fetch_add_nb(ctx, table.advanced(w * 8, kBlockSize), 1, gate);
-        // Competing application compute on the same workers.
-        ctx.charge(500);
-      }
-      co_await gate;
-    }
-    co_await world.coll().barrier(ctx);
-  });
-  return static_cast<double>(kUpdatesPerRank) * 8 /
-         (static_cast<double>(world.now()) / 1e9);
+  // Each update also charges competing application compute on the same
+  // workers.
+  const sim::Time t = apps::workloads::run_gups(
+      world, {.blocks = 512,
+              .updates_per_rank = kUpdatesPerRank,
+              .seed_base = 4242,
+              .compute_ns = 500});
+  return static_cast<double>(kUpdatesPerRank) * 8 / (static_cast<double>(t) / 1e9);
 }
 
 // --- D: eager threshold -------------------------------------------------

@@ -6,12 +6,10 @@
 // prediction: AGAS-SW's directory traffic hits home CPUs and falls
 // behind; AGAS-NET stays near PGAS at every scale.
 #include "common.hpp"
+#include "workloads/gups.hpp"
 
 namespace nvgas::bench {
 namespace {
-
-constexpr std::uint32_t kBlockSize = 4096;
-constexpr std::uint64_t kWindow = 16;
 
 // Simulated-time update rate.
 double gups(GasMode mode, int nodes, std::uint64_t updates_per_rank,
@@ -20,34 +18,13 @@ double gups(GasMode mode, int nodes, std::uint64_t updates_per_rank,
   cfg.machine.mem_bytes_per_node = 16u << 20;
   cfg.gas_costs.sw_cache_capacity = sw_cache_capacity;
   World world(cfg);
-
   // Weak scaling: 64 blocks per rank.
-  const auto nblocks = static_cast<std::uint32_t>(64 * nodes);
-  const std::uint64_t words =
-      static_cast<std::uint64_t>(nblocks) * kBlockSize / 8;
-
-  Gva table;
-  world.run_spmd([&](Context& ctx) -> Fiber {
-    if (ctx.rank() == 0) table = alloc_cyclic(ctx, nblocks, kBlockSize);
-    co_await world.coll().barrier(ctx);
-    util::Rng rng(1234567 + static_cast<std::uint64_t>(ctx.rank()));
-    std::uint64_t remaining = updates_per_rank;
-    while (remaining > 0) {
-      const std::uint64_t batch = std::min(kWindow, remaining);
-      remaining -= batch;
-      rt::AndGate gate(batch);
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        const std::uint64_t w = rng.below(words);
-        fetch_add_nb(ctx, table.advanced(static_cast<std::int64_t>(w) * 8, kBlockSize),
-                     1, gate);
-      }
-      co_await gate;
-    }
-    co_await world.coll().barrier(ctx);
-  });
-
-  const double secs = static_cast<double>(world.now()) / 1e9;
-  return static_cast<double>(updates_per_rank) * nodes / secs;
+  const sim::Time t = apps::workloads::run_gups(
+      world, {.blocks = static_cast<std::uint32_t>(64 * nodes),
+              .updates_per_rank = updates_per_rank,
+              .seed_base = 1234567});
+  return static_cast<double>(updates_per_rank) * nodes /
+         (static_cast<double>(t) / 1e9);
 }
 
 }  // namespace

@@ -4,60 +4,27 @@
 // stale-op mechanism) gets more expensive as topologies add hops; this
 // quantifies how much of the agas-net advantage survives.
 #include "common.hpp"
+#include "workloads/gups.hpp"
 
 namespace nvgas::bench {
 namespace {
 
-double gups_rate(GasMode mode, sim::TopologyKind topo, int nodes,
-                 bool with_migration_churn) {
+// A quarter of the blocks move off their homes first, so stale-op
+// forwarding is actually exercised (inert under pgas).
+double gups_rate(GasMode mode, sim::TopologyKind topo, int nodes) {
   Config cfg = Config::with_nodes(nodes, mode);
   cfg.machine.mem_bytes_per_node = 8u << 20;
   cfg.machine.topology = topo;
   cfg.gas_costs.sw_cache_capacity = 1024;
   World world(cfg);
-
-  constexpr std::uint32_t kBlockSize = 4096;
-  const auto nblocks = static_cast<std::uint32_t>(32 * nodes);
-  const std::uint64_t words =
-      static_cast<std::uint64_t>(nblocks) * kBlockSize / 8;
   const std::uint64_t updates_per_rank = 1000;
-
-  Gva table;
-  world.run_spmd([&](Context& ctx) -> Fiber {
-    if (ctx.rank() == 0) {
-      table = alloc_cyclic(ctx, nblocks, kBlockSize);
-    }
-    co_await world.coll().barrier(ctx);
-
-    if (with_migration_churn && ctx.rank() == 0 &&
-        world.gas().supports_migration()) {
-      // Shuffle a quarter of the blocks off their homes so stale-op
-      // forwarding is actually exercised.
-      for (std::uint32_t b = 0; b < nblocks; b += 4) {
-        const Gva blk =
-            table.advanced(static_cast<std::int64_t>(b) * kBlockSize, kBlockSize);
-        co_await migrate(ctx, blk, (blk.home(ctx.ranks()) + 2) % ctx.ranks());
-      }
-    }
-    co_await world.coll().barrier(ctx);
-
-    util::Rng rng(31337 + static_cast<std::uint64_t>(ctx.rank()));
-    std::uint64_t remaining = updates_per_rank;
-    while (remaining > 0) {
-      const std::uint64_t batch = std::min<std::uint64_t>(16, remaining);
-      remaining -= batch;
-      rt::AndGate gate(batch);
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        const std::uint64_t w = rng.below(words);
-        fetch_add_nb(ctx, table.advanced(static_cast<std::int64_t>(w) * 8, kBlockSize),
-                     1, gate);
-      }
-      co_await gate;
-    }
-    co_await world.coll().barrier(ctx);
-  });
+  const sim::Time t = apps::workloads::run_gups(
+      world, {.blocks = static_cast<std::uint32_t>(32 * nodes),
+              .updates_per_rank = updates_per_rank,
+              .seed_base = 31337,
+              .migrate_quarter = true});
   return static_cast<double>(updates_per_rank) * nodes /
-         (static_cast<double>(world.now()) / 1e9);
+         (static_cast<double>(t) / 1e9);
 }
 
 }  // namespace
@@ -76,9 +43,9 @@ int main(int argc, char** argv) {
   t.columns({"topology", "pgas", "agas-sw", "agas-net", "net/pgas"});
   for (auto topo : {TopologyKind::kFlat, TopologyKind::kTorus2D,
                     TopologyKind::kDragonfly}) {
-    const double p = gups_rate(nvgas::GasMode::kPgas, topo, nodes, false);
-    const double s = gups_rate(nvgas::GasMode::kAgasSw, topo, nodes, true);
-    const double n = gups_rate(nvgas::GasMode::kAgasNet, topo, nodes, true);
+    const double p = gups_rate(nvgas::GasMode::kPgas, topo, nodes);
+    const double s = gups_rate(nvgas::GasMode::kAgasSw, topo, nodes);
+    const double n = gups_rate(nvgas::GasMode::kAgasNet, topo, nodes);
     t.cell(nvgas::sim::to_string(topo))
         .cell(nvgas::util::format_rate(p))
         .cell(nvgas::util::format_rate(s))

@@ -47,13 +47,4 @@ inline void print_header(const char* experiment, const char* what) {
   std::printf("================================================================\n");
 }
 
-// Run a single-rank driver fiber to completion and return the World's
-// final simulated time.
-template <typename Fn>
-sim::Time run_driver(World& world, Fn&& fn) {
-  world.spawn(0, std::forward<Fn>(fn));
-  world.run();
-  return world.now();
-}
-
 }  // namespace nvgas::bench

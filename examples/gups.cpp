@@ -5,11 +5,13 @@
 //
 // Every rank performs read-modify-write updates (remote fetch-add) on
 // random words of a big cyclic table, keeping `window` operations in
-// flight. Reports simulated GUPS and the translation-machinery counters,
-// which is where the three address-space managers differ.
+// flight (the kernel is apps/workloads/gups.hpp). Reports simulated GUPS
+// and the translation-machinery counters, which is where the three
+// address-space managers differ.
 #include <cstdio>
 
 #include "core/nvgas.hpp"
+#include "workloads/gups.hpp"
 
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
@@ -27,10 +29,8 @@ int main(int argc, char** argv) {
   cfg.machine.mem_bytes_per_node = (table_mib + 8) << 20;
   nvgas::World world(cfg);
 
-  constexpr std::uint32_t kBlockSize = 4096;
-  const std::uint32_t nblocks =
-      static_cast<std::uint32_t>(table_mib << 20) / kBlockSize;
-  const std::uint64_t words = static_cast<std::uint64_t>(nblocks) * kBlockSize / 8;
+  const std::uint32_t nblocks = static_cast<std::uint32_t>(table_mib << 20) /
+                                nvgas::apps::workloads::kGupsBlockSize;
 
   std::printf("GUPS: %d nodes, %s, table %llu MiB (%u blocks), %llu updates/rank, window %llu\n",
               nodes, nvgas::gas::to_string(cfg.gas_mode),
@@ -38,31 +38,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(updates_per_rank),
               static_cast<unsigned long long>(window));
 
-  nvgas::Gva shared_table;  // set by rank 0 before the first barrier
-  world.run_spmd([&](nvgas::Context& ctx) -> nvgas::Fiber {
-    if (ctx.rank() == 0) {
-      shared_table = nvgas::alloc_cyclic(ctx, nblocks, kBlockSize);
-    }
-    co_await world.coll().barrier(ctx);
-
-    nvgas::util::Rng rng(seed * 1315423911ULL +
-                         static_cast<std::uint64_t>(ctx.rank()));
-    // Keep `window` fetch-adds in flight using an AndGate per batch.
-    std::uint64_t remaining = updates_per_rank;
-    while (remaining > 0) {
-      const std::uint64_t batch = std::min(window, remaining);
-      remaining -= batch;
-      nvgas::rt::AndGate gate(batch);
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        const std::uint64_t w = rng.below(words);
-        const nvgas::Gva addr =
-            shared_table.advanced(static_cast<std::int64_t>(w) * 8, kBlockSize);
-        nvgas::fetch_add_nb(ctx, addr, 1, gate);
-      }
-      co_await gate;
-    }
-    co_await world.coll().barrier(ctx);
-  });
+  nvgas::apps::workloads::run_gups(world, {.blocks = nblocks,
+                                           .updates_per_rank = updates_per_rank,
+                                           .window = window,
+                                           .seed_base = seed * 1315423911ULL});
 
   const double secs = static_cast<double>(world.now()) / 1e9;
   const double total_updates =

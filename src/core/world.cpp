@@ -15,6 +15,15 @@ static_assert(gas::Gva::kMaxNodes - 1 <=
                   std::numeric_limits<decltype(sim::TraceRecord::node)>::max(),
               "sim::TraceRecord::node cannot hold every GVA creator id");
 
+util::Buffer encode_apply(Gva addr, rt::ActionId action,
+                          std::span<const std::byte> args) {
+  util::Buffer payload;
+  payload.put<std::uint64_t>(addr.bits());
+  payload.put<rt::ActionId>(action);
+  payload.append_raw(args);
+  return payload;
+}
+
 World::World(const Config& cfg) : cfg_(cfg) {
   NVGAS_CHECK_MSG(cfg_.machine.nodes <= gas::Gva::kMaxNodes,
                   "node count exceeds the GVA creator field");
@@ -55,8 +64,8 @@ World::World(const Config& cfg) : cfg_(cfg) {
     balancer_ = std::make_unique<lb::Balancer>(*fabric_, *gas_, cfg_.lb);
   }
 
-  // The apply trampoline: a parcel targeted at a GVA carries
-  // [u64 gva][u32 action][args...]. The receiving runtime re-resolves the
+  // The apply trampoline, and the one decoder of encode_apply()'s
+  // [u64 gva][ActionId][args...]. The receiving runtime re-resolves the
   // address; if the object has moved since the sender's (possibly stale)
   // translation, the parcel is forwarded — the software analogue of the
   // NIC-level forwarding on the data path, and how message-driven
@@ -80,12 +89,8 @@ World::World(const Config& cfg) : cfg_(cfg) {
                 runtime_->invoke_action_at(node, t, action, src, std::move(rest));
                 return;
               }
-              util::Buffer fwd;
-              fwd.put<std::uint64_t>(gva.bits());
-              fwd.put<rt::ActionId>(action);
-              fwd.append_raw(rest.bytes());
               runtime_->send_parcel_at(node, t, owner, runtime_->apply_action(),
-                                       std::move(fwd));
+                                       encode_apply(gva, action, rest.bytes()));
             });
       });
   runtime_->set_apply_action(apply_id);

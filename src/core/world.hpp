@@ -453,6 +453,14 @@ inline void prefetch_nb(Context& ctx, Gva base, std::uint32_t nblocks,
   }
 }
 
+// The apply-trampoline wire format, [u64 gva | ActionId | args]. Every
+// sender encodes with this: apply(), the forwarding hop of the World's
+// nvgas.apply action (the one decoder, next to this in world.cpp), and
+// callers that ship the parcel through another path such as an
+// rt::Coalescer.
+[[nodiscard]] util::Buffer encode_apply(Gva addr, rt::ActionId action,
+                                        std::span<const std::byte> args);
+
 // Route a parcel to wherever the addressed object currently lives: resolve
 // locally, send an apply-trampoline parcel to the believed owner; the
 // destination runtime re-resolves and forwards if the object has moved
@@ -466,12 +474,8 @@ inline void prefetch_nb(Context& ctx, Gva base, std::uint32_t nblocks,
             detail::task_of(c), src, addr,
             [rtp = &c.runtime(), src, addr, action, args = std::move(args),
              done = std::move(done)](sim::Time t, int owner) {
-              util::Buffer payload;
-              payload.put<std::uint64_t>(addr.bits());
-              payload.put<rt::ActionId>(action);
-              payload.append_raw(args.bytes());
               rtp->send_parcel_at(src, t, owner, rtp->apply_action(),
-                                  std::move(payload));
+                                  encode_apply(addr, action, args.bytes()));
               done(t);
             });
       });

@@ -12,114 +12,75 @@
 
 namespace nvgas::sim {
 
+// Each counter is named once, here; the X-macro generates both the
+// members and items(). X(name) is one std::uint64_t counter.
+#define NVGAS_SIM_COUNTERS(X)                                              \
+  /* Network. */                                                           \
+  X(messages_sent)                                                         \
+  X(bytes_sent)                                                            \
+  X(messages_delivered)                                                    \
+  X(bytes_delivered)                                                       \
+  /* CPU. */                                                               \
+  X(cpu_tasks)                                                             \
+  X(cpu_busy_ns)                                                           \
+  /* RMA verbs. */                                                         \
+  X(rma_puts)                                                              \
+  X(rma_gets)                                                              \
+  X(rma_atomics)                                                           \
+  /* Parcels (two-sided). */                                               \
+  X(parcels_sent)                                                          \
+  X(parcels_eager)                                                         \
+  X(parcels_rendezvous)                                                    \
+  /* NIC translation unit (network-managed AGAS). */                       \
+  X(nic_tlb_hits)                                                          \
+  X(nic_tlb_misses)                                                        \
+  X(nic_forwards)                                                          \
+  X(nic_tlb_updates)                                                       \
+  /* Software AGAS. */                                                     \
+  X(sw_cache_hits)                                                         \
+  X(sw_cache_misses)                                                       \
+  X(sw_cache_invalidations)                                                \
+  X(directory_lookups)                                                     \
+  X(directory_nacks)                                                       \
+  /* GAS-level operations. */                                              \
+  X(gas_memputs)                                                           \
+  X(gas_memgets)                                                           \
+  X(gas_atomics)                                                           \
+  X(migrations)                                                            \
+  X(migration_bytes)                                                       \
+  /* Wire-fault injection (sim/faults) and the end-to-end reliability   */ \
+  /* layer that survives it (net/reliability). The fault ledger is what */ \
+  /* conservation checks reconcile against: at quiescence,              */ \
+  /* delivered = sent - faults_injected_drops + faults_injected_dups    */ \
+  /* (and the byte analogue), because every injected frame is either    */ \
+  /* dropped, delivered once, or delivered twice.                       */ \
+  X(faults_injected_drops)                                                 \
+  X(faults_dropped_bytes)                                                  \
+  X(faults_injected_dups)                                                  \
+  X(faults_dup_bytes)                                                      \
+  X(faults_injected_delays)                                                \
+  X(net_retransmits)  /* RTO-fired frame resends */                        \
+  X(net_dup_discards) /* receiver-side dedup hits */                       \
+  X(net_acks)         /* pure (non-piggybacked) ack frames */              \
+  /* Load balancer (src/lb). */                                            \
+  X(lb_epochs)                                                             \
+  X(lb_migrations)    /* issued to the manager */                          \
+  X(lb_rejected_cost) /* plan entries failing the cost gate */             \
+  X(lb_throttled)     /* plan entries over max_inflight */                 \
+  X(lb_bounced)       /* completions that missed their dst */
+
 struct Counters {
-  // Network.
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t bytes_delivered = 0;
-
-  // CPU.
-  std::uint64_t cpu_tasks = 0;
-  std::uint64_t cpu_busy_ns = 0;
-
-  // RMA verbs.
-  std::uint64_t rma_puts = 0;
-  std::uint64_t rma_gets = 0;
-  std::uint64_t rma_atomics = 0;
-
-  // Parcels (two-sided).
-  std::uint64_t parcels_sent = 0;
-  std::uint64_t parcels_eager = 0;
-  std::uint64_t parcels_rendezvous = 0;
-
-  // NIC translation unit (network-managed AGAS).
-  std::uint64_t nic_tlb_hits = 0;
-  std::uint64_t nic_tlb_misses = 0;
-  std::uint64_t nic_forwards = 0;
-  std::uint64_t nic_tlb_updates = 0;
-
-  // Software AGAS.
-  std::uint64_t sw_cache_hits = 0;
-  std::uint64_t sw_cache_misses = 0;
-  std::uint64_t sw_cache_invalidations = 0;
-  std::uint64_t directory_lookups = 0;
-  std::uint64_t directory_nacks = 0;
-
-  // GAS-level operations.
-  std::uint64_t gas_memputs = 0;
-  std::uint64_t gas_memgets = 0;
-  std::uint64_t gas_atomics = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t migration_bytes = 0;
-
-  // Wire-fault injection (sim/faults) and the end-to-end reliability
-  // layer that survives it (net/reliability). The fault ledger is what
-  // conservation checks reconcile against: at quiescence,
-  // delivered = sent - faults_injected_drops + faults_injected_dups
-  // (and the byte analogue), because every injected frame is either
-  // dropped, delivered once, or delivered twice.
-  std::uint64_t faults_injected_drops = 0;
-  std::uint64_t faults_dropped_bytes = 0;
-  std::uint64_t faults_injected_dups = 0;
-  std::uint64_t faults_dup_bytes = 0;
-  std::uint64_t faults_injected_delays = 0;
-  std::uint64_t net_retransmits = 0;    // RTO-fired frame resends
-  std::uint64_t net_dup_discards = 0;   // receiver-side dedup hits
-  std::uint64_t net_acks = 0;           // pure (non-piggybacked) ack frames
-
-  // Load balancer (src/lb).
-  std::uint64_t lb_epochs = 0;
-  std::uint64_t lb_migrations = 0;        // issued to the manager
-  std::uint64_t lb_rejected_cost = 0;     // plan entries failing the cost gate
-  std::uint64_t lb_throttled = 0;         // plan entries over max_inflight
-  std::uint64_t lb_bounced = 0;           // completions that missed their dst
+#define NVGAS_SIM_COUNTER_MEMBER(name) std::uint64_t name = 0;
+  NVGAS_SIM_COUNTERS(NVGAS_SIM_COUNTER_MEMBER)
+#undef NVGAS_SIM_COUNTER_MEMBER
 
   void reset() { *this = Counters{}; }
 
   // Stable name→value view for reporting and for test snapshots.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> items() const {
-    return {
-        {"messages_sent", messages_sent},
-        {"bytes_sent", bytes_sent},
-        {"messages_delivered", messages_delivered},
-        {"bytes_delivered", bytes_delivered},
-        {"cpu_tasks", cpu_tasks},
-        {"cpu_busy_ns", cpu_busy_ns},
-        {"rma_puts", rma_puts},
-        {"rma_gets", rma_gets},
-        {"rma_atomics", rma_atomics},
-        {"parcels_sent", parcels_sent},
-        {"parcels_eager", parcels_eager},
-        {"parcels_rendezvous", parcels_rendezvous},
-        {"nic_tlb_hits", nic_tlb_hits},
-        {"nic_tlb_misses", nic_tlb_misses},
-        {"nic_forwards", nic_forwards},
-        {"nic_tlb_updates", nic_tlb_updates},
-        {"sw_cache_hits", sw_cache_hits},
-        {"sw_cache_misses", sw_cache_misses},
-        {"sw_cache_invalidations", sw_cache_invalidations},
-        {"directory_lookups", directory_lookups},
-        {"directory_nacks", directory_nacks},
-        {"gas_memputs", gas_memputs},
-        {"gas_memgets", gas_memgets},
-        {"gas_atomics", gas_atomics},
-        {"migrations", migrations},
-        {"migration_bytes", migration_bytes},
-        {"faults_injected_drops", faults_injected_drops},
-        {"faults_dropped_bytes", faults_dropped_bytes},
-        {"faults_injected_dups", faults_injected_dups},
-        {"faults_dup_bytes", faults_dup_bytes},
-        {"faults_injected_delays", faults_injected_delays},
-        {"net_retransmits", net_retransmits},
-        {"net_dup_discards", net_dup_discards},
-        {"net_acks", net_acks},
-        {"lb_epochs", lb_epochs},
-        {"lb_migrations", lb_migrations},
-        {"lb_rejected_cost", lb_rejected_cost},
-        {"lb_throttled", lb_throttled},
-        {"lb_bounced", lb_bounced},
-    };
+#define NVGAS_SIM_COUNTER_ITEM(name) {#name, name},
+    return {NVGAS_SIM_COUNTERS(NVGAS_SIM_COUNTER_ITEM)};
+#undef NVGAS_SIM_COUNTER_ITEM
   }
 };
 

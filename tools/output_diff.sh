@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Compare the program output of two build trees.
 #
-# Runs the 8 examples in all 3 GAS modes, and every bench binary except
-# bench_micro and bench_engine (the two that measure host wall time),
-# from each build with default arguments, then diffs their stdout and
-# exit status. Simulated results are deterministic, so a refactor that
-# claims "same program, written differently" must report no difference.
+# Runs the 8 examples in all 3 GAS modes, and every bench binary present
+# in both builds except bench_engine (it measures host wall time), from
+# each build with default arguments, then diffs their stdout and exit
+# status. A bench present in only one build is listed, not compared.
+# Simulated results are deterministic, so a refactor that claims "same
+# program, written differently" must report no difference.
 #
 # Usage: tools/output_diff.sh PARENT_BUILD CHANGE_BUILD
 #   e.g. tools/output_diff.sh ../parent/build build
@@ -41,6 +42,21 @@ run() {
   fi
 }
 
+benches=()
+for path in "$parent"/bench/bench_*; do
+  bench=$(basename "$path")
+  [ "$bench" = bench_engine ] && continue
+  if [ -x "$change/bench/$bench" ]; then
+    benches+=("$bench")
+  else
+    echo "output_diff: $bench only in $parent, not compared"
+  fi
+done
+for path in "$change"/bench/bench_*; do
+  bench=$(basename "$path")
+  [ -x "$parent/bench/$bench" ] || echo "output_diff: $bench only in $change, not compared"
+done
+
 names=()
 for side in parent change; do
   build=$parent
@@ -52,12 +68,7 @@ for side in parent change; do
       names+=("$ex.$mode")
     done
   done
-  for path in "$parent"/bench/bench_* "$change"/bench/bench_*; do
-    bench=$(basename "$path")
-    case "$bench" in
-      bench_micro | bench_engine) continue ;;
-    esac
-    [ -e "$work/$side/$bench" ] && continue
+  for bench in "${benches[@]}"; do
     run "$side" "$build" "$bench" "bench/$bench"
     names+=("$bench")
   done
