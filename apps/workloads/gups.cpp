@@ -16,17 +16,6 @@ sim::Time run_gups(World& world, const GupsSpec& spec) {
     if (ctx.rank() == 0) table = alloc_cyclic(ctx, spec.blocks, kGupsBlockSize);
     co_await world.coll().barrier(ctx);
 
-    if (spec.migrate_quarter) {
-      if (ctx.rank() == 0 && world.gas().supports_migration()) {
-        for (std::uint32_t b = 0; b < spec.blocks; b += 4) {
-          const Gva blk = table.advanced(
-              static_cast<std::int64_t>(b) * kGupsBlockSize, kGupsBlockSize);
-          co_await migrate(ctx, blk, (blk.home(ctx.ranks()) + 2) % ctx.ranks());
-        }
-      }
-      co_await world.coll().barrier(ctx);
-    }
-
     util::Rng rng(spec.seed_base + static_cast<std::uint64_t>(ctx.rank()));
     std::uint64_t remaining = spec.updates_per_rank;
     while (remaining > 0) {

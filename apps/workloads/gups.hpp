@@ -1,7 +1,7 @@
 // The GUPS-style random-access kernel (R-F3): every rank keeps `window`
 // remote fetch-adds in flight on random words of a cyclic table. Shared
-// by examples/gups, bench_gups, bench_topology and bench_ablation §E, so
-// every table that reports a random-access rate measures the same loop.
+// by examples/gups, bench_gups and bench_ablation §E, so every table
+// that reports a random-access rate measures the same loop.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +19,6 @@ struct GupsSpec {
   std::uint64_t window = 16;  // fetch-adds in flight per rank
   std::uint64_t seed_base = 0;  // rank r draws from util::Rng(seed_base + r)
   sim::Time compute_ns = 0;     // charged after issuing each update
-  // Before the updates, rank 0 moves every 4th block off its home and all
-  // ranks meet at a barrier. The moves are skipped under a manager that
-  // cannot migrate (pgas); the barrier is not.
-  bool migrate_quarter = false;
 };
 
 // Run the kernel as one SPMD program on `world` (rank 0 allocates the

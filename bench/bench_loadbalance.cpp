@@ -6,8 +6,8 @@
 //   pgas     × {none, hysteresis} — placement frozen forever; the
 //              balancer constructs inert, so both rows must be
 //              byte-identical (trace hash printed to prove it),
-//   agas-sw  × {none, greedy, hysteresis, diffusive},
-//   agas-net × {none, greedy, hysteresis, diffusive}.
+//   agas-sw  × {none, greedy, hysteresis},
+//   agas-net × {none, greedy, hysteresis}.
 // Heat accrues from the resolve() calls the apply trampoline makes, so
 // the balancer sees exactly the task traffic each actor receives.
 //
@@ -133,11 +133,9 @@ int main(int argc, char** argv) {
       {"agas-sw  none", nvgas::GasMode::kAgasSw, PK::kNone},
       {"agas-sw  greedy", nvgas::GasMode::kAgasSw, PK::kGreedy},
       {"agas-sw  hysteresis", nvgas::GasMode::kAgasSw, PK::kHysteresis},
-      {"agas-sw  diffusive", nvgas::GasMode::kAgasSw, PK::kDiffusive},
       {"agas-net none", nvgas::GasMode::kAgasNet, PK::kNone},
       {"agas-net greedy", nvgas::GasMode::kAgasNet, PK::kGreedy},
       {"agas-net hysteresis", nvgas::GasMode::kAgasNet, PK::kHysteresis},
-      {"agas-net diffusive", nvgas::GasMode::kAgasNet, PK::kDiffusive},
   };
 
   nvgas::util::Table t("actor workload makespan");
@@ -165,8 +163,7 @@ int main(int argc, char** argv) {
   std::printf(
       "Expected shape: immobile configs pay the full placement skew;\n"
       "every active policy repairs it; hysteresis matches greedy's\n"
-      "makespan with strictly fewer migrations (threshold + cooldown);\n"
-      "diffusive converges with neighbor-only information.\n");
+      "makespan with strictly fewer migrations (threshold + cooldown).\n");
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {

@@ -18,7 +18,7 @@
 namespace nvgas {
 
 struct Config {
-  sim::MachineParams machine;      // machine size, topology, wire jitter
+  sim::MachineParams machine;      // machine size, wire jitter
   net::NetConfig net;              // middleware knobs
   rt::CollAlgo coll_algo = rt::CollAlgo::kFlat;  // collective algorithm
   gas::GasCosts gas_costs;         // software-AGAS cache size (+ mcheck fault)

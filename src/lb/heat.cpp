@@ -14,7 +14,7 @@ void HeatMap::record(int node, std::uint64_t block_key) {
     if (free_.empty()) {
       it->second = static_cast<std::uint32_t>(pool_.size());
       pool_.emplace_back();
-      // protolint:allow(P4: dense per-source heat row, the canonical O(P) site; ROADMAP item 2 replaces it with sparse top-k rows over active sources)
+      // protolint:allow(P4: dense per-source heat row, the canonical O(P) site; ROADMAP item 6 replaces it with sparse top-k rows over active sources)
       pool_.back().by_node.assign(static_cast<std::size_t>(ranks_), 0);
     } else {
       it->second = free_.back();

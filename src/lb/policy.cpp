@@ -159,55 +159,6 @@ class HysteresisPolicy final : public Policy {
   std::map<std::uint64_t, std::uint64_t> last_move_;  // key -> epoch
 };
 
-// Neighbor-pairwise diffusion on a ring: each rank compares its load
-// with its clockwise neighbor only and sheds half the difference toward
-// the lighter side. Needs no global argmax/argmin — the decision each
-// pair makes depends only on the pair — so it is the shape that scales;
-// imbalance diffuses around the ring over successive epochs. The
-// per-block cooldown is load-bearing here: without it, load circulates
-// around the ring and a forwarded parcel chasing a block through stale
-// NIC translations feeds resolve heat back into the policy — a
-// self-sustaining migration livelock. The cooldown pins each block long
-// enough for in-flight traffic to catch up.
-class DiffusivePolicy final : public Policy {
- public:
-  [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::kDiffusive;
-  }
-  void plan(const Snapshot& snap, const LbConfig& cfg,
-            std::vector<Move>& out) override {
-    if (snap.ranks < 2) return;
-    std::vector<std::uint64_t> loads = snap.node_load;
-    const auto cand = candidates_by_owner(snap, cfg, &last_move_);
-    std::vector<bool> used(snap.blocks.size(), false);
-    for (int n = 0; n < snap.ranks; ++n) {
-      const int r = (n + 1) % snap.ranks;
-      const std::uint64_t ln = loads[static_cast<std::size_t>(n)];
-      const std::uint64_t lr = loads[static_cast<std::size_t>(r)];
-      const int donor = ln >= lr ? n : r;
-      const int recv = ln >= lr ? r : n;
-      const std::uint64_t diff = ln >= lr ? ln - lr : lr - ln;
-      if (diff <= 2 * cfg.min_heat) continue;
-      std::uint64_t budget = diff / 2;
-      for (const std::size_t i : cand[static_cast<std::size_t>(donor)]) {
-        if (used[i] || snap.blocks[i].heat > budget) continue;
-        used[i] = true;
-        out.push_back(Move{snap.blocks[i].key, recv, snap.blocks[i].heat});
-        budget -= snap.blocks[i].heat;
-        loads[static_cast<std::size_t>(donor)] -= snap.blocks[i].heat;
-        loads[static_cast<std::size_t>(recv)] += snap.blocks[i].heat;
-        if (out.size() >= cfg.max_moves_per_epoch) return;
-      }
-    }
-  }
-  void on_moved(std::uint64_t key, std::uint64_t epoch) override {
-    last_move_[key] = epoch;
-  }
-
- private:
-  std::map<std::uint64_t, std::uint64_t> last_move_;  // key -> epoch
-};
-
 }  // namespace
 
 std::unique_ptr<Policy> make_policy(PolicyKind kind) {
@@ -215,7 +166,6 @@ std::unique_ptr<Policy> make_policy(PolicyKind kind) {
     case PolicyKind::kNone: return std::make_unique<NonePolicy>();
     case PolicyKind::kGreedy: return std::make_unique<GreedyPolicy>();
     case PolicyKind::kHysteresis: return std::make_unique<HysteresisPolicy>();
-    case PolicyKind::kDiffusive: return std::make_unique<DiffusivePolicy>();
   }
   return std::make_unique<NonePolicy>();
 }

@@ -19,7 +19,6 @@ enum class PolicyKind : std::uint8_t {
   kNone = 0,        // observe only, never migrate
   kGreedy = 1,      // periodic global argmax: busiest donates to idlest
   kHysteresis = 2,  // greedy + imbalance threshold + per-block cooldown
-  kDiffusive = 3,   // neighbor-pairwise exchange, no global view
 };
 
 [[nodiscard]] constexpr const char* to_string(PolicyKind kind) {
@@ -27,7 +26,6 @@ enum class PolicyKind : std::uint8_t {
     case PolicyKind::kNone: return "none";
     case PolicyKind::kGreedy: return "greedy";
     case PolicyKind::kHysteresis: return "hysteresis";
-    case PolicyKind::kDiffusive: return "diffusive";
   }
   return "?";
 }
@@ -62,7 +60,7 @@ struct LbConfig {
   std::uint32_t max_inflight = 4;
 
   // Blocks colder than this (decayed units; kAccessUnit per access) are
-  // never moved, and diffusive ignores neighbor gaps below 2x this.
+  // never moved.
   std::uint64_t min_heat = 2 * kAccessUnit;
 
   // Cost gate: modeled saving per decayed access unit that migration

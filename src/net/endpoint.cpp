@@ -70,17 +70,20 @@ void Endpoint::get(Time depart, int dst, Lva src_lva, std::size_t len,
 }
 
 // --------------------------------------------------------------------------
-// NIC-executed remote atomics.
+// NIC-executed remote atomic.
 // --------------------------------------------------------------------------
-template <typename Op>
-void Endpoint::atomic(Time depart, int dst, OnU64 on_old, Op op) {
+void Endpoint::fetch_add(Time depart, int dst, Lva lva, std::uint64_t operand,
+                         OnU64 on_old) {
   ++fabric_->counters().rma_atomics;
   Endpoint* target = &group_.at(dst);
   raw_send(depart, dst, kAtomicBytes,
-           [this, target, on_old = std::move(on_old),
-            op = std::move(op)](Time arrived) mutable {
+           [this, target, lva, operand,
+            on_old = std::move(on_old)](Time arrived) mutable {
              target->nic_atomic(
-                 arrived, std::move(op),
+                 arrived,
+                 [lva, operand](sim::Memory& mem) {
+                   return mem.fetch_add_u64(lva, operand);
+                 },
                  [this, target, on_old = std::move(on_old)](
                      Time done, std::uint64_t old) mutable {
                    target->raw_send(done, node_, kAtomicBytes,
@@ -89,22 +92,6 @@ void Endpoint::atomic(Time depart, int dst, OnU64 on_old, Op op) {
                                     });
                  });
            });
-}
-
-void Endpoint::fetch_add(Time depart, int dst, Lva lva, std::uint64_t operand,
-                         OnU64 on_old) {
-  atomic(depart, dst, std::move(on_old), [lva, operand](sim::Memory& mem) {
-    return mem.fetch_add_u64(lva, operand);
-  });
-}
-
-void Endpoint::compare_swap(Time depart, int dst, Lva lva,
-                            std::uint64_t expected, std::uint64_t desired,
-                            OnU64 on_old) {
-  atomic(depart, dst, std::move(on_old),
-         [lva, expected, desired](sim::Memory& mem) {
-           return mem.compare_swap_u64(lva, expected, desired);
-         });
 }
 
 // --------------------------------------------------------------------------

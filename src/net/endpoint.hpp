@@ -6,7 +6,7 @@
 //   * put / get with completion  — one-sided RMA on registered memory;
 //     the target CPU is never involved (DMA + ack ride the NIC command
 //     processor),
-//   * fetch_add / compare_swap   — NIC-executed remote atomics,
+//   * fetch_add                  — NIC-executed remote atomic,
 //   * parcels                    — two-sided active-message transport
 //     with eager and rendezvous (RTS+get) protocols; these DO raise a
 //     CPU task at the target, which is exactly the cost the
@@ -78,11 +78,9 @@ class Endpoint {
   // Read `len` bytes from dst's registered segment at src_lva.
   void get(Time depart, int dst, Lva src_lva, std::size_t len, OnData on_data);
 
-  // NIC-executed atomics on 8-byte-aligned remote words.
+  // NIC-executed atomic on an 8-byte-aligned remote word.
   void fetch_add(Time depart, int dst, Lva lva, std::uint64_t operand,
                  OnU64 on_old);
-  void compare_swap(Time depart, int dst, Lva lva, std::uint64_t expected,
-                    std::uint64_t desired, OnU64 on_old);
 
   // --- NIC-side RMA execution ----------------------------------------------
   // What this node's NIC command processor does for a one-sided op that
@@ -167,9 +165,6 @@ class Endpoint {
   // The CPU-task body that hands a parcel from `src` to this node's
   // parcel handler.
   auto parcel_task(int src, util::Buffer payload);
-
-  template <typename Op>
-  void atomic(Time depart, int dst, OnU64 on_old, Op op);
 
   EndpointGroup& group_;
   sim::Fabric* fabric_;

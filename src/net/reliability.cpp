@@ -10,9 +10,9 @@ Reliability::Reliability(sim::Fabric& fabric, int node, ReliabilityGroup& group)
     : fabric_(&fabric),
       node_(node),
       group_(&group),
-      // protolint:allow(P4: dense per-(src,dst) send windows, the canonical reliability O(P) site; ROADMAP item 2 pools them over active peers)
+      // protolint:allow(P4: dense per-(src,dst) send windows, the canonical reliability O(P) site; ROADMAP item 6 pools them over active peers)
       tx_(static_cast<std::size_t>(fabric.nodes())),
-      // protolint:allow(P4: dense per-(src,dst) receive windows; ROADMAP item 2 pools them over active peers)
+      // protolint:allow(P4: dense per-(src,dst) receive windows; ROADMAP item 6 pools them over active peers)
       rx_(static_cast<std::size_t>(fabric.nodes())) {}
 
 std::int32_t Reliability::alloc_slot() {

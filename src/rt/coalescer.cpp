@@ -4,7 +4,7 @@ namespace nvgas::rt {
 
 Coalescer::Coalescer(Runtime& rt, CoalescerConfig config)
     : rt_(rt), config_(config) {
-  // protolint:allow(P4: dense per-(src,dst) coalescing slots, O(P^2) for the whole world; ROADMAP item 2 pools slots over active destinations)
+  // protolint:allow(P4: dense per-(src,dst) coalescing slots, O(P^2) for the whole world; ROADMAP item 6 pools slots over active destinations)
   slots_.resize(static_cast<std::size_t>(rt.nodes()) *
                 static_cast<std::size_t>(rt.nodes()));
 

@@ -15,7 +15,7 @@ std::vector<int> Collectives::tree_children(int rank, int ranks) {
 }
 
 Collectives::Collectives(Runtime& rt, CollAlgo algo) : rt_(rt), algo_(algo) {
-  // protolint:allow(P4: world-level array of per-rank collective slots; tree algorithms already bound fan-in, root aggregation is ROADMAP item 2)
+  // protolint:allow(P4: world-level array of per-rank collective slots; tree algorithms already bound fan-in, root aggregation is ROADMAP item 6)
   nodes_.resize(static_cast<std::size_t>(rt.nodes()));
   auto& reg = rt_.actions();
   const int ranks = rt_.nodes();
@@ -59,12 +59,6 @@ Collectives::Collectives(Runtime& rt, CollAlgo algo) : rt_(rt), algo_(algo) {
         }
       });
 
-  bcast_deliver_ = register_action<std::uint64_t, std::uint64_t>(
-      reg, "nvgas.coll.bcast_deliver",
-      [this](Context& c, int, std::uint64_t gen, std::uint64_t value) {
-        bcast_future(c.rank(), gen).set(c.now(), value);
-      });
-
   // --- binomial tree ---------------------------------------------------------
   tree_barrier_up_ = register_action<std::uint64_t>(
       reg, "nvgas.coll.tree_barrier_up",
@@ -89,12 +83,6 @@ Collectives::Collectives(Runtime& rt, CollAlgo algo) : rt_(rt), algo_(algo) {
       [this](Context& c, int, std::uint64_t gen, double total) {
         tree_release_reduce(c, gen, total);
       });
-
-  tree_bcast_down_ = register_action<std::uint64_t, std::uint64_t>(
-      reg, "nvgas.coll.tree_bcast_down",
-      [this](Context& c, int, std::uint64_t gen, std::uint64_t value) {
-        tree_release_bcast(c, gen, value);
-      });
 }
 
 // --- LCO slots --------------------------------------------------------------
@@ -110,13 +98,6 @@ Future<double>& Collectives::reduce_future(int node, std::uint64_t gen) {
   auto& st = nodes_.at(static_cast<std::size_t>(node));
   auto& slot = st.reduce_futures[gen];
   if (!slot) slot = std::make_unique<Future<double>>();
-  return *slot;
-}
-
-Future<std::uint64_t>& Collectives::bcast_future(int node, std::uint64_t gen) {
-  auto& st = nodes_.at(static_cast<std::size_t>(node));
-  auto& slot = st.bcast_futures[gen];
-  if (!slot) slot = std::make_unique<Future<std::uint64_t>>();
   return *slot;
 }
 
@@ -172,14 +153,6 @@ void Collectives::tree_release_reduce(Context& c, std::uint64_t gen,
   reduce_future(c.rank(), gen).set(c.now(), total);
 }
 
-void Collectives::tree_release_bcast(Context& c, std::uint64_t gen,
-                                     std::uint64_t value) {
-  for (int child : tree_children(c.rank(), rt_.nodes())) {
-    c.send(child, tree_bcast_down_, pack_args(gen, value));
-  }
-  bcast_future(c.rank(), gen).set(c.now(), value);
-}
-
 // --- public API -------------------------------------------------------------
 
 Event& Collectives::barrier(Context& ctx) {
@@ -202,22 +175,6 @@ Future<double>& Collectives::allreduce_sum(Context& ctx, double value) {
     ctx.send(0, reduce_arrive_, pack_args(gen, value));
   } else {
     tree_reduce_contribute(ctx, gen, value);
-  }
-  return fut;
-}
-
-Future<std::uint64_t>& Collectives::broadcast(Context& ctx, std::uint64_t value) {
-  auto& st = nodes_.at(static_cast<std::size_t>(ctx.rank()));
-  const std::uint64_t gen = st.next_bcast_gen++;
-  Future<std::uint64_t>& fut = bcast_future(ctx.rank(), gen);
-  if (ctx.rank() == 0) {
-    if (algo_ == CollAlgo::kFlat) {
-      for (int dst = 0; dst < rt_.nodes(); ++dst) {
-        ctx.send(dst, bcast_deliver_, pack_args(gen, value));
-      }
-    } else {
-      tree_release_bcast(ctx, gen, value);
-    }
   }
   return fut;
 }

@@ -45,10 +45,6 @@ class Collectives {
   // Usage: double total = co_await coll.allreduce_sum(ctx, value);
   [[nodiscard]] Future<double>& allreduce_sum(Context& ctx, double value);
 
-  // Root (rank 0) supplies `value`; everyone receives it. Non-root ranks'
-  // `value` is ignored.
-  [[nodiscard]] Future<std::uint64_t>& broadcast(Context& ctx, std::uint64_t value);
-
   // Binomial-tree helpers (public for tests).
   [[nodiscard]] static int tree_parent(int rank) { return rank & (rank - 1); }
   [[nodiscard]] static std::vector<int> tree_children(int rank, int ranks);
@@ -71,15 +67,12 @@ class Collectives {
   struct NodeState {
     std::uint64_t next_barrier_gen = 0;
     std::uint64_t next_reduce_gen = 0;
-    std::uint64_t next_bcast_gen = 0;
     // LCO storage: kept alive for the life of the Collectives object (the
     // count is bounded by the number of collective calls).
     // simlint:allow(D1: keyed by generation, find only, never iterated)
     std::unordered_map<std::uint64_t, std::unique_ptr<Event>> barrier_events;
     // simlint:allow(D1: keyed by generation, find only, never iterated)
     std::unordered_map<std::uint64_t, std::unique_ptr<Future<double>>> reduce_futures;
-    // simlint:allow(D1: keyed by generation, find only, never iterated)
-    std::unordered_map<std::uint64_t, std::unique_ptr<Future<std::uint64_t>>> bcast_futures;
     // Tree progress (barrier and reduce share the structure).
     // simlint:allow(D1: keyed by generation, find/erase only, never iterated)
     std::unordered_map<std::uint64_t, TreeGen> tree_barrier;
@@ -89,7 +82,6 @@ class Collectives {
 
   Event& barrier_event(int node, std::uint64_t gen);
   Future<double>& reduce_future(int node, std::uint64_t gen);
-  Future<std::uint64_t>& bcast_future(int node, std::uint64_t gen);
 
   // Tree machinery: account one contribution at `node`; when complete,
   // send up or (at the root) start the downward release.
@@ -97,7 +89,6 @@ class Collectives {
   void tree_reduce_contribute(Context& c, std::uint64_t gen, double value);
   void tree_release_barrier(Context& c, std::uint64_t gen);
   void tree_release_reduce(Context& c, std::uint64_t gen, double total);
-  void tree_release_bcast(Context& c, std::uint64_t gen, std::uint64_t value);
 
   Runtime& rt_;
   CollAlgo algo_;
@@ -112,13 +103,11 @@ class Collectives {
   ActionId barrier_release_ = kInvalidAction;
   ActionId reduce_arrive_ = kInvalidAction;
   ActionId reduce_release_ = kInvalidAction;
-  ActionId bcast_deliver_ = kInvalidAction;
   // Tree actions.
   ActionId tree_barrier_up_ = kInvalidAction;
   ActionId tree_barrier_down_ = kInvalidAction;
   ActionId tree_reduce_up_ = kInvalidAction;
   ActionId tree_reduce_down_ = kInvalidAction;
-  ActionId tree_bcast_down_ = kInvalidAction;
 };
 
 }  // namespace nvgas::rt

@@ -5,9 +5,9 @@ namespace nvgas::rt {
 QuiescenceDetector::QuiescenceDetector(Runtime& rt, sim::Time poll_ns)
     : rt_(rt),
       poll_ns_(poll_ns),
-      // protolint:allow(P4: detector-resident per-rank sent counters, one detector per world; ROADMAP item 2 aggregates them up the tree)
+      // protolint:allow(P4: detector-resident per-rank sent counters, one detector per world; ROADMAP item 6 aggregates them up the tree)
       sent_(static_cast<std::size_t>(rt.nodes()), 0),
-      // protolint:allow(P4: detector-resident per-rank processed counters; ROADMAP item 2 aggregates them up the tree)
+      // protolint:allow(P4: detector-resident per-rank processed counters; ROADMAP item 6 aggregates them up the tree)
       processed_(static_cast<std::size_t>(rt.nodes()), 0) {
   // protolint:allow(P4: one quiescence event per rank on the world-level detector, resolved at detection)
   done_.reserve(static_cast<std::size_t>(rt.nodes()));
@@ -57,7 +57,7 @@ void QuiescenceDetector::root_accept(Context& c, int rank,
                                      std::uint64_t p) {
   if (finished_) return;
   if (latest_.empty()) {
-    // protolint:allow(P4: coordinator-only four-counter wave ledger; ROADMAP item 2 keeps it on the single coordinator)
+    // protolint:allow(P4: coordinator-only four-counter wave ledger; ROADMAP item 6 keeps it on the single coordinator)
     latest_.resize(static_cast<std::size_t>(rt_.nodes()));
   }
   Latest& l = latest_[static_cast<std::size_t>(rank)];

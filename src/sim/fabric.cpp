@@ -4,7 +4,6 @@ namespace nvgas::sim {
 
 Fabric::Fabric(const MachineParams& params)
     : params_(params),
-      topology_(params.topology, params.nodes, kDragonflyGroupSize),
       jitter_rng_(params.jitter_seed) {
   NVGAS_CHECK(params_.nodes >= 1);
   // protolint:allow(P4: simulator-host array, the simulated machine's nodes themselves)

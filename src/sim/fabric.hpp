@@ -13,7 +13,6 @@
 #include "sim/machine.hpp"
 #include "sim/memory.hpp"
 #include "sim/nic.hpp"
-#include "sim/topology.hpp"
 #include "sim/trace.hpp"
 #include "util/rng.hpp"
 
@@ -56,20 +55,18 @@ class Fabric {
   [[nodiscard]] Nic& nic(int node) { return *nodes_.at(static_cast<std::size_t>(node)).nic; }
   [[nodiscard]] Memory& mem(int node) { return *nodes_.at(static_cast<std::size_t>(node)).mem; }
 
-  // One-way wire latency between two nodes, per the configured topology,
-  // plus deterministic seeded jitter if configured. Loopback (src == dst)
-  // skips the wire but still pays NIC port costs, like a real NIC
-  // loopback path.
+  // One-way wire latency between two nodes: every pair sits one hop
+  // apart on a flat crossbar, plus deterministic seeded jitter if
+  // configured. Loopback (src == dst) skips the wire but still pays NIC
+  // port costs, like a real NIC loopback path.
   [[nodiscard]] Time latency(int src, int dst) {
     if (src == dst) return 0;
-    Time l = topology_.latency(src, dst, kWireLatencyNs, kPerHopLatencyNs);
+    Time l = kWireLatencyNs;
     if (params_.wire_jitter_ns > 0) {
       l += jitter_rng_.below(params_.wire_jitter_ns);
     }
     return l;
   }
-
-  [[nodiscard]] const Topology& topology() const { return topology_; }
 
  private:
   struct Node {
@@ -81,7 +78,6 @@ class Fabric {
   MachineParams params_;
   Explorer* explorer_ = nullptr;
   FaultInjector* faults_ = nullptr;
-  Topology topology_;
   Engine engine_;
   Counters counters_;
   Trace trace_;

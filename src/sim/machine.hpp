@@ -7,23 +7,18 @@
 // original evaluation ran on. The benchmark conclusions depend only on
 // their ordering (CPU overheads ≫ NIC processing ≫ per-byte), not on any
 // one value. MachineParams holds what a caller chooses: the machine's
-// size, its topology and the wire jitter.
+// size and the wire jitter.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "sim/time.hpp"
-#include "sim/topology.hpp"
 
 namespace nvgas::sim {
 
-// --- topology ---
-inline constexpr int kDragonflyGroupSize = 4;
-inline constexpr Time kPerHopLatencyNs = 150;    // extra latency per switch hop past 1
-
 // --- network (LogGP-ish) ---
-inline constexpr Time kWireLatencyNs = 900;      // L: one-way 1-hop latency
+inline constexpr Time kWireLatencyNs = 900;      // L: one-way latency (flat crossbar)
 inline constexpr Time kNicGapNs = 40;            // g: per-message port occupancy (tx and rx)
 inline constexpr double kByteTimeNs = 0.233;     // G: ~4 GiB/s link
 inline constexpr Time kCpuSendOverheadNs = 120;  // o_send: CPU cost to post a descriptor
@@ -33,7 +28,7 @@ inline constexpr Time kCpuRecvOverheadNs = 250;  // o_recv: CPU cost to take a t
 inline constexpr Time kNicDmaNs = 100;           // DMA engine setup per RMA op
 inline constexpr Time kNicTlbNs = 60;            // NIC translation-table lookup
 inline constexpr Time kNicFwdNs = 80;            // NIC-level forward of a stale-address op
-inline constexpr Time kNicAtomicNs = 150;        // NIC-executed fetch-add / cswap
+inline constexpr Time kNicAtomicNs = 150;        // NIC-executed fetch-add
 
 // --- local memory system ---
 inline constexpr double kMembusByteNs = 0.0625;  // ~16 GiB/s local copy bandwidth
@@ -46,8 +41,6 @@ struct MachineParams {
   // Always 0 (the engine is single-threaded); kept because external
   // benchmark provenance reads it.
   static constexpr int threads = 0;
-
-  TopologyKind topology = TopologyKind::kFlat;
 
   Time wire_jitter_ns = 0;           // uniform [0, jitter) added per message
                                      // (deterministic, seeded; models switch

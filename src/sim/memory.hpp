@@ -96,14 +96,6 @@ class Memory {
     return old;
   }
 
-  // Returns the previous value; swaps iff it equals `expected`.
-  std::uint64_t compare_swap_u64(Lva lva, std::uint64_t expected,
-                                 std::uint64_t desired) {
-    const auto old = load<std::uint64_t>(lva);
-    if (old == expected) store<std::uint64_t>(lva, desired);
-    return old;
-  }
-
  private:
   void check_range(Lva lva, std::size_t len) const {
     NVGAS_CHECK_MSG(lva <= size_ && len <= size_ - lva,

@@ -2,9 +2,8 @@
 // binary heap. Kept verbatim (modulo the class name) as the behavioral
 // oracle for the production timing-wheel Engine — the determinism
 // regression test replays identical schedules through both and asserts
-// trace_hash() equality, and bench_engine reports the wheel's events/sec
-// as a ratio against this implementation. Do not "improve" this file;
-// its value is that it does not change.
+// trace_hash() equality. Do not "improve" this file; its value is that it
+// does not change.
 #pragma once
 
 #include <cstdint>

@@ -10,22 +10,32 @@ namespace nvgas::util {
 
 namespace {
 
+// A malformed flag value is a fatal error naming the flag, not a silent
+// default: "--KEY=TEXT is not WHAT".
+[[noreturn]] void reject(const std::string& key, const std::string& text,
+                         const char* what) {
+  const std::string msg =
+      format("--%s=%s is not %s", key.c_str(), text.c_str(), what);
+  panic(__FILE__, __LINE__, msg.c_str());
+}
+
 // Parse all of `text` with a strto* function; an empty value or trailing
-// garbage is a fatal error naming the flag, not a silent zero.
+// garbage is fatal.
 template <typename T, typename Parse>
 T parse_number(const std::string& key, const std::string& text, Parse parse) {
   const char* begin = text.c_str();
   char* end = nullptr;
   const T v = parse(begin, &end);
-  if (text.empty() || end != begin + text.size()) {
-    const std::string msg =
-        format("--%s=%s is not a number", key.c_str(), text.c_str());
-    panic(__FILE__, __LINE__, msg.c_str());
-  }
+  if (text.empty() || end != begin + text.size()) reject(key, text, "a number");
   return v;
 }
 
+// strtoull accepts a minus sign and negates the result ("-1" parses to
+// 2^64-1), so a sign is rejected before parsing.
 std::uint64_t to_uint(const std::string& key, const std::string& text) {
+  if (text.find('-') != std::string::npos) {
+    reject(key, text, "an unsigned number");
+  }
   return parse_number<std::uint64_t>(
       key, text, [](const char* b, char** e) { return std::strtoull(b, e, 0); });
 }
@@ -85,7 +95,9 @@ double Options::get_double(const std::string& key, double def) const {
 bool Options::get_bool(const std::string& key, bool def) const {
   const std::string* v = find(key);
   if (v == nullptr) return def;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  reject(key, *v, "a boolean (true/false/1/0/yes/no)");
 }
 
 std::vector<std::uint64_t> Options::get_uint_list(

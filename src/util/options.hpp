@@ -2,9 +2,11 @@
 //
 // Accepts "--key=value" and "--flag" arguments; everything else is a
 // positional. Typed getters with defaults keep call sites one line; a
-// numeric getter aborts, naming the flag, when the value is empty or not
-// entirely a number. Every getter (and has()) records the key it was
-// asked for, so reject_unknown() can tell a misspelt flag from a real one.
+// typed getter aborts, naming the flag, when the value is empty, not
+// entirely a number, negative for an unsigned getter, or not one of
+// true/false/1/0/yes/no for get_bool. Every getter (and has()) records
+// the key it was asked for, so reject_unknown() can tell a misspelt flag
+// from a real one.
 #pragma once
 
 #include <cstdint>

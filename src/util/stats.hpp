@@ -42,7 +42,8 @@ class Samples {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  // Nearest-rank percentile, p in [0, 100].
+  // Percentile, p in [0, 100], interpolated linearly between the two
+  // closest ranks of the sorted samples (rank = p/100 * (count - 1)).
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50.0); }
 

@@ -78,37 +78,4 @@ std::string Table::str() const {
   return oss.str();
 }
 
-namespace {
-void csv_field(std::ostream& os, const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) {
-    os << field;
-    return;
-  }
-  os << '"';
-  for (char c : field) {
-    if (c == '"') os << '"';
-    os << c;
-  }
-  os << '"';
-}
-}  // namespace
-
-void Table::print_csv(std::ostream& os) const {
-  auto row_out = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      csv_field(os, row[c]);
-    }
-    os << '\n';
-  };
-  row_out(header_);
-  for (const auto& row : rows_) row_out(row);
-}
-
-std::string Table::csv() const {
-  std::ostringstream oss;
-  print_csv(oss);
-  return oss.str();
-}
-
 }  // namespace nvgas::util

@@ -26,11 +26,6 @@ class Table {
   void print(std::ostream& os) const;
   [[nodiscard]] std::string str() const;
 
-  // Machine-readable form: header row + data rows, comma-separated with
-  // minimal quoting (fields containing commas/quotes get quoted).
-  void print_csv(std::ostream& os) const;
-  [[nodiscard]] std::string csv() const;
-
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
 
  private:

@@ -92,8 +92,7 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, LbConvergenceTest,
     ::testing::Combine(::testing::Values(GasMode::kAgasSw, GasMode::kAgasNet),
                        ::testing::Values(lb::PolicyKind::kGreedy,
-                                         lb::PolicyKind::kHysteresis,
-                                         lb::PolicyKind::kDiffusive)),
+                                         lb::PolicyKind::kHysteresis)),
     param_name);
 
 TEST(LbPgas, BalancerIsAByteIdenticalNoop) {

@@ -134,29 +134,6 @@ TEST(Policy, HysteresisThresholdIgnoresSmallImbalance) {
   EXPECT_TRUE(plan.empty());
 }
 
-TEST(Policy, DiffusiveActsOnNeighborGapsOnly) {
-  // Ring of 4; node 0 is hot, its ring neighbors are 1 and 3. Blocks are
-  // cheap enough that the pairwise budget (diff/2) moves some of them.
-  constexpr int kRanks = 4;
-  const std::uint32_t by_node[kRanks] = {0, 0, 0, 0};
-  lb::Snapshot snap;
-  snap.ranks = kRanks;
-  snap.node_load.assign(kRanks, 0);
-  for (int b = 0; b < 8; ++b) {
-    snap.blocks.push_back(
-        lb::PlacedBlock{0x100u + static_cast<std::uint64_t>(b), 0,
-                        10 * kAccessUnit, by_node, false});
-    snap.node_load[0] += 10 * kAccessUnit;
-  }
-  lb::LbConfig cfg;
-  std::vector<lb::Move> plan;
-  lb::make_policy(lb::PolicyKind::kDiffusive)->plan(snap, cfg, plan);
-  ASSERT_FALSE(plan.empty());
-  for (const lb::Move& m : plan) {
-    EXPECT_TRUE(m.dst == 1 || m.dst == 3) << "diffusive moved to a non-neighbor";
-  }
-}
-
 // --- balancer throttle and cost gate (end-to-end) --------------------------
 
 // Rank 0 hoards `blocks` blocks; every other rank hammers its own block

@@ -104,20 +104,6 @@ TEST_F(EndpointFixture, ConcurrentFetchAddsAreSerialized) {
   EXPECT_EQ(olds, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }
 
-TEST_F(EndpointFixture, CompareSwapOnlyOneWinner) {
-  std::vector<std::uint64_t> olds;
-  for (int n = 0; n < 4; ++n) {
-    group.at(n).compare_swap(0, 1, 24, 0, static_cast<std::uint64_t>(n) + 10,
-                             [&](sim::Time, std::uint64_t v) { olds.push_back(v); });
-  }
-  fabric.engine().run();
-  const auto final_value = fabric.mem(1).load<std::uint64_t>(24);
-  EXPECT_GE(final_value, 10u);
-  EXPECT_LE(final_value, 13u);
-  // Exactly one CAS saw 0.
-  EXPECT_EQ(std::count(olds.begin(), olds.end(), 0u), 1);
-}
-
 TEST_F(EndpointFixture, EagerParcelReachesHandlerOnCpu) {
   util::Buffer payload;
   payload.put<std::uint64_t>(777);

@@ -229,18 +229,6 @@ TEST_F(CollFixture, AllreduceSumsAcrossRanks) {
   for (auto v : results) EXPECT_DOUBLE_EQ(v, 36.0);  // 1+..+8
 }
 
-TEST_F(CollFixture, BroadcastDeliversRootValue) {
-  std::vector<std::uint64_t> results(8, 0);
-  for (int r = 0; r < 8; ++r) {
-    rt.spawn(r, [&, r](Context& ctx) -> Fiber {
-      results[static_cast<std::size_t>(r)] =
-          co_await coll.broadcast(ctx, r == 0 ? 4242u : 0u);
-    });
-  }
-  fabric.engine().run();
-  for (auto v : results) EXPECT_EQ(v, 4242u);
-}
-
 TEST_F(CollFixture, MixedCollectiveSequence) {
   std::vector<double> sums(8, 0);
   int done = 0;

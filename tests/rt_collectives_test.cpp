@@ -89,16 +89,6 @@ TEST_P(CollAlgoTest, AllreduceSumExact) {
   for (auto v : results) EXPECT_DOUBLE_EQ(v, 91.0);  // 1+..+13
 }
 
-TEST_P(CollAlgoTest, BroadcastReachesAll) {
-  World world(make_config(9));
-  std::vector<std::uint64_t> results(9, 0);
-  world.run_spmd([&](Context& ctx) -> Fiber {
-    results[static_cast<std::size_t>(ctx.rank())] =
-        co_await world.coll().broadcast(ctx, ctx.rank() == 0 ? 777u : 0u);
-  });
-  for (auto v : results) EXPECT_EQ(v, 777u);
-}
-
 TEST_P(CollAlgoTest, SingleRankCollectivesAreTrivial) {
   World world(make_config(1));
   bool done = false;
@@ -106,8 +96,6 @@ TEST_P(CollAlgoTest, SingleRankCollectivesAreTrivial) {
     co_await world.coll().barrier(ctx);
     const double s = co_await world.coll().allreduce_sum(ctx, 5.0);
     EXPECT_DOUBLE_EQ(s, 5.0);
-    const auto b = co_await world.coll().broadcast(ctx, 3);
-    EXPECT_EQ(b, 3u);
     done = true;
   });
   EXPECT_TRUE(done);

@@ -50,17 +50,6 @@ TEST(Memory, FetchAddReturnsOld) {
   EXPECT_EQ(m.fetch_add_u64(0, 0), 15u);
 }
 
-TEST(Memory, CompareSwapSemantics) {
-  Memory m(64);
-  m.store<std::uint64_t>(0, 7);
-  // Mismatched expectation: no swap, returns current.
-  EXPECT_EQ(m.compare_swap_u64(0, 99, 1), 7u);
-  EXPECT_EQ(m.load<std::uint64_t>(0), 7u);
-  // Matching expectation: swaps.
-  EXPECT_EQ(m.compare_swap_u64(0, 7, 1), 7u);
-  EXPECT_EQ(m.load<std::uint64_t>(0), 1u);
-}
-
 TEST(Memory, ReadVecMatchesWrites) {
   Memory m(32);
   const std::uint64_t v = 0xa5a5a5a5a5a5a5a5ULL;

@@ -75,6 +75,17 @@ TEST(Nic, LoopbackSkipsWire) {
   EXPECT_EQ(delivered, 64u + 0u + 40u);
 }
 
+TEST(Nic, FlatFabricIsOneWireLatencyPerPair) {
+  MachineParams p = small_machine();
+  p.nodes = 16;
+  Fabric f(p);
+  for (int a = 0; a < 16; ++a) {
+    for (int b = 0; b < 16; ++b) {
+      EXPECT_EQ(f.latency(a, b), a == b ? 0 : kWireLatencyNs) << a << "->" << b;
+    }
+  }
+}
+
 TEST(Nic, DepartureTimeRespected) {
   Fabric f(small_machine());
   Time delivered = 0;

@@ -81,8 +81,9 @@ TEST(Options, HexIntegers) {
 
 TEST(Options, MalformedNumbersAreFatal) {
   const char* argv[] = {"prog", "--nodes=abc", "--rate=", "--sizes=8,x",
-                        "--seed=12z", "--verbose"};
-  Options opt(6, argv);
+                        "--seed=12z", "--verbose", "--updates=-1",
+                        "--signal=flase"};
+  Options opt(8, argv);
   EXPECT_DEATH((void)opt.get_uint("nodes", 8), "--nodes=abc is not a number");
   EXPECT_DEATH((void)opt.get_double("rate", 1.0), "--rate= is not a number");
   EXPECT_DEATH((void)opt.get_uint_list("sizes", {}),
@@ -90,6 +91,10 @@ TEST(Options, MalformedNumbersAreFatal) {
   EXPECT_DEATH((void)opt.get_int("seed", 0), "--seed=12z is not a number");
   EXPECT_DEATH((void)opt.get_int("verbose", 0),
                "--verbose=true is not a number");
+  EXPECT_DEATH((void)opt.get_uint("updates", 1),
+               "--updates=-1 is not an unsigned number");
+  EXPECT_DEATH((void)opt.get_bool("signal", true),
+               "--signal=flase is not a boolean");
 }
 
 TEST(Table, AlignsColumns) {
@@ -110,17 +115,6 @@ TEST(Table, AlignsColumns) {
     if (width == 0) width = line.size();
     EXPECT_EQ(line.size(), width) << line;
   }
-}
-
-TEST(Table, CsvOutput) {
-  Table t;
-  t.columns({"a", "b"});
-  t.cell("plain").cell(std::uint64_t{7}).end_row();
-  t.cell("with,comma").cell("with\"quote").end_row();
-  EXPECT_EQ(t.csv(),
-            "a,b\n"
-            "plain,7\n"
-            "\"with,comma\",\"with\"\"quote\"\n");
 }
 
 TEST(Table, RowArityChecked) {

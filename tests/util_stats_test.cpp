@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "util/histogram.hpp"
-
 namespace nvgas::util {
 namespace {
 
@@ -105,54 +103,6 @@ TEST(Formatting, Bytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(4096), "4 KiB");
   EXPECT_EQ(format_bytes(3ull << 20), "3 MiB");
-}
-
-TEST(LogHistogram, BucketBoundaries) {
-  EXPECT_EQ(LogHistogram::bucket_of(0), 0);
-  EXPECT_EQ(LogHistogram::bucket_of(1), 0);
-  EXPECT_EQ(LogHistogram::bucket_of(2), 1);
-  EXPECT_EQ(LogHistogram::bucket_of(3), 1);
-  EXPECT_EQ(LogHistogram::bucket_of(4), 2);
-  EXPECT_EQ(LogHistogram::bucket_of(1023), 9);
-  EXPECT_EQ(LogHistogram::bucket_of(1024), 10);
-}
-
-TEST(LogHistogram, CountSumMinMax) {
-  LogHistogram h;
-  h.add(10);
-  h.add(100);
-  h.add(1000);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.total(), 1110u);
-  EXPECT_EQ(h.min(), 10u);
-  EXPECT_EQ(h.max(), 1000u);
-  EXPECT_NEAR(h.mean(), 370.0, 1e-9);
-}
-
-TEST(LogHistogram, PercentileMonotonic) {
-  LogHistogram h;
-  for (std::uint64_t i = 1; i <= 1000; ++i) h.add(i);
-  double prev = 0.0;
-  for (double p : {1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0}) {
-    const double v = h.percentile(p);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-  // Median of 1..1000 should land in the right bucket neighbourhood.
-  EXPECT_GT(h.percentile(50), 256.0);
-  EXPECT_LT(h.percentile(50), 1024.0);
-}
-
-TEST(LogHistogram, MergeAddsCounts) {
-  LogHistogram a;
-  LogHistogram b;
-  a.add(5);
-  b.add(500);
-  b.add(50);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.min(), 5u);
-  EXPECT_EQ(a.max(), 500u);
 }
 
 }  // namespace

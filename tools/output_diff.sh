@@ -2,9 +2,9 @@
 # Compare the program output of two build trees.
 #
 # Runs the 8 examples in all 3 GAS modes, and every bench binary present
-# in both builds except bench_engine (it measures host wall time), from
-# each build with default arguments, then diffs their stdout and exit
-# status. A bench present in only one build is listed, not compared.
+# in both builds, from each build with default arguments, then diffs
+# their stdout and exit status. A bench present in only one build is
+# listed, not compared.
 # Simulated results are deterministic, so a refactor that claims "same
 # program, written differently" must report no difference.
 #
@@ -45,7 +45,6 @@ run() {
 benches=()
 for path in "$parent"/bench/bench_*; do
   bench=$(basename "$path")
-  [ "$bench" = bench_engine ] && continue
   if [ -x "$change/bench/$bench" ]; then
     benches+=("$bench")
   else

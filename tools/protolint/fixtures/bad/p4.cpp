@@ -1,6 +1,6 @@
 // protolint fixture (not compiled): P4 violations.
 // Containers sized by the node count: O(P) state per node, the exact
-// growth pattern that blocks 1024-node scale-out (ROADMAP item 2).
+// growth pattern that blocks 1024-node scale-out (ROADMAP item 6).
 
 namespace fx4 {
 

@@ -30,7 +30,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
       (`ledger_set` / `set_lco`). An unresolvable completion object is
       a hang waiting to happen — and the static precondition for
       failed-completion delivery in crash-stop recovery (ROADMAP
-      item 5).
+      item 9).
   P3  park/wake pairing. Every park call site (`park_msg`,
       `park_delayed`, `park_<q>`) must have a matching wake
       (`deliver_parked`, `unpark_<q>`, `deliver_<q>`, `wake_<q>`)
@@ -38,7 +38,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
       forever.
   P4  state growth. A container resized/reserved/assigned or
       constructor-initialized to the node count is O(P) state per node
-      and blocks the 1024-node scale-out (ROADMAP item 2). Every such
+      and blocks the 1024-node scale-out (ROADMAP item 6). Every such
       site must either become O(active peers) or carry a
       `protolint:allow(P4: <sparse/pooled justification>)`.
   P5  RTO cancellation. Every armed cancellable timer
@@ -497,7 +497,7 @@ def check_p2(prog: list) -> list:
                 "reaches a resolution site (.set/.arrive/.contribute/"
                 ".fire, a resolving accessor, or ledger registration with "
                 "ledger_set): whoever awaits it hangs forever, and "
-                "crash-stop recovery (ROADMAP item 5) cannot fail it over"))
+                "crash-stop recovery (ROADMAP item 9) cannot fail it over"))
     return findings
 
 
@@ -568,7 +568,7 @@ def check_p4(prog: list) -> list:
                 f.path, ln, "P4",
                 f"container '{name}' {how} the node count: O(P) state "
                 "per node blocks the 1024-node scale-out (ROADMAP "
-                "item 2); make it O(active peers) or annotate with "
+                "item 6); make it O(active peers) or annotate with "
                 "protolint:allow(P4: <sparse/pooled justification>)"))
 
         for m in P4_SIZE_CALL_RE.finditer(f.code):
