@@ -8,7 +8,7 @@
 namespace nvgas::apps::kv {
 
 ClientGen::ClientGen(World& world, KvServer& server, ClientConfig cfg,
-                     sim::Time slo_window_ns, sim::Time slo_target_ns)
+                     sim::Time slo_target_ns)
     : world_(&world),
       server_(&server),
       cfg_(std::move(cfg)),
@@ -20,7 +20,7 @@ ClientGen::ClientGen(World& world, KvServer& server, ClientConfig cfg,
   const auto n = static_cast<std::size_t>(world.fabric().nodes());
   nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    nodes_.emplace_back(slo_window_ns, slo_target_ns);
+    nodes_.emplace_back(slo_target_ns);
   }
   reply_action_ = world.runtime().actions().add(
       "kv.client.reply", [this](rt::Context& c, int, util::Buffer args) {

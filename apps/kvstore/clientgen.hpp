@@ -56,7 +56,7 @@ struct ClientConfig {
 class ClientGen {
  public:
   ClientGen(World& world, KvServer& server, ClientConfig cfg,
-            sim::Time slo_window_ns, sim::Time slo_target_ns);
+            sim::Time slo_target_ns);
   ClientGen(const ClientGen&) = delete;
   ClientGen& operator=(const ClientGen&) = delete;
 
@@ -82,8 +82,7 @@ class ClientGen {
     std::uint64_t torn = 0;
     std::uint64_t codes[3] = {0, 0, 0};
     SloTracker slo;
-    explicit NodeState(sim::Time window, sim::Time target)
-        : slo(window, target) {}
+    explicit NodeState(sim::Time target) : slo(target) {}
   };
 
   void issue(rt::Context& c, NodeState& st, util::Rng& rng, sim::Time t_due);

@@ -29,7 +29,7 @@ KvRunResult run_kv(const KvRunConfig& rc) {
 
   World world(cfg);
   KvServer server(world, rc.kv);
-  ClientGen gen(world, server, rc.client, rc.slo_window_ns, rc.slo_target_ns);
+  ClientGen gen(world, server, rc.client, rc.slo_target_ns);
 
   world.run_spmd([&](Context& ctx) -> Fiber {
     if (ctx.rank() == 0) server.setup(ctx);
@@ -38,10 +38,7 @@ KvRunResult run_kv(const KvRunConfig& rc) {
   });
 
   KvRunResult out;
-  const sim::Time churn_begin = rc.client.t_shift;
-  const sim::Time churn_end =
-      rc.client.t_shift == 0 ? 0 : rc.client.t_shift + rc.churn_duration;
-  out.slo = gen.merged_slo().report(churn_begin, churn_end);
+  out.slo = gen.merged_slo().report();
   out.server = server.total_metrics();
   out.issued = gen.issued();
   out.completed = gen.completed();

@@ -21,9 +21,7 @@ struct KvRunConfig {
   bool lossy = false;  // arm the lossy wire-fault plan
   KvParams kv;
   ClientConfig client;
-  sim::Time slo_window_ns = 100'000;   // S-7 window size
-  sim::Time slo_target_ns = 150'000;   // served-latency SLO target
-  sim::Time churn_duration = 600'000;  // churn phase length after t_shift
+  sim::Time slo_target_ns = 150'000;  // served-latency SLO target
 };
 
 struct KvRunResult {

@@ -19,16 +19,11 @@ void SloTracker::record(std::uint8_t op, sim::Time t_complete,
   }
   last_complete_ = std::max(last_complete_, t_complete);
   ++completed_;
-  const bool ok = latency_ns <= slo_target_;
-  if (ok) ++within_slo_;
-  const auto w = static_cast<std::size_t>(t_complete / window_ns_);
-  if (w >= windows_.size()) windows_.resize(w + 1);
-  windows_[w].completed++;
-  if (ok) windows_[w].within_slo++;
+  if (latency_ns <= slo_target_) ++within_slo_;
 }
 
 void SloTracker::merge(const SloTracker& o) {
-  NVGAS_CHECK(window_ns_ == o.window_ns_ && slo_target_ == o.slo_target_);
+  NVGAS_CHECK(slo_target_ == o.slo_target_);
   put_.merge(o.put_);
   get_.merge(o.get_);
   del_.merge(o.del_);
@@ -40,11 +35,6 @@ void SloTracker::merge(const SloTracker& o) {
   }
   completed_ += o.completed_;
   within_slo_ += o.within_slo_;
-  if (o.windows_.size() > windows_.size()) windows_.resize(o.windows_.size());
-  for (std::size_t i = 0; i < o.windows_.size(); ++i) {
-    windows_[i].completed += o.windows_[i].completed;
-    windows_[i].within_slo += o.windows_[i].within_slo;
-  }
 }
 
 const LatencyHistogram& SloTracker::hist(std::uint8_t op) const {
@@ -68,7 +58,7 @@ OpLatency summarize(const LatencyHistogram& h) {
 }
 }  // namespace
 
-SloReport SloTracker::report(sim::Time churn_begin, sim::Time churn_end) const {
+SloReport SloTracker::report() const {
   SloReport rep;
   rep.put = summarize(put_);
   rep.get = summarize(get_);
@@ -79,45 +69,6 @@ SloReport SloTracker::report(sim::Time churn_begin, sim::Time churn_end) const {
     rep.goodput_ops_per_sec =
         static_cast<double>(within_slo_) /
         (static_cast<double>(last_complete_ - first_complete_) / 1e9);
-  }
-  if (churn_end <= churn_begin) return rep;  // no churn phase declared
-  // Retention is load-normalized: the client stream is open-loop with a
-  // diurnal (and possibly flash-crowd) rate, so raw per-window counts
-  // track offered load, not service quality. The comparable quantity is
-  // SLO ATTAINMENT — the fraction of completions inside the target — in
-  // churn windows versus quiet windows.
-  std::uint64_t churn_ok = 0, quiet_ok = 0;
-  std::uint64_t churn_done = 0, quiet_done = 0;
-  std::uint64_t churn_wins = 0, quiet_wins = 0;
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    const sim::Time start = static_cast<sim::Time>(i) * window_ns_;
-    // Skip windows with no completions at either edge of the run: they
-    // are ramp-up/drain, not steady state of either phase.
-    if (windows_[i].completed == 0) continue;
-    if (start >= churn_begin && start < churn_end) {
-      churn_ok += windows_[i].within_slo;
-      churn_done += windows_[i].completed;
-      ++churn_wins;
-    } else {
-      quiet_ok += windows_[i].within_slo;
-      quiet_done += windows_[i].completed;
-      ++quiet_wins;
-    }
-  }
-  if (quiet_wins > 0) {
-    rep.quiet_goodput_per_win =
-        static_cast<double>(quiet_ok) / static_cast<double>(quiet_wins);
-  }
-  if (churn_wins > 0) {
-    rep.churn_goodput_per_win =
-        static_cast<double>(churn_ok) / static_cast<double>(churn_wins);
-  }
-  if (quiet_done > 0 && churn_done > 0) {
-    const double quiet_attain =
-        static_cast<double>(quiet_ok) / static_cast<double>(quiet_done);
-    const double churn_attain =
-        static_cast<double>(churn_ok) / static_cast<double>(churn_done);
-    if (quiet_attain > 0) rep.slo_retention = churn_attain / quiet_attain;
   }
   return rep;
 }

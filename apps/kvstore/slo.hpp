@@ -4,15 +4,11 @@
 // sub-buckets per power of two (HDR-style, ~6% relative quantile error),
 // all-integer and deterministic: the same completion stream produces the
 // same p50/p99/p999 on every host, thread count, and process. SloTracker
-// adds the time-windowed goodput series behind the
-// SLO-retention-under-churn metric, which extends the S-7 (bench_churn)
-// methodology from raw throughput retention to "requests served within
-// the SLO target" retention.
+// adds the count of responses served within the SLO target.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sim/time.hpp"
 #include "util/assert.hpp"
@@ -107,50 +103,34 @@ struct SloReport {
   std::uint64_t completed = 0;      // responses received
   std::uint64_t within_slo = 0;     // responses with latency <= target
   double goodput_ops_per_sec = 0;   // within-SLO completions / wall span
-  // Mean per-window within-SLO completions, churn vs quiet windows
-  // (tracks offered load under the open-loop generator).
-  double quiet_goodput_per_win = 0;
-  double churn_goodput_per_win = 0;
-  // SLO retention under churn: the within-SLO attainment FRACTION in
-  // churn windows over the same fraction in quiet windows. Normalizing
-  // by completions makes the metric load-independent, so the diurnal /
-  // flash-crowd rate shifts do not masquerade as churn effects. 1.0
-  // when no churn window was declared.
-  double slo_retention = 1.0;
+
+  // Share of responses served within the target (what nvbench reports
+  // as sim_goodput_frac); 0 when nothing completed.
+  [[nodiscard]] double within_slo_frac() const {
+    return completed == 0 ? 0.0
+                          : static_cast<double>(within_slo) /
+                                static_cast<double>(completed);
+  }
 };
 
 // One per edge node; merged host-side after the run.
 class SloTracker {
  public:
-  SloTracker(sim::Time window_ns, sim::Time slo_target_ns)
-      : window_ns_(window_ns), slo_target_(slo_target_ns) {
-    NVGAS_CHECK(window_ns_ > 0);
-  }
+  explicit SloTracker(sim::Time slo_target_ns) : slo_target_(slo_target_ns) {}
 
   void record(std::uint8_t op, sim::Time t_complete, sim::Time latency_ns);
 
   void merge(const SloTracker& o);
 
-  // churn = [churn_begin, churn_end) in simulated time; pass 0,0 for no
-  // churn phase. Windows that straddle a boundary count toward the phase
-  // containing their start.
-  [[nodiscard]] SloReport report(sim::Time churn_begin,
-                                 sim::Time churn_end) const;
+  [[nodiscard]] SloReport report() const;
 
   [[nodiscard]] const LatencyHistogram& hist(std::uint8_t op) const;
 
  private:
-  struct Window {
-    std::uint64_t completed = 0;
-    std::uint64_t within_slo = 0;
-  };
-
-  sim::Time window_ns_;
   sim::Time slo_target_;
   LatencyHistogram put_;
   LatencyHistogram get_;
   LatencyHistogram del_;
-  std::vector<Window> windows_;
   std::uint64_t completed_ = 0;
   std::uint64_t within_slo_ = 0;
   sim::Time first_complete_ = 0;

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
   const auto sizes =
-      opt.get_uint_list("sizes", {256, 1024, 4096, 16384, 65536, 262144});
+      opt.get_uint_list<std::uint32_t>("sizes", {256, 1024, 4096, 16384, 65536, 262144});
   opt.reject_unknown();
 
   print_header("R-F2", "memput bandwidth vs size (window 32, 2 nodes)");
@@ -88,11 +88,10 @@ int main(int argc, char** argv) {
   nvgas::util::Table t("memput bandwidth (MiB/s)");
   t.columns({"size", "raw RMA", "pgas", "agas-sw", "agas-net", "net/raw"});
   for (const auto size : sizes) {
-    const auto s32 = static_cast<std::uint32_t>(size);
-    const double raw = raw_bandwidth(s32);
-    const double p = gas_bandwidth(nvgas::GasMode::kPgas, s32);
-    const double s = gas_bandwidth(nvgas::GasMode::kAgasSw, s32);
-    const double n = gas_bandwidth(nvgas::GasMode::kAgasNet, s32);
+    const double raw = raw_bandwidth(size);
+    const double p = gas_bandwidth(nvgas::GasMode::kPgas, size);
+    const double s = gas_bandwidth(nvgas::GasMode::kAgasSw, size);
+    const double n = gas_bandwidth(nvgas::GasMode::kAgasNet, size);
     t.cell(nvgas::util::format_bytes(size))
         .cell(raw, 1)
         .cell(p, 1)

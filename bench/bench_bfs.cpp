@@ -9,9 +9,9 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   using namespace nvgas::apps::workloads;
   const nvgas::util::Options opt(argc, argv);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 8));
-  const auto vertices = static_cast<std::uint32_t>(opt.get_uint("vertices", 8192));
-  const auto degree = static_cast<std::uint32_t>(opt.get_uint("degree", 8));
+  const int nodes = opt.get_int<int>("nodes", 8);
+  const auto vertices = opt.get_uint<std::uint32_t>("vertices", 8192);
+  const auto degree = opt.get_uint<std::uint32_t>("degree", 8);
   opt.reject_unknown();
 
   print_header("S-3", "distributed BFS: managers x parcel coalescing");

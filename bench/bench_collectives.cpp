@@ -35,7 +35,7 @@ double collective_latency(rt::CollAlgo algo, int nodes, bool reduce) {
 int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
-  const auto node_counts = opt.get_uint_list("nodes", {4, 16, 64, 128, 256});
+  const auto node_counts = opt.get_uint_list<int>("nodes", {4, 16, 64, 128, 256});
   opt.reject_unknown();
 
   print_header("S-1", "collective algorithms: flat vs binomial tree");
@@ -43,13 +43,12 @@ int main(int argc, char** argv) {
   nvgas::util::Table t("latency per collective");
   t.columns({"nodes", "barrier flat", "barrier tree", "allreduce flat",
              "allreduce tree", "tree/flat (barrier)"});
-  for (const auto n : node_counts) {
-    const int nodes = static_cast<int>(n);
+  for (const int nodes : node_counts) {
     const double bf = collective_latency(nvgas::rt::CollAlgo::kFlat, nodes, false);
     const double bt = collective_latency(nvgas::rt::CollAlgo::kTree, nodes, false);
     const double rf = collective_latency(nvgas::rt::CollAlgo::kFlat, nodes, true);
     const double rt2 = collective_latency(nvgas::rt::CollAlgo::kTree, nodes, true);
-    t.cell(n)
+    t.cell(nodes)
         .cell(nvgas::util::format_ns(bf))
         .cell(nvgas::util::format_ns(bt))
         .cell(nvgas::util::format_ns(rf))

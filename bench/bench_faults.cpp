@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
   const bool quick = opt.has("quick");
   const std::uint64_t ops = opt.get_uint("ops", quick ? 150 : 600);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 4));
+  const int nodes = opt.get_int<int>("nodes", 4);
   const double dup = opt.get_double("fault-dup", 0.0);
   const double delay = opt.get_double("fault-delay", 0.0);
   const auto delay_ns =

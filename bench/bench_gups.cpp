@@ -38,18 +38,17 @@ int main(int argc, char** argv) {
   // it at scale, exactly the regime where directories melt.
   const std::size_t sw_cache = opt.get_uint("sw-cache", 1024);
 
-  const auto node_counts = opt.get_uint_list("nodes", {2, 4, 8, 16, 32});
+  const auto node_counts = opt.get_uint_list<int>("nodes", {2, 4, 8, 16, 32});
   opt.reject_unknown();
   print_header("R-F3", "random-access throughput vs nodes (weak scaling)");
 
   nvgas::util::Table t("GUPS-style update rate");
   t.columns({"nodes", "pgas", "agas-sw", "agas-net", "net/pgas", "net/sw"});
-  for (const auto n : node_counts) {
-    const int nodes = static_cast<int>(n);
+  for (const int nodes : node_counts) {
     const double p = gups(nvgas::GasMode::kPgas, nodes, updates, sw_cache);
     const double s = gups(nvgas::GasMode::kAgasSw, nodes, updates, sw_cache);
     const double net = gups(nvgas::GasMode::kAgasNet, nodes, updates, sw_cache);
-    t.cell(n)
+    t.cell(nodes)
         .cell(nvgas::util::format_rate(p))
         .cell(nvgas::util::format_rate(s))
         .cell(nvgas::util::format_rate(net))

@@ -157,7 +157,7 @@ TailResult tail_point(GasMode mode, sim::Time jitter, bool force_miss,
 int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
-  const auto sizes = opt.get_uint_list(
+  const auto sizes = opt.get_uint_list<std::uint32_t>(
       "sizes", {8, 64, 512, 4096, 32768, 262144, 1048576 / 2});
   const auto windows = opt.get_uint_list("windows", {1, 2, 4, 8, 16, 32, 64});
   const std::size_t sw_cache = opt.get_uint("sw-cache", 256);
@@ -170,12 +170,9 @@ int main(int argc, char** argv) {
     nvgas::util::Table t("memget latency");
     t.columns({"size", "pgas", "agas-sw", "agas-net", "sw/pgas", "net/pgas"});
     for (const auto size : sizes) {
-      const double p = memget_latency(nvgas::GasMode::kPgas,
-                                      static_cast<std::uint32_t>(size));
-      const double s = memget_latency(nvgas::GasMode::kAgasSw,
-                                      static_cast<std::uint32_t>(size));
-      const double n = memget_latency(nvgas::GasMode::kAgasNet,
-                                      static_cast<std::uint32_t>(size));
+      const double p = memget_latency(nvgas::GasMode::kPgas, size);
+      const double s = memget_latency(nvgas::GasMode::kAgasSw, size);
+      const double n = memget_latency(nvgas::GasMode::kAgasNet, size);
       t.cell(nvgas::util::format_bytes(size))
           .cell(nvgas::util::format_ns(p))
           .cell(nvgas::util::format_ns(s))

@@ -9,19 +9,19 @@
 //   agas-sw  × {none, greedy, hysteresis},
 //   agas-net × {none, greedy, hysteresis}.
 // Heat accrues from the resolve() calls the apply trampoline makes, so
-// the balancer sees exactly the task traffic each actor receives.
+// the balancer sees exactly the task traffic each actor receives. The
+// workload is apps/workloads/actors.hpp, shared with
+// examples/actor_migration. Exits 1 if the pgas rows diverge or any
+// config loses or repeats a task.
 //
 // Results land in BENCH_loadbalance.json (cwd) for cross-PR tracking.
-#include <algorithm>
 #include <cstdio>
 
 #include "common.hpp"
+#include "workloads/actors.hpp"
 
 namespace nvgas::bench {
 namespace {
-
-constexpr std::uint32_t kActorState = 1024;
-constexpr sim::Time kTaskComputeNs = 20'000;
 
 struct LbResult {
   double makespan_ms = 0;
@@ -29,81 +29,24 @@ struct LbResult {
   std::uint64_t rejected = 0;     // plan entries killed by the cost gate
   double imbalance = 0;           // max node task share / fair share
   std::uint64_t trace_hash = 0;
+  bool all_ran_once = false;      // per-actor task counts sum to tasks
 };
 
 LbResult run_lb(GasMode mode, lb::PolicyKind policy, std::uint32_t actors,
                 std::uint64_t tasks, int nodes) {
   Config cfg = Config::with_nodes(nodes, mode);
-  cfg.lb.policy = policy;
-  cfg.lb.epoch_ns = 100'000;
-  cfg.lb.decay_shift = 1;
-  cfg.lb.max_moves_per_epoch = 3;
-  cfg.lb.max_inflight = 3;
-  cfg.lb.min_heat = 2 * lb::kAccessUnit;
-  // Every access an actor absorbs costs kTaskComputeNs of CPU at its
-  // owner, so that is the per-access benefit of moving it off an
-  // overloaded node.
-  cfg.lb.benefit_ns_per_access = kTaskComputeNs;
+  cfg.lb = apps::workloads::actors_lb_config(policy);
   World world(cfg);
+  const auto r = apps::workloads::run_actors(
+      world, {.actors = actors, .tasks = tasks});
 
-  std::vector<std::uint64_t> actor_tasks(actors, 0);
-  std::uint64_t completed = 0;
-  sim::Time done_ns = 0;
-  rt::AndGate all_done(tasks);
-
-  Gva actor_base;
-  const auto work = rt::register_action<std::uint32_t, rt::LcoRef>(
-      world.runtime().actions(), "lb.work",
-      [&](Context& c, int, std::uint32_t actor, rt::LcoRef cont) {
-        c.charge(kTaskComputeNs);
-        ++actor_tasks[actor];
-        ++completed;
-        all_done.arrive(c.now());
-        c.set_lco(cont);
-      });
-
-  world.spawn(0, [&](Context& ctx) -> Fiber {
-    actor_base = alloc_local(ctx, actors, kActorState);
-
-    const std::uint64_t per_rank = tasks / static_cast<std::uint64_t>(ctx.ranks());
-    const std::uint64_t rem = tasks - per_rank * static_cast<std::uint64_t>(ctx.ranks());
-    for (int r = 0; r < ctx.ranks(); ++r) {
-      const std::uint64_t mine = per_rank + (r < static_cast<int>(rem) ? 1 : 0);
-      ctx.spawn(r, [&, r, mine](Context& c) -> Fiber {
-        util::Rng rng(42 + static_cast<std::uint64_t>(r));
-        util::ZipfGenerator zipf(actors, 0.9);
-        for (std::uint64_t i = 0; i < mine; ++i) {
-          const auto actor = static_cast<std::uint32_t>(zipf.sample(rng));
-          const Gva addr = actor_base.advanced(
-              static_cast<std::int64_t>(actor) * kActorState, kActorState);
-          rt::Event task_done;
-          const rt::LcoRef ref = c.make_ref(task_done);
-          co_await apply(c, addr, work, rt::pack_args(actor, ref));
-          co_await task_done;
-          c.release_ref(ref);
-        }
-      });
-    }
-    co_await all_done;
-    done_ns = ctx.now();
-  });
-  world.run();
-
-  std::vector<std::uint64_t> final_load(static_cast<std::size_t>(nodes), 0);
-  for (std::uint32_t a = 0; a < actors; ++a) {
-    const Gva addr =
-        actor_base.advanced(static_cast<std::int64_t>(a) * kActorState, kActorState);
-    final_load[static_cast<std::size_t>(world.gas().owner_of(addr).first)] +=
-        actor_tasks[a];
-  }
   LbResult out;
-  out.makespan_ms = static_cast<double>(done_ns) / 1e6;
+  out.makespan_ms = static_cast<double>(r.makespan) / 1e6;
   out.migrations = world.counters().lb_migrations;
   out.rejected = world.counters().lb_rejected_cost;
-  out.imbalance = static_cast<double>(
-                      *std::max_element(final_load.begin(), final_load.end())) /
-                  (static_cast<double>(tasks) / nodes);
+  out.imbalance = r.imbalance;
   out.trace_hash = world.engine().trace_hash();
+  out.all_ran_once = r.tasks_run == tasks;
   return out;
 }
 
@@ -113,9 +56,9 @@ LbResult run_lb(GasMode mode, lb::PolicyKind policy, std::uint32_t actors,
 int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
-  const auto actors = static_cast<std::uint32_t>(opt.get_uint("actors", 48));
+  const auto actors = opt.get_uint<std::uint32_t>("actors", 48);
   const std::uint64_t tasks = opt.get_uint("tasks", 1200);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 8));
+  const int nodes = opt.get_int<int>("nodes", 8);
   const std::string out_path = opt.get("out", "BENCH_loadbalance.json");
   opt.reject_unknown();
 
@@ -142,9 +85,14 @@ int main(int argc, char** argv) {
   t.columns({"config", "makespan (ms)", "lb moves", "cost-rejected",
              "task imbalance"});
   std::vector<LbResult> results;
+  bool all_ran_once = true;
   for (const auto& c : cfgs) {
     const LbResult r = run_lb(c.mode, c.policy, actors, tasks, nodes);
     results.push_back(r);
+    if (!r.all_ran_once) {
+      std::fprintf(stderr, "%s: not every task ran exactly once\n", c.name);
+      all_ran_once = false;
+    }
     t.cell(c.name)
         .cell(r.makespan_ms, 2)
         .cell(r.migrations)
@@ -192,5 +140,5 @@ int main(int argc, char** argv) {
                pgas_inert ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return pgas_inert ? 0 : 1;
+  return pgas_inert && all_ran_once ? 0 : 1;
 }

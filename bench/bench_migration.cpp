@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
   const auto sizes =
-      opt.get_uint_list("sizes", {4096, 16384, 65536, 262144, 1048576 / 2});
-  const int sharers = static_cast<int>(opt.get_int("sharers", 4));
+      opt.get_uint_list<std::uint32_t>("sizes", {4096, 16384, 65536, 262144, 1048576 / 2});
+  const int sharers = opt.get_int<int>("sharers", 4);
   opt.reject_unknown();
 
   print_header("R-F4", "migration latency vs block size + stale-access penalty");
@@ -93,9 +93,8 @@ int main(int argc, char** argv) {
   t.columns({"block", "sw migrate", "net migrate", "sw stale acc", "net stale acc",
              "warm acc"});
   for (const auto size : sizes) {
-    const auto s32 = static_cast<std::uint32_t>(size);
-    const MigProbe sw = probe(nvgas::GasMode::kAgasSw, s32, sharers);
-    const MigProbe net = probe(nvgas::GasMode::kAgasNet, s32, sharers);
+    const MigProbe sw = probe(nvgas::GasMode::kAgasSw, size, sharers);
+    const MigProbe net = probe(nvgas::GasMode::kAgasNet, size, sharers);
     t.cell(nvgas::util::format_bytes(size))
         .cell(nvgas::util::format_ns(sw.migrate_ns))
         .cell(nvgas::util::format_ns(net.migrate_ns))

@@ -93,8 +93,8 @@ SignalResult run_stream(bool use_signal, std::uint32_t chunk_bytes,
 int main(int argc, char** argv) {
   using namespace nvgas::bench;
   const nvgas::util::Options opt(argc, argv);
-  const auto chunks = static_cast<std::uint32_t>(opt.get_uint("chunks", 64));
-  const auto sizes = opt.get_uint_list("sizes", {1024, 8192, 65536, 262144});
+  const auto chunks = opt.get_uint<std::uint32_t>("chunks", 64);
+  const auto sizes = opt.get_uint_list<std::uint32_t>("sizes", {1024, 8192, 65536, 262144});
   opt.reject_unknown();
 
   print_header("S-4", "producer/consumer notification: NIC ledger vs parcels");
@@ -103,9 +103,8 @@ int main(int argc, char** argv) {
   t.columns({"chunk", "ledger", "parcels", "ledger speedup", "notify parcels",
              "consumer CPU tasks (ledger/parcel)"});
   for (const auto size : sizes) {
-    const auto s32 = static_cast<std::uint32_t>(size);
-    const SignalResult led = run_stream(true, s32, chunks);
-    const SignalResult par = run_stream(false, s32, chunks);
+    const SignalResult led = run_stream(true, size, chunks);
+    const SignalResult par = run_stream(false, size, chunks);
     char cpu[48];
     std::snprintf(cpu, sizeof cpu, "%llu / %llu",
                   static_cast<unsigned long long>(led.target_cpu_tasks),

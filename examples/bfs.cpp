@@ -16,10 +16,9 @@
 
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 8));
-  const std::uint32_t vertices =
-      static_cast<std::uint32_t>(opt.get_uint("vertices", 8192));
-  const std::uint32_t degree = static_cast<std::uint32_t>(opt.get_uint("degree", 8));
+  const int nodes = opt.get_int<int>("nodes", 8);
+  const std::uint32_t vertices = opt.get_uint<std::uint32_t>("vertices", 8192);
+  const std::uint32_t degree = opt.get_uint<std::uint32_t>("degree", 8);
   const bool coalesce = opt.get_bool("coalesce", true);
   const std::uint64_t seed = opt.get_uint("seed", 3);
 

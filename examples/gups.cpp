@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 16));
+  const int nodes = opt.get_int<int>("nodes", 16);
   const std::uint64_t updates_per_rank = opt.get_uint("updates", 20000) /
                                          static_cast<std::uint64_t>(nodes);
   const std::uint64_t table_mib = opt.get_uint("table-mib", 4);

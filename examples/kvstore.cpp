@@ -30,8 +30,8 @@ std::uint64_t hash_key(std::uint64_t key) {
 
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 8));
-  const std::uint32_t buckets = static_cast<std::uint32_t>(opt.get_uint("buckets", 256));
+  const int nodes = opt.get_int<int>("nodes", 8);
+  const std::uint32_t buckets = opt.get_uint<std::uint32_t>("buckets", 256);
   const std::uint64_t total_ops = opt.get_uint("ops", 6000);
   const bool affinity = opt.get_bool("affinity", true);
   const double skew = opt.get_double("skew", 0.9);

@@ -23,10 +23,9 @@
 
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 8));
-  const std::uint32_t chunks = static_cast<std::uint32_t>(opt.get_uint("chunks", 64));
-  const std::uint32_t chunk_bytes =
-      static_cast<std::uint32_t>(opt.get_uint("chunk-bytes", 32768));
+  const int nodes = opt.get_int<int>("nodes", 8);
+  const std::uint32_t chunks = opt.get_uint<std::uint32_t>("chunks", 64);
+  const std::uint32_t chunk_bytes = opt.get_uint<std::uint32_t>("chunk-bytes", 32768);
   const bool use_signal = opt.get_bool("signal", true);
 
   nvgas::Config cfg =

@@ -12,9 +12,8 @@
 
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
-  nvgas::Config cfg = nvgas::Config::with_nodes(
-      static_cast<int>(opt.get_int("nodes", 8)),
-      nvgas::mode_option(opt));
+  nvgas::Config cfg =
+      nvgas::Config::with_nodes(opt.get_int<int>("nodes", 8), nvgas::mode_option(opt));
   opt.reject_unknown();
 
   nvgas::World world(cfg);

@@ -69,9 +69,9 @@ struct WGraph {
 
 int main(int argc, char** argv) {
   const nvgas::util::Options opt(argc, argv);
-  const int nodes = static_cast<int>(opt.get_int("nodes", 8));
-  const auto vertices = static_cast<std::uint32_t>(opt.get_uint("vertices", 4096));
-  const auto degree = static_cast<std::uint32_t>(opt.get_uint("degree", 6));
+  const int nodes = opt.get_int<int>("nodes", 8);
+  const auto vertices = opt.get_uint<std::uint32_t>("vertices", 4096);
+  const auto degree = opt.get_uint<std::uint32_t>("degree", 6);
   const std::uint64_t seed = opt.get_uint("seed", 11);
 
   nvgas::Config cfg =

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -28,16 +29,6 @@ T parse_number(const std::string& key, const std::string& text, Parse parse) {
   const T v = parse(begin, &end);
   if (text.empty() || end != begin + text.size()) reject(key, text, "a number");
   return v;
-}
-
-// strtoull accepts a minus sign and negates the result ("-1" parses to
-// 2^64-1), so a sign is rejected before parsing.
-std::uint64_t to_uint(const std::string& key, const std::string& text) {
-  if (text.find('-') != std::string::npos) {
-    reject(key, text, "an unsigned number");
-  }
-  return parse_number<std::uint64_t>(
-      key, text, [](const char* b, char** e) { return std::strtoull(b, e, 0); });
 }
 
 }  // namespace
@@ -72,16 +63,35 @@ std::string Options::get(const std::string& key, const std::string& def) const {
   return v == nullptr ? def : *v;
 }
 
-std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
-  const std::string* v = find(key);
-  if (v == nullptr) return def;
-  return parse_number<std::int64_t>(
-      key, *v, [](const char* b, char** e) { return std::strtoll(b, e, 0); });
+std::int64_t Options::to_int(const std::string& key, const std::string& text,
+                             std::int64_t lo, std::int64_t hi) {
+  errno = 0;
+  const auto v = parse_number<std::int64_t>(
+      key, text, [](const char* b, char** e) { return std::strtoll(b, e, 0); });
+  if (errno == ERANGE || v < lo || v > hi) {
+    reject(key, text,
+           format("in [%lld, %lld]", static_cast<long long>(lo),
+                  static_cast<long long>(hi))
+               .c_str());
+  }
+  return v;
 }
 
-std::uint64_t Options::get_uint(const std::string& key, std::uint64_t def) const {
-  const std::string* v = find(key);
-  return v == nullptr ? def : to_uint(key, *v);
+// strtoull accepts a minus sign and negates the result ("-1" parses to
+// 2^64-1), so a sign is rejected before parsing.
+std::uint64_t Options::to_uint(const std::string& key, const std::string& text,
+                               std::uint64_t hi) {
+  if (text.find('-') != std::string::npos) {
+    reject(key, text, "an unsigned number");
+  }
+  errno = 0;
+  const auto v = parse_number<std::uint64_t>(
+      key, text, [](const char* b, char** e) { return std::strtoull(b, e, 0); });
+  if (errno == ERANGE || v > hi) {
+    reject(key, text,
+           format("in [0, %llu]", static_cast<unsigned long long>(hi)).c_str());
+  }
+  return v;
 }
 
 double Options::get_double(const std::string& key, double def) const {
@@ -100,17 +110,13 @@ bool Options::get_bool(const std::string& key, bool def) const {
   reject(key, *v, "a boolean (true/false/1/0/yes/no)");
 }
 
-std::vector<std::uint64_t> Options::get_uint_list(
-    const std::string& key, std::vector<std::uint64_t> def) const {
-  const std::string* v = find(key);
-  if (v == nullptr) return def;
-  std::vector<std::uint64_t> out;
-  const std::string& s = *v;
+std::vector<std::string> Options::split_list(const std::string& text) {
+  std::vector<std::string> out;
   std::size_t pos = 0;
-  while (pos < s.size()) {
-    auto comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(to_uint(key, s.substr(pos, comma - pos)));
+  while (pos < text.size()) {
+    auto comma = text.find(',', pos);
+    if (comma == std::string::npos) comma = text.size();
+    out.push_back(text.substr(pos, comma - pos));
     pos = comma + 1;
   }
   NVGAS_CHECK_MSG(!out.empty(), "empty list option");

@@ -350,7 +350,6 @@ KvRunConfig small_run(GasMode mode) {
   rc.client.t_start = 30'000;
   rc.client.duration = 400'000;
   rc.client.t_shift = 230'000;
-  rc.churn_duration = 150'000;
   return rc;
 }
 
@@ -404,8 +403,7 @@ TEST(KvClientGenTest, LatencyCountsFromTheDueTime) {
   ClientConfig cc;
   cc.t_start = kArrivalStart;
   cc.duration = kArrivalEnd - kArrivalStart;
-  ClientGen gen(world, server, cc, /*slo_window_ns=*/100'000,
-                /*slo_target_ns=*/150'000);
+  ClientGen gen(world, server, cc, /*slo_target_ns=*/150'000);
 
   sim::Time ready_at = 0;
   world.run_spmd([&](Context& ctx) -> Fiber {

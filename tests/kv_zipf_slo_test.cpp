@@ -169,39 +169,28 @@ TEST(LatencyHistogramTest, MergeEqualsUnion) {
 
 // --- SLO tracker ------------------------------------------------------
 
-TEST(SloTrackerTest, RetentionComparesChurnToQuietWindows) {
-  SloTracker t(/*window_ns=*/1000, /*slo_target_ns=*/100);
-  // Quiet phase: windows 0..3 serve 10 within-SLO ops each.
-  for (sim::Time w = 0; w < 4; ++w) {
-    for (int i = 0; i < 10; ++i) {
-      t.record(apps::kv::OP_GET, w * 1000 + 100 + i, /*latency=*/50);
-    }
+TEST(SloTrackerTest, WithinSloFractionIsShareOfCompletions) {
+  SloTracker t(/*slo_target_ns=*/100);
+  // 40 ops inside the target, then 20 of which half miss it.
+  for (int i = 0; i < 40; ++i) t.record(apps::kv::OP_GET, 100 + i, /*latency=*/50);
+  for (int i = 0; i < 20; ++i) {
+    t.record(apps::kv::OP_GET, 4000 + i, /*latency=*/i < 10 ? 50 : 200);
   }
-  // Churn phase: windows 4..5 still serve 10 ops each, but only half
-  // make the target — the load-normalized attainment halves.
-  for (sim::Time w = 4; w < 6; ++w) {
-    for (int i = 0; i < 10; ++i) {
-      t.record(apps::kv::OP_GET, w * 1000 + 100 + i,
-               /*latency=*/i < 5 ? 50 : 200);
-    }
-  }
-  const auto rep = t.report(/*churn_begin=*/4000, /*churn_end=*/6000);
+  const auto rep = t.report();
   EXPECT_EQ(rep.completed, 60u);
   EXPECT_EQ(rep.within_slo, 50u);
-  EXPECT_DOUBLE_EQ(rep.quiet_goodput_per_win, 10.0);
-  EXPECT_DOUBLE_EQ(rep.churn_goodput_per_win, 5.0);
-  EXPECT_DOUBLE_EQ(rep.slo_retention, 0.5);
+  EXPECT_DOUBLE_EQ(rep.within_slo_frac(), 50.0 / 60.0);
+  EXPECT_EQ(SloTracker(100).report().within_slo_frac(), 0.0);  // nothing completed
 }
 
 TEST(SloTrackerTest, OverTargetLatencyCountsAgainstGoodput) {
-  SloTracker t(1000, 100);
+  SloTracker t(100);
   t.record(apps::kv::OP_PUT, 100, 50);    // within
   t.record(apps::kv::OP_PUT, 200, 100);   // within (inclusive)
   t.record(apps::kv::OP_PUT, 300, 101);   // over
-  const auto rep = t.report(0, 0);
+  const auto rep = t.report();
   EXPECT_EQ(rep.completed, 3u);
   EXPECT_EQ(rep.within_slo, 2u);
-  EXPECT_EQ(rep.slo_retention, 1.0);  // no churn window declared
   EXPECT_EQ(rep.put.count, 3u);
 }
 
@@ -210,9 +199,9 @@ TEST(SloTrackerTest, MergeIsSeedAndOrderStable) {
   // report as one tracker fed everything — the property the per-node
   // trackers rely on.
   util::Rng rng(3);
-  SloTracker a(1000, 500);
-  SloTracker b(1000, 500);
-  SloTracker whole(1000, 500);
+  SloTracker a(500);
+  SloTracker b(500);
+  SloTracker whole(500);
   for (int i = 0; i < 3000; ++i) {
     const sim::Time t = static_cast<sim::Time>(i) * 7 % 20'000;
     const std::uint64_t lat = rng.next() % 2000;
@@ -220,14 +209,14 @@ TEST(SloTrackerTest, MergeIsSeedAndOrderStable) {
     whole.record(apps::kv::OP_GET, t, lat);
   }
   a.merge(b);
-  const auto ra = a.report(10'000, 15'000);
-  const auto rw = whole.report(10'000, 15'000);
+  const auto ra = a.report();
+  const auto rw = whole.report();
   EXPECT_EQ(ra.completed, rw.completed);
   EXPECT_EQ(ra.within_slo, rw.within_slo);
   EXPECT_EQ(ra.get.p50, rw.get.p50);
   EXPECT_EQ(ra.get.p99, rw.get.p99);
   EXPECT_EQ(ra.get.p999, rw.get.p999);
-  EXPECT_DOUBLE_EQ(ra.slo_retention, rw.slo_retention);
+  EXPECT_DOUBLE_EQ(ra.goodput_ops_per_sec, rw.goodput_ops_per_sec);
 }
 
 }  // namespace

@@ -82,8 +82,9 @@ TEST(Options, HexIntegers) {
 TEST(Options, MalformedNumbersAreFatal) {
   const char* argv[] = {"prog", "--nodes=abc", "--rate=", "--sizes=8,x",
                         "--seed=12z", "--verbose", "--updates=-1",
-                        "--signal=flase"};
-  Options opt(8, argv);
+                        "--signal=flase", "--wide=4294967300",
+                        "--huge=99999999999999999999", "--counts=2,4294967296"};
+  Options opt(11, argv);
   EXPECT_DEATH((void)opt.get_uint("nodes", 8), "--nodes=abc is not a number");
   EXPECT_DEATH((void)opt.get_double("rate", 1.0), "--rate= is not a number");
   EXPECT_DEATH((void)opt.get_uint_list("sizes", {}),
@@ -95,6 +96,18 @@ TEST(Options, MalformedNumbersAreFatal) {
                "--updates=-1 is not an unsigned number");
   EXPECT_DEATH((void)opt.get_bool("signal", true),
                "--signal=flase is not a boolean");
+  // A value outside the type read into is fatal, not narrowed.
+  EXPECT_DEATH((void)opt.get_int<int>("wide", 8), "--wide=4294967300 is not in");
+  EXPECT_DEATH((void)opt.get_uint<std::uint32_t>("wide", 8),
+               "--wide=4294967300 is not in");
+  EXPECT_DEATH((void)opt.get_uint("huge", 1), "--huge=99999999999999999999 is not in");
+  EXPECT_DEATH((void)opt.get_int("huge", 1), "--huge=99999999999999999999 is not in");
+  EXPECT_DEATH((void)opt.get_uint_list<std::uint32_t>("counts", {}),
+               "--counts=4294967296 is not in");
+  // The 64-bit default reads what a narrower type refuses.
+  EXPECT_EQ(opt.get_uint("wide", 0), 4294967300u);
+  EXPECT_EQ(opt.get_uint_list("counts", {}),
+            (std::vector<std::uint64_t>{2, 4294967296u}));
 }
 
 TEST(Table, AlignsColumns) {

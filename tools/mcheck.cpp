@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
   }
 
   McheckOptions mco;
-  mco.nodes = static_cast<int>(opts.get_int("nodes", 8));
-  mco.delay_bound = static_cast<int>(opts.get_int("bound", 2));
+  mco.nodes = opts.get_int<int>("nodes", 8);
+  mco.delay_bound = opts.get_int<int>("bound", 2);
   mco.max_schedules = opts.get_uint("budget", 3000);
   mco.window_ns = opts.get_uint("window", 2500);
   mco.fault_sw_skip_sharer_inv = opts.get_bool("fault", false);
