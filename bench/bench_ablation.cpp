@@ -1,84 +1,16 @@
-// R-T3 — ablations of the network-managed design choices, plus the
-// software-cache capacity sensitivity DESIGN.md §8 calls out.
+// R-T3 — sensitivity of the two AGAS designs to translation-state
+// capacity and to CPU workers, which DESIGN.md §8 calls out.
 //
-//   A. stale-op policy: forward-at-owner (hints) vs forward-via-home vs
-//      NACK-to-source, with and without piggybacked TLB updates.
 //   B. software cache capacity sweep under a fixed random-access load.
 //   C. NIC TLB capacity sweep under the same load.
-//   D. eager/rendezvous threshold sweep at a fixed parcel size.
+//   E. CPU workers per node under random access plus compute.
+//
+// The letters follow EXPERIMENTS.md's R-T3 sections.
 #include "common.hpp"
 #include "workloads/gups.hpp"
 
 namespace nvgas::bench {
 namespace {
-
-// --- A: stale-access policies ------------------------------------------
-
-struct StaleProbe {
-  double first_stale_ns = 0;
-  double steady_ns = 0;  // after repair (or not, without piggyback)
-  std::uint64_t messages_first = 0;
-};
-
-StaleProbe stale_policy(bool hints, bool nack, bool piggyback) {
-  Config cfg = Config::with_nodes(8, GasMode::kAgasNet);
-  cfg.agas_net.forward_hints = hints;
-  cfg.agas_net.nack_on_stale = nack;
-  cfg.agas_net.piggyback_updates = piggyback;
-  World world(cfg);
-  StaleProbe out;
-
-  world.spawn(0, [&](Context& ctx) -> Fiber {
-    const Gva block = alloc_cyclic(ctx, 1, 4096);
-    co_await memput_value<std::uint64_t>(ctx, block, 9);
-
-    // Move the block off its home first, so that the stale source's
-    // translation will point at a NON-home previous owner — the only
-    // place where the hint/NACK policies differ from the home's
-    // authoritative forward.
-    const int first_stop = (block.home(ctx.ranks()) + 5) % ctx.ranks();
-    co_await migrate(ctx, block, first_stop);
-
-    rt::Event warmed;
-    rt::Event moved;
-    rt::Future<std::uint64_t> first;
-    rt::Future<std::uint64_t> steady;
-    const rt::LcoRef wref = ctx.make_ref(warmed);
-    const rt::LcoRef fref = ctx.make_ref(first);
-    const rt::LcoRef sref = ctx.make_ref(steady);
-    ctx.spawn(2, [&, block, wref, fref, sref](Context& c) -> Fiber {
-      (void)co_await memget_value<std::uint64_t>(c, block);  // warm (if piggyback)
-      c.set_lco(wref);
-      co_await moved;
-      const auto msgs0 = world.counters().messages_sent;
-      sim::Time t0 = c.now();
-      (void)co_await memget_value<std::uint64_t>(c, block);
-      util::Buffer b1;
-      b1.put<std::uint64_t>(c.now() - t0);
-      b1.put<std::uint64_t>(world.counters().messages_sent - msgs0);
-      c.set_lco(fref, std::move(b1));
-      // Steady state: next access.
-      t0 = c.now();
-      (void)co_await memget_value<std::uint64_t>(c, block);
-      util::Buffer b2;
-      b2.put<std::uint64_t>(c.now() - t0);
-      c.set_lco(sref, std::move(b2));
-    });
-    co_await warmed;
-    const int second_stop = (first_stop + 2) % ctx.ranks();
-    co_await migrate(ctx, block, second_stop);
-    moved.set(ctx.now());
-    const auto fv = co_await first;
-    out.first_stale_ns = static_cast<double>(fv);
-    out.steady_ns = static_cast<double>(co_await steady);
-  });
-  // The Future packed two u64s; decode messages from the raw future is
-  // awkward — re-derive from counters instead (single stale access in
-  // the run window dominates nic_forwards).
-  world.run();
-  out.messages_first = world.counters().nic_forwards;
-  return out;
-}
 
 // --- B/C: translation-state capacity sweeps -----------------------------
 
@@ -145,35 +77,6 @@ double worker_sweep_rate(GasMode mode, int workers) {
   return static_cast<double>(kUpdatesPerRank) * 8 / (static_cast<double>(t) / 1e9);
 }
 
-// --- D: eager threshold -------------------------------------------------
-
-double parcel_flood_ns(std::size_t payload, std::size_t threshold) {
-  Config cfg = Config::with_nodes(2, GasMode::kPgas);
-  cfg.net.eager_threshold = threshold;
-  World world(cfg);
-  constexpr int kParcels = 100;
-  int handled = 0;
-  sim::Time last = 0;
-  const auto sink = world.runtime().actions().add(
-      "abl.sink", [&](Context& c, int, util::Buffer) {
-        ++handled;
-        last = c.now();
-      });
-  sim::Time start = 0;
-  world.spawn(0, [&](Context& ctx) -> Fiber {
-    start = ctx.now();
-    for (int i = 0; i < kParcels; ++i) {
-      util::Buffer b;
-      b.append_raw(std::vector<std::byte>(payload));
-      ctx.send(1, sink, std::move(b));
-    }
-    co_return;
-  });
-  world.run();
-  NVGAS_CHECK(handled == kParcels);
-  return static_cast<double>(last - start) / kParcels;
-}
-
 }  // namespace
 }  // namespace nvgas::bench
 
@@ -181,33 +84,6 @@ int main(int argc, char** argv) {
   using namespace nvgas::bench;
   nvgas::util::Options(argc, argv).reject_unknown();  // takes no flags
   print_header("R-T3", "design-choice ablations");
-
-  {
-    nvgas::util::Table t("A. stale-op policy (first access after migration)");
-    t.columns({"policy", "first stale access", "steady state", "NIC forwards"});
-    struct P {
-      const char* name;
-      bool hints, nack, piggyback;
-    };
-    const P policies[] = {
-        {"forward hints + piggyback (default)", true, false, true},
-        {"forward via home + piggyback", false, false, true},
-        {"forward hints, no piggyback", true, false, false},
-        {"NACK to source", false, true, true},
-    };
-    for (const auto& p : policies) {
-      const StaleProbe r = stale_policy(p.hints, p.nack, p.piggyback);
-      t.cell(p.name)
-          .cell(nvgas::util::format_ns(r.first_stale_ns))
-          .cell(nvgas::util::format_ns(r.steady_ns))
-          .cell(r.messages_first)
-          .end_row();
-    }
-    t.print(std::cout);
-    std::printf(
-        "Expected: NACK costs an extra round trip on first access; without\n"
-        "piggyback the steady state keeps paying the forward.\n\n");
-  }
 
   {
     nvgas::util::Table t("B. software cache capacity (1024-block working set)");
@@ -254,16 +130,5 @@ int main(int argc, char** argv) {
         "CPU-oblivious, so its advantage is largest at 1 worker.\n\n");
   }
 
-  {
-    nvgas::util::Table t("D. eager/rendezvous threshold (4 KiB parcels)");
-    t.columns({"threshold", "protocol", "ns per parcel"});
-    for (std::size_t thr : {512, 1024, 2048, 4096, 8192, 16384}) {
-      t.cell(nvgas::util::format_bytes(thr))
-          .cell(thr >= 4096 + 4 ? "eager" : "rendezvous")
-          .cell(parcel_flood_ns(4096, thr), 1)
-          .end_row();
-    }
-    t.print(std::cout);
-  }
   return 0;
 }

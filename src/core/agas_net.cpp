@@ -14,14 +14,29 @@ constexpr std::uint64_t kCtrlBytes = 32;   // migration control messages
 constexpr int kMaxHops = 64;               // forwarding-loop watchdog
 }  // namespace
 
-void AgasNet::maybe_piggyback(int node, std::uint64_t key,
-                              const net::TlbEntry& update) {
-  if (!config_.piggyback_updates) return;
-  // The home's pinned entry is authoritative — a piggybacked copy must
-  // never overwrite it (it would unpin it and clear the in-flight flag).
-  if (node == home_of(base_of_key(key))) return;
-  if (tlb_mut(node).insert(key, update)) {
+void AgasNet::piggyback(int node, std::uint64_t key, net::TlbEntry entry) {
+  // The copy never replaces a pinned entry — the home's authoritative one
+  // (it would unpin it and clear the in-flight flag), or the one a new
+  // owner installed while this reply was in flight — nor a newer one.
+  entry.pinned = false;
+  entry.in_flight = false;
+  if (tlb_mut(node).update(key, entry)) {
     ++fabric_->counters().nic_tlb_updates;
+  }
+}
+
+void AgasNet::complete(Op& op, sim::Time t, std::vector<std::byte> get_data,
+                       std::uint64_t fadd_old) {
+  switch (op.kind) {
+    case Op::Kind::kPut:
+      if (op.on_done) op.on_done(t);
+      break;
+    case Op::Kind::kGet:
+      if (op.on_data) op.on_data(t, std::move(get_data));
+      break;
+    case Op::Kind::kFadd:
+      if (op.on_u64) op.on_u64(t, fadd_old);
+      break;
   }
 }
 
@@ -36,13 +51,13 @@ std::uint64_t AgasNet::Op::wire_bytes() const {
 
 AgasNet::AgasNet(sim::Fabric& fabric, net::EndpointGroup& endpoints,
                  gas::GlobalHeap& heap, AgasNetConfig config)
-    : GasBase(fabric, endpoints, heap), config_(config) {
+    : GasBase(fabric, endpoints, heap) {
   // Host array of per-node NIC TLB devices; each TLB is capacity-bounded,
   // so per-simulated-node state stays O(tlb_capacity), not O(P).
   // protolint:allow(P4: host array of capacity-bounded per-node TLB devices)
   tlbs_.reserve(static_cast<std::size_t>(fabric.nodes()));
   for (int n = 0; n < fabric.nodes(); ++n) {
-    tlbs_.push_back(std::make_unique<net::NicTlb>(config_.tlb_capacity));
+    tlbs_.push_back(std::make_unique<net::NicTlb>(config.tlb_capacity));
   }
   // The home directory is the AGAS authoritative map, one per world.
   // protolint:allow(P4: world-level AGAS home directory, one per simulated node)
@@ -138,42 +153,19 @@ void AgasNet::route(sim::Time t, int at, Op op) {
     return;
   }
 
-  // Stale or missing entry at a non-home NIC.
-  if (config_.nack_on_stale) {
-    // NACK back to the source; its NIC drops the entry and retries via
-    // the home. (R-T3 ablation: costs a full extra round trip.)
-    const int src = op.src;
-    const sim::Time nack_t =
-        nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
-    ep(at).raw_send(
-        nack_t, src, kCtrlBytes, [this, src, op = std::move(op)](sim::Time t2) mutable {
-          auto& src_nic = fabric_->nic(src);
-          const sim::Time done = src_nic.occupy_command_processor(
-              t2, sim::kNicTlbNs);
-          const int home2 = home_of(base_of_key(op.key));
-          if (src != home2) tlb_mut(src).erase(op.key);  // never the pinned entry
-          send_op(done, src, home2, std::move(op));
-        });
-    return;
-  }
-
-  if (e != nullptr && e->owner != at && config_.forward_hints && !op.used_hint) {
-    // Previous-owner hint: forward straight to where the block went. Only
-    // one hint hop is allowed per op — after that the home (which queues
-    // during an in-flight migration) is authoritative — so two NICs with
-    // mutually stale hints cannot bounce an op between themselves.
+  // Stale or missing entry at a non-home NIC: follow a previous-owner
+  // hint straight to where the block went, otherwise defer to the home.
+  // Only one hint hop is allowed per op — after that the home (which
+  // queues during an in-flight migration) is authoritative — so two NICs
+  // with mutually stale hints cannot bounce an op between themselves.
+  int next = home;
+  if (e != nullptr && e->owner != at && !op.used_hint) {
     op.used_hint = true;
-    ++counters.nic_forwards;
-    const sim::Time fwd =
-        nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
-    send_op(fwd, at, e->owner, std::move(op));
-    return;
+    next = e->owner;
   }
-
-  // No knowledge here: defer to the home.
   ++counters.nic_forwards;
   const sim::Time fwd = nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
-  send_op(fwd, at, home, std::move(op));
+  send_op(fwd, at, next, std::move(op));
 }
 
 void AgasNet::execute(sim::Time t, int owner, const net::TlbEntry& entry,
@@ -218,49 +210,25 @@ void AgasNet::reply(sim::Time depart, int owner, const net::TlbEntry& entry,
   const int src = op.src;
   if (src == owner) {
     // Local op: complete immediately, no ack message.
-    switch (op.kind) {
-      case Op::Kind::kPut:
-        if (op.on_done) op.on_done(depart);
-        break;
-      case Op::Kind::kGet:
-        if (op.on_data) op.on_data(depart, std::move(get_data));
-        break;
-      case Op::Kind::kFadd:
-        if (op.on_u64) op.on_u64(depart, fadd_old);
-        break;
-    }
+    complete(op, depart, std::move(get_data), fadd_old);
     return;
   }
 
   const std::uint64_t bytes =
       kReplyBytes + (op.kind == Op::Kind::kGet ? get_data.size() : 0);
-  net::TlbEntry update = entry;  // piggybacked translation
-  update.pinned = false;
-  update.in_flight = false;
-
   ep(owner).raw_send(
       depart, src, bytes,
-      [this, src, update, fadd_old, op = std::move(op),
+      [this, src, entry, fadd_old, op = std::move(op),
        get_data = std::move(get_data)](sim::Time t) mutable {
         auto& src_nic = fabric_->nic(src);
         sim::Time done = src_nic.occupy_command_processor(t, sim::kNicTlbNs);
-        maybe_piggyback(src, op.key, update);
+        piggyback(src, op.key, entry);
         if (op.kind == Op::Kind::kGet) {
           done = src_nic.occupy_dma(done, get_data.size());
         }
         fabric_->engine().at(done, [done, fadd_old, op = std::move(op),
                                     get_data = std::move(get_data)]() mutable {
-          switch (op.kind) {
-            case Op::Kind::kPut:
-              if (op.on_done) op.on_done(done);
-              break;
-            case Op::Kind::kGet:
-              if (op.on_data) op.on_data(done, std::move(get_data));
-              break;
-            case Op::Kind::kFadd:
-              if (op.on_u64) op.on_u64(done, fadd_old);
-              break;
-          }
+          complete(op, done, std::move(get_data), fadd_old);
         });
       });
 }
@@ -343,10 +311,7 @@ void AgasNet::do_resolve(sim::TaskCtx& task, int node, gas::Gva addr,
                     auto& snic = fabric_->nic(node);
                     const sim::Time done_t = snic.occupy_command_processor(
                         t2, sim::kNicTlbNs);
-                    net::TlbEntry update = entry;
-                    update.pinned = false;
-                    update.in_flight = false;
-                    maybe_piggyback(node, key, update);
+                    piggyback(node, key, entry);
                     fabric_->engine().at(done_t, [done_t, owner = entry.owner,
                                                   done = std::move(done)] {
                       done(done_t, owner);
@@ -571,6 +536,16 @@ std::string AgasNet::audit_translation() const {
           return util::format("home entry for block %llx at node %d is not "
                               "pinned",
                               k, home);
+        }
+        // A committed owner other than the home executes ops through its
+        // own pinned copy of the home's entry.
+        if (!e.in_flight && e.owner != home) {
+          const net::TlbEntry* own = tlb(e.owner).peek(key);
+          if (own == nullptr || !own->pinned ||
+              own->generation != e.generation || own->base != e.base) {
+            return util::format(
+                "owner %d of block %llx lost its pinned entry", e.owner, k);
+          }
         }
         continue;
       }

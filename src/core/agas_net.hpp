@@ -19,9 +19,6 @@
 // Target CPUs are NEVER on the data path. Migration involves exactly one
 // CPU task (backing-store allocation at the destination); the commit is
 // an atomic remap of the home NIC's entry.
-//
-// Ablation knobs (AgasNetConfig) cover the design choices benchmarked in
-// R-T3: forwarding vs NACK-to-source, hint forwarding, piggyback updates.
 #pragma once
 
 #include <memory>
@@ -34,10 +31,7 @@
 namespace nvgas::core {
 
 struct AgasNetConfig {
-  bool piggyback_updates = true;  // acks update the source NIC TLB
-  bool forward_hints = true;      // previous owner forwards directly
-  bool nack_on_stale = false;     // NACK-to-source instead of forwarding
-  std::size_t tlb_capacity = 65536;
+  std::size_t tlb_capacity = 65536;  // cached (unpinned) entries per NIC
 };
 
 class AgasNet final : public gas::GasBase {
@@ -62,15 +56,15 @@ class AgasNet final : public gas::GasBase {
   // software AGAS, non-home TLB entries MAY be stale — but only by
   // bounded amounts: an entry's generation can never exceed the home's
   // (+1 while a remap is in flight), current-generation entries must
-  // agree with the home on owner/base, and pinned or in-flight state is
-  // confined to the home (plus the committed new owner's pinned copy).
+  // agree with the home on owner/base, pinned or in-flight state is
+  // confined to the home (plus the committed new owner's pinned copy),
+  // and a committed non-home owner holds that pinned copy.
   [[nodiscard]] std::string audit_translation() const override;
   [[nodiscard]] std::string audit_quiescent() const override;
 
   [[nodiscard]] const net::NicTlb& tlb(int node) const {
     return *tlbs_.at(static_cast<std::size_t>(node));
   }
-  [[nodiscard]] const AgasNetConfig& config() const { return config_; }
 
  protected:
   void do_memput(sim::TaskCtx& task, int node, gas::Gva dst,
@@ -145,10 +139,14 @@ class AgasNet final : public gas::GasBase {
 
   // Execute at the verified owner.
   void execute(sim::Time t, int owner, const net::TlbEntry& entry, Op op);
-  // Install a piggybacked translation update at `node` (skipped at the
-  // block's home, whose pinned entry is authoritative).
-  void maybe_piggyback(int node, std::uint64_t key, const net::TlbEntry& update);
-  // Ack/reply to the source, with optional piggybacked TLB update.
+  // Install an unpinned copy of `entry`, piggybacked on a reply, in the
+  // TLB of `node`, unless `node` holds a pinned or newer entry
+  // (NicTlb::update).
+  void piggyback(int node, std::uint64_t key, net::TlbEntry entry);
+  // Run the op's completion callback at `t`.
+  static void complete(Op& op, sim::Time t, std::vector<std::byte> get_data,
+                       std::uint64_t fadd_old);
+  // Ack/reply to the source, piggybacking the owner's translation.
   void reply(sim::Time depart, int owner, const net::TlbEntry& entry, Op op,
              std::vector<std::byte> get_data, std::uint64_t fadd_old);
 
@@ -175,7 +173,6 @@ class AgasNet final : public gas::GasBase {
     return homes_.at(static_cast<std::size_t>(home_of(base_of_key(key))));
   }
 
-  AgasNetConfig config_;
   std::vector<std::unique_ptr<net::NicTlb>> tlbs_;
   std::vector<HomeState> homes_;
 };

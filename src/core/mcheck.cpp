@@ -488,6 +488,82 @@ Scenario retransmit_vs_migrate() {
   return s;
 }
 
+// When each destination of chained_move_resolve resolves: with the
+// default costs, inside the span of its own move in which the home still
+// answers with the old owner and the reply lands after the destination
+// installed its pinned entry.
+constexpr sim::Time kHop1AskNs = 3'000;
+constexpr sim::Time kHop2AskNs = 9'000;
+
+// A chained move (A→B while B→C): the block, homed and owned at A, is
+// asked to move to B and, before that move commits, on to C (the second
+// request queues at the home). Each destination resolves the block while
+// the moves run and then applies an action to it. A home answers a
+// resolve with the old owner while the block is in flight; that reply
+// must not replace the pinned entry its destination installed meanwhile
+// (the owner-entry audit at commit), and each apply must reach the owner
+// exactly once instead of bouncing between two ranks (the livelock
+// watchdog).
+Scenario chained_move_resolve() {
+  Scenario s;
+  s.name = "chained-move-resolve";
+  s.description = "a block moves A->B->C while both destinations resolve "
+                  "it and apply an action to it";
+  s.start = [](World& world, gas::InvariantObserver& obs) {
+    auto block = std::make_shared<Gva>();
+    auto applied = std::make_shared<int>(0);
+    const auto poke = world.runtime().actions().add(
+        "mcheck.chained.poke",
+        [applied](Context&, int, util::Buffer) { ++*applied; });
+    world.spawn(0, [&world, block, poke](Context& ctx) -> Fiber {
+      *block = alloc_cyclic(ctx, 1, 256);
+      const Gva b = *block;
+      const int n = ctx.ranks();
+      const int home = b.home(n);
+      const int hop1 = (home + 1) % n;
+      const int hop2 = (home + 2) % n;
+      if (world.gas().supports_migration()) {
+        // Both requests leave one rank back to back, so they reach the
+        // home in order under every schedule (links are FIFO).
+        ctx.spawn((home + 3) % n, [b, hop1, hop2](Context& c) -> Fiber {
+          auto gate = std::make_shared<rt::AndGate>(2);
+          migrate_nb(c, b, hop1, *gate);
+          migrate_nb(c, b, hop2, *gate);
+          co_await *gate;
+        });
+      }
+      // Each destination asks while its own move is still in flight.
+      const std::pair<int, sim::Time> askers[] = {{hop1, kHop1AskNs},
+                                                  {hop2, kHop2AskNs}};
+      for (const auto& [rank, delay] : askers) {
+        ctx.spawn(rank, [b, poke, delay](Context& c) -> Fiber {
+          co_await c.sleep(delay);
+          (void)co_await resolve(c, b);
+          co_await apply(c, b, poke, {});
+        });
+      }
+      co_return;
+    });
+    return std::function<void()>([&world, &obs, block, applied] {
+      const int n = world.ranks();
+      const int owner = world.gas().owner_of(*block).first;
+      const int want = world.gas().supports_migration()
+                           ? (block->home(n) + 2) % n
+                           : block->home(n);
+      if (owner != want) {
+        obs.fail(util::format("chained-move-resolve: block ends at node %d, "
+                              "expected %d",
+                              owner, want));
+      }
+      if (*applied != 2) {
+        obs.fail(util::format("chained-move-resolve: %d of 2 applies ran",
+                              *applied));
+      }
+    });
+  };
+  return s;
+}
+
 // --- single-schedule execution ----------------------------------------------
 
 struct RunOutcome {
@@ -554,6 +630,7 @@ std::vector<Scenario> scenario_library() {
   lib.push_back(rebalance_under_put());
   lib.push_back(drop_under_put());
   lib.push_back(retransmit_vs_migrate());
+  lib.push_back(chained_move_resolve());
   return lib;
 }
 

@@ -73,7 +73,7 @@ struct Scenario {
 
 // The built-in scenario library: move-under-put, put-put-race,
 // stale-cache-storm, fence-chain-signal, rebalance-under-put,
-// drop-under-put, retransmit-vs-migrate.
+// drop-under-put, retransmit-vs-migrate, chained-move-resolve.
 [[nodiscard]] std::vector<Scenario> scenario_library();
 
 // Explores `sc` under `opt` (baseline first, then delay-bounded DFS).

@@ -5,26 +5,46 @@
 namespace nvgas::net {
 
 bool NicTlb::insert(std::uint64_t block, const TlbEntry& entry) {
-  auto it = map_.find(block);
-  if (it != map_.end()) {
-    // Overwrite in place; adjust pinned bookkeeping and LRU membership.
-    Slot& slot = it->second;
-    const bool was_pinned = slot.entry.pinned;
-    if (was_pinned && !entry.pinned) {
-      unpin_key(block);
-      lru_.push_front(block);
-      slot.lru_pos = lru_.begin();
-    } else if (!was_pinned && entry.pinned) {
-      pinned_keys_.push_back(block);
-      lru_.erase(slot.lru_pos);
-    } else if (!entry.pinned) {
-      lru_.splice(lru_.begin(), lru_, slot.lru_pos);
-      slot.lru_pos = lru_.begin();
-    }
-    slot.entry = entry;
+  const auto it = map_.find(block);
+  if (it == map_.end()) {
+    add(block, entry);
+  } else {
+    overwrite(block, it->second, entry);
+  }
+  return true;
+}
+
+bool NicTlb::update(std::uint64_t block, const TlbEntry& entry) {
+  NVGAS_CHECK(!entry.pinned);
+  const auto it = map_.find(block);
+  if (it == map_.end()) {
+    add(block, entry);
     return true;
   }
+  const TlbEntry& held = it->second.entry;
+  if (held.pinned || held.generation > entry.generation) return false;
+  overwrite(block, it->second, entry);
+  return true;
+}
 
+void NicTlb::overwrite(std::uint64_t block, Slot& slot, const TlbEntry& entry) {
+  // Overwrite in place; adjust pinned bookkeeping and LRU membership.
+  const bool was_pinned = slot.entry.pinned;
+  if (was_pinned && !entry.pinned) {
+    unpin_key(block);
+    lru_.push_front(block);
+    slot.lru_pos = lru_.begin();
+  } else if (!was_pinned && entry.pinned) {
+    pinned_keys_.push_back(block);
+    lru_.erase(slot.lru_pos);
+  } else if (!entry.pinned) {
+    lru_.splice(lru_.begin(), lru_, slot.lru_pos);
+    slot.lru_pos = lru_.begin();
+  }
+  slot.entry = entry;
+}
+
+void NicTlb::add(std::uint64_t block, const TlbEntry& entry) {
   if (!entry.pinned && lru_.size() >= capacity_) evict_one();
 
   Slot slot;
@@ -36,7 +56,6 @@ bool NicTlb::insert(std::uint64_t block, const TlbEntry& entry) {
     slot.lru_pos = lru_.begin();
   }
   map_.emplace(block, std::move(slot));
-  return true;
 }
 
 std::optional<TlbEntry> NicTlb::lookup(std::uint64_t block) {

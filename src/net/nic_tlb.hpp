@@ -44,6 +44,13 @@ class NicTlb {
   // today; kept boolean for symmetry with hardware that can refuse).
   bool insert(std::uint64_t block, const TlbEntry& entry);
 
+  // Install an unpinned translation learned from a reply, unless the
+  // resident entry is pinned or of a newer generation: a reply built
+  // before a migration can land after it, and its copy must not unpin the
+  // new owner's entry or roll a newer hint back. One map lookup. Returns
+  // true iff `entry` was installed.
+  bool update(std::uint64_t block, const TlbEntry& entry);
+
   // Lookup; refreshes LRU position on hit.
   [[nodiscard]] std::optional<TlbEntry> lookup(std::uint64_t block);
 
@@ -76,6 +83,8 @@ class NicTlb {
     std::list<std::uint64_t>::iterator lru_pos;  // valid iff !entry.pinned
   };
 
+  void add(std::uint64_t block, const TlbEntry& entry);
+  void overwrite(std::uint64_t block, Slot& slot, const TlbEntry& entry);
   void evict_one();
   void unpin_key(std::uint64_t block);
 

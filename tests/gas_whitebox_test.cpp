@@ -3,6 +3,8 @@
 // owned / hint), and the closed-form cost model.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/nvgas.hpp"
 
 namespace nvgas {
@@ -143,6 +145,66 @@ TEST(AgasNetWhitebox, PiggybackRepairsStaleSourceAfterOneAccess) {
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->owner, 5);  // repaired by the ack's piggyback
   EXPECT_GE(world.counters().nic_forwards, 1u);
+}
+
+// While a block is in flight the home answers a resolve with the old
+// owner. When rank 2, the destination of the move, resolves during the
+// move and that reply lands after rank 2's NIC installed its pinned owner
+// entry, the piggybacked copy must not replace it: an unpinned {owner 1}
+// entry at the new owner bounces NIC ops until the forwarding watchdog
+// fires, and ping-pongs apply() parcels between ranks 1 and 2 forever.
+// The sweep over the resolve's issue time covers the whole race window.
+TEST(AgasNetWhitebox, LateResolveReplyKeepsTheNewOwnersPinnedEntry) {
+  int failed = 0;
+  std::string first;
+  for (sim::Time delay = 0; delay <= 20'000; delay += 20) {
+    Config cfg = Config::with_nodes(8, GasMode::kAgasNet);
+    cfg.machine.mem_bytes_per_node = 1u << 20;
+    World world(cfg);
+    int applied = 0;
+    const auto poke = world.runtime().actions().add(
+        "race.poke", [&applied](Context&, int, util::Buffer) { ++applied; });
+    Gva block;
+    world.spawn(1, [&](Context& ctx) -> Fiber {
+      block = alloc_cyclic(ctx, 8, 256);
+      while (block.home(8) != 1) block = block.advanced(256, 256);
+      ctx.spawn(2, [&block, delay](Context& c) -> Fiber {
+        co_await c.sleep(delay);
+        (void)co_await resolve(c, block);
+      });
+      co_await migrate(ctx, block, 2);
+    });
+    world.run();
+    ASSERT_EQ(world.gas().owner_of(block).first, 2);
+    const auto& agas = dynamic_cast<const core::AgasNet&>(world.gas());
+    const net::TlbEntry* e = agas.tlb(2).peek(block.block_key());
+    const bool pinned = e != nullptr && e->pinned && e->owner == 2;
+
+    // One apply from rank 3, and one memget from rank 2 unless its entry
+    // is already wrong (that memget would abort at the watchdog).
+    bool got = false;
+    world.spawn(3, [&](Context& c) -> Fiber {
+      co_await apply(c, block, poke, {});
+    });
+    if (pinned) {
+      world.spawn(2, [&](Context& c) -> Fiber {
+        (void)co_await memget_value<std::uint64_t>(c, block);
+        got = true;
+      });
+    }
+    world.run(100'000);
+    if (!pinned || !got || applied != 1 || !world.engine().idle()) {
+      if (failed++ == 0) {
+        first = "resolve at " + std::to_string(delay) + " ns: rank 2 holds " +
+                (e == nullptr ? "no entry"
+                              : "{owner " + std::to_string(e->owner) +
+                                    ", pinned " + std::to_string(e->pinned) +
+                                    "}") +
+                ", apply ran " + std::to_string(applied) + " time(s)";
+      }
+    }
+  }
+  EXPECT_EQ(failed, 0) << "first failure: " << first;
 }
 
 TEST(AgasNetWhitebox, FreeRemovesEveryEntry) {

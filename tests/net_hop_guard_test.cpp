@@ -25,6 +25,8 @@ enum class Case : std::uint8_t {
   kFetchAdd,
   kResolveMiss,
   kMigrate,
+  kStaleMemget,
+  kRepairedMemget,
   kEagerParcel,
   kRendezvousParcel,
 };
@@ -37,6 +39,8 @@ const char* case_name(Case c) {
     case Case::kFetchAdd: return "fetch_add";
     case Case::kResolveMiss: return "resolve_miss";
     case Case::kMigrate: return "migrate";
+    case Case::kStaleMemget: return "stale_memget";
+    case Case::kRepairedMemget: return "repaired_memget";
     case Case::kEagerParcel: return "eager_parcel";
     case Case::kRendezvousParcel: return "rendezvous_parcel";
   }
@@ -85,6 +89,17 @@ Footprint measure(GasMode mode, Case c) {
         (void)co_await memget_value<std::uint64_t>(c1, block);
       });
     }
+    if (c == Case::kStaleMemget || c == Case::kRepairedMemget) {
+      // Node 0 learns the block at a non-home owner (3), then the block
+      // moves on (to 1): node 0's translation is stale, and under
+      // agas-net it points at a previous owner that holds a hint.
+      co_await migrate(ctx, block, 3);
+      (void)co_await memget_value<std::uint64_t>(ctx, block);
+      co_await migrate(ctx, block, 1);
+      if (c == Case::kRepairedMemget) {
+        (void)co_await memget_value<std::uint64_t>(ctx, block);
+      }
+    }
     if (c == Case::kMemputSignal) {
       ctx.spawn(kHome, [&](Context& ch) -> Fiber {
         signal_ref = ch.make_ref(signalled);
@@ -123,6 +138,8 @@ Footprint measure(GasMode mode, Case c) {
                                    signal_ref);
             break;
           case Case::kMemget:
+          case Case::kStaleMemget:
+          case Case::kRepairedMemget:
             (void)co_await memget_value<std::uint64_t>(ctx, block);
             break;
           case Case::kFetchAdd:
@@ -166,7 +183,13 @@ struct Row {
 };
 
 // Footprint: {msgs, wire bytes, {CPU tasks on nodes 0..3}, CPU ns, done ns}.
-// pgas cannot migrate, so it has no migrate row.
+// pgas cannot migrate, so it has no migrate row. stale_memget is the first
+// memget after the block moved on from a non-home owner that node 0 had
+// learned: agas-sw re-resolves through the home directory (one home CPU
+// task); agas-net takes one hint forward at the previous owner (3
+// messages; via the home it would be 4) and no CPU task anywhere but
+// node 0. repaired_memget is the next memget, direct thanks to the
+// piggybacked translation.
 const Row kRows[] = {
     {GasMode::kPgas, Case::kMemput, {2, 56, {2, 0, 0, 0}, 305, 2380}},
     {GasMode::kPgas, Case::kMemputSignal, {2, 56, {2, 0, 1, 0}, 385, 2380}},
@@ -181,6 +204,7 @@ const Row kRows[] = {
     {GasMode::kAgasSw, Case::kFetchAdd, {4, 160, {3, 0, 1, 0}, 1285, 5395}},
     {GasMode::kAgasSw, Case::kResolveMiss, {2, 80, {3, 0, 1, 0}, 1165, 3145}},
     {GasMode::kAgasSw, Case::kMigrate, {10, 576, {2, 1, 5, 1}, 3706, 11962}},
+    {GasMode::kAgasSw, Case::kStaleMemget, {4, 152, {3, 0, 1, 0}, 1285, 5445}},
     {GasMode::kAgasSw, Case::kEagerParcel, {2, 132, {0, 1, 0, 0}, 400, 1992}},
     {GasMode::kAgasSw, Case::kRendezvousParcel, {3, 8300, {0, 2, 0, 0}, 770, 2961}},
     {GasMode::kAgasNet, Case::kMemput, {2, 88, {2, 0, 0, 0}, 300, 2563}},
@@ -189,6 +213,8 @@ const Row kRows[] = {
     {GasMode::kAgasNet, Case::kFetchAdd, {2, 88, {2, 0, 0, 0}, 300, 2612}},
     {GasMode::kAgasNet, Case::kResolveMiss, {2, 72, {2, 0, 0, 0}, 360, 2458}},
     {GasMode::kAgasNet, Case::kMigrate, {7, 488, {2, 0, 0, 1}, 790, 7299}},
+    {GasMode::kAgasNet, Case::kStaleMemget, {3, 128, {2, 0, 0, 0}, 300, 3794}},
+    {GasMode::kAgasNet, Case::kRepairedMemget, {2, 88, {2, 0, 0, 0}, 300, 2664}},
     {GasMode::kAgasNet, Case::kEagerParcel, {2, 132, {0, 1, 0, 0}, 400, 1992}},
     {GasMode::kAgasNet, Case::kRendezvousParcel, {3, 8300, {0, 2, 0, 0}, 770, 2961}},
 };

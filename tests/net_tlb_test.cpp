@@ -43,6 +43,23 @@ TEST(NicTlb, OverwriteUpdates) {
   EXPECT_EQ(e->generation, 1u);
 }
 
+TEST(NicTlb, UpdateNeverReplacesPinnedOrNewerEntries) {
+  NicTlb tlb(8);
+  EXPECT_TRUE(tlb.update(1, entry(4, 0x10, 2)));  // absent: installed
+  EXPECT_TRUE(tlb.update(1, entry(5, 0x20, 2)));  // same generation
+  EXPECT_FALSE(tlb.update(1, entry(6, 0x30, 1)));  // older: refused
+  EXPECT_EQ(tlb.peek(1)->owner, 5);
+  EXPECT_TRUE(tlb.update(1, entry(7, 0x40, 3)));  // newer
+  EXPECT_EQ(tlb.peek(1)->owner, 7);
+
+  tlb.insert(2, entry(2, 0x50, 1, /*pinned=*/true));
+  EXPECT_FALSE(tlb.update(2, entry(0, 0x60, 4)));  // pinned: refused
+  const TlbEntry* held = tlb.peek(2);
+  EXPECT_TRUE(held->pinned);
+  EXPECT_EQ(held->owner, 2);
+  EXPECT_EQ(held->generation, 1u);
+}
+
 TEST(NicTlb, LruEvictsColdestEntry) {
   NicTlb tlb(3);
   tlb.insert(1, entry(1));
