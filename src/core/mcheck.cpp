@@ -1,6 +1,7 @@
 #include "core/mcheck.hpp"
 
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -593,8 +594,12 @@ RunOutcome run_schedule(const Scenario& sc, const McheckOptions& opt,
   const std::uint64_t executed = world.run(opt.max_events);
 
   if (executed >= opt.max_events) {
-    obs.fail(util::format("livelock: still busy after %llu events",
-                          static_cast<unsigned long long>(executed)));
+    // The looping op usually targets the block whose translation broke:
+    // name it, since the commit-time audits may not have run since.
+    const std::string finding = world.gas().audit_translation();
+    obs.fail(util::format("livelock: still busy after %llu events%s%s",
+                          static_cast<unsigned long long>(executed),
+                          finding.empty() ? "" : "; ", finding.c_str()));
   } else if (world.runtime().live_fibers() != 0) {
     obs.fail(util::format("deadlock: %zu fiber(s) suspended after drain",
                           world.runtime().live_fibers()));

@@ -34,13 +34,13 @@ std::optional<CacheEntry> TranslationCache::lookup(std::uint64_t block_key) {
   }
   ++hits_;
   slots_[i].ref = 1;
-  return slots_[i].entry;
+  return slots_[i].entry();
 }
 
 void TranslationCache::insert(std::uint64_t block_key, const CacheEntry& entry) {
   const std::uint32_t existing = find(block_key);
   if (existing != kNotFound) {
-    slots_[existing].entry = entry;
+    slots_[existing].set(entry);
     slots_[existing].ref = 1;
     return;
   }
@@ -48,15 +48,10 @@ void TranslationCache::insert(std::uint64_t block_key, const CacheEntry& entry) 
   std::uint32_t i = home(block_key);
   while (slots_[i].full) i = (i + 1) & mask_;
   slots_[i].key = block_key;
-  slots_[i].entry = entry;
+  slots_[i].set(entry);
   slots_[i].full = true;
   slots_[i].ref = 0;  // fresh entries start unreferenced, like CLOCK inserts
   ++size_;
-}
-
-const CacheEntry* TranslationCache::peek(std::uint64_t block_key) const {
-  const std::uint32_t i = find(block_key);
-  return i == kNotFound ? nullptr : &slots_[i].entry;
 }
 
 std::vector<std::pair<std::uint64_t, CacheEntry>> TranslationCache::entries()
@@ -64,7 +59,7 @@ std::vector<std::pair<std::uint64_t, CacheEntry>> TranslationCache::entries()
   std::vector<std::pair<std::uint64_t, CacheEntry>> out;
   out.reserve(size_);
   for (const Slot& s : slots_) {
-    if (s.full) out.emplace_back(s.key, s.entry);
+    if (s.full) out.emplace_back(s.key, s.entry());
   }
   return out;
 }

@@ -39,10 +39,6 @@ class TranslationCache {
   bool invalidate(std::uint64_t block_key);
   void clear();
 
-  // Read-only probe for invariant audits: no hit/miss accounting and no
-  // CLOCK reference-bit update, so audits never perturb eviction.
-  [[nodiscard]] const CacheEntry* peek(std::uint64_t block_key) const;
-
   // Deterministic (slot-index order) snapshot of resident entries, for
   // the mcheck invariant audits.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, CacheEntry>> entries()
@@ -55,12 +51,23 @@ class TranslationCache {
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
+  // CacheEntry's fields, stored without its padding so a slot is 32 B.
   struct Slot {
     std::uint64_t key = 0;
-    CacheEntry entry;
+    sim::Lva lva = 0;
+    int owner = -1;
+    std::uint32_t generation = 0;
     bool full = false;
     std::uint8_t ref = 0;  // CLOCK reference bit
+
+    [[nodiscard]] CacheEntry entry() const { return {owner, lva, generation}; }
+    void set(const CacheEntry& e) {
+      owner = e.owner;
+      lva = e.lva;
+      generation = e.generation;
+    }
   };
+  static_assert(sizeof(Slot) == 32);
 
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
 

@@ -7,13 +7,13 @@
 namespace nvgas::net {
 
 Reliability::Reliability(sim::Fabric& fabric, int node, ReliabilityGroup& group)
-    : fabric_(&fabric),
-      node_(node),
-      group_(&group),
-      // protolint:allow(P4: dense per-(src,dst) send windows, the canonical reliability O(P) site; ROADMAP item 6 pools them over active peers)
-      tx_(static_cast<std::size_t>(fabric.nodes())),
-      // protolint:allow(P4: dense per-(src,dst) receive windows; ROADMAP item 6 pools them over active peers)
-      rx_(static_cast<std::size_t>(fabric.nodes())) {}
+    : fabric_(&fabric), node_(node), group_(&group) {}
+
+Reliability::Peer& Reliability::peer(int node) {
+  const auto it = peers_.find(node);
+  NVGAS_CHECK_MSG(it != peers_.end(), "no reliability record for this peer");
+  return it->second;
+}
 
 std::int32_t Reliability::alloc_slot() {
   if (slots_free_ >= 0) {
@@ -42,8 +42,8 @@ void Reliability::send(sim::Time depart, int dst, std::uint64_t bytes,
                        sim::Nic::Deliver deliver) {
   NVGAS_CHECK_MSG(dst != node_,
                   "loopback frames never enter the reliability channel");
-  TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
-  const std::uint64_t seq = ch.next_seq++;
+  Peer& p = open_peer(dst);
+  const std::uint64_t seq = p.next_seq++;
   const std::int32_t idx = alloc_slot();
   TxSlot& s = slots_[static_cast<std::size_t>(idx)];
   s.seq = seq;
@@ -51,50 +51,51 @@ void Reliability::send(sim::Time depart, int dst, std::uint64_t bytes,
   s.payload = std::move(deliver);
   s.rto_ns = kRetransmitTimeoutNs;
   s.delivered = false;
-  ch.unacked.emplace(seq, idx);
-  send_frame(depart, dst, seq);
-  arm_rto(depart, dst, seq);
+  p.unacked.emplace(seq, idx);
+  send_frame(depart, dst, p, seq);
+  arm_rto(depart, dst, p, seq);
 }
 
-void Reliability::send_frame(sim::Time depart, int dst, std::uint64_t seq) {
-  TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
-  const auto it = ch.unacked.find(seq);
-  NVGAS_CHECK_MSG(it != ch.unacked.end(), "framing a retired seq");
+void Reliability::send_frame(sim::Time depart, int dst, Peer& p,
+                             std::uint64_t seq) {
+  const auto it = p.unacked.find(seq);
+  NVGAS_CHECK_MSG(it != p.unacked.end(), "framing a retired seq");
   const TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
 
   // Piggyback our cumulative floor for dst's reverse channel; a pending
   // delayed pure ack becomes redundant and is cancelled.
-  RxChannel& r = rx_[static_cast<std::size_t>(dst)];
-  if (r.ack_armed) {
-    (void)fabric_->engine().cancel(r.ack_timer);
-    r.ack_armed = false;
-    r.ack_timer = {};
+  if (p.ack_armed) {
+    (void)fabric_->engine().cancel(p.ack_timer);
+    p.ack_armed = false;
+    p.ack_timer = {};
   }
-  const std::uint64_t piggy = r.floor;
+  const std::uint64_t piggy = p.floor;
 
   // The wire frame: a re-invocable POD closure (survives fault
   // duplication); the payload closure stays in the window slot.
   Reliability* peer = &group_->at(dst);
+  Peer* rx = p.mirror;
   const int src = node_;
   fabric_->nic(node_).send(
       depart, dst, kRelHeaderBytes + s.bytes,
-      [peer, src, seq, piggy](sim::Time t) { peer->on_data(t, src, seq, piggy); });
+      [peer, rx, src, seq, piggy](sim::Time t) {
+        peer->on_data(t, src, rx, seq, piggy);
+      });
 }
 
-void Reliability::arm_rto(sim::Time ref, int dst, std::uint64_t seq) {
-  TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
-  const auto it = ch.unacked.find(seq);
-  NVGAS_CHECK_MSG(it != ch.unacked.end(), "arming RTO for a retired seq");
+void Reliability::arm_rto(sim::Time ref, int dst, Peer& p, std::uint64_t seq) {
+  const auto it = p.unacked.find(seq);
+  NVGAS_CHECK_MSG(it != p.unacked.end(), "arming RTO for a retired seq");
   TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
+  Peer* chan = &p;  // records are never freed
   s.rto = fabric_->engine().at_cancellable(
-      ref + s.rto_ns, [this, dst, seq] { on_rto(dst, seq); });
+      ref + s.rto_ns, [this, dst, chan, seq] { on_rto(dst, *chan, seq); });
 }
 
-void Reliability::on_rto(int dst, std::uint64_t seq) {
-  TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
-  const auto it = ch.unacked.find(seq);
+void Reliability::on_rto(int dst, Peer& p, std::uint64_t seq) {
+  const auto it = p.unacked.find(seq);
   // Retirement cancels the timer, so a fired RTO always finds its slot.
-  NVGAS_CHECK_MSG(it != ch.unacked.end(), "RTO fired for a retired seq");
+  NVGAS_CHECK_MSG(it != p.unacked.end(), "RTO fired for a retired seq");
   TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
   s.rto = {};
   ++fabric_->counters().net_retransmits;
@@ -102,52 +103,53 @@ void Reliability::on_rto(int dst, std::uint64_t seq) {
   // Resend even if already delivered: the ack was lost, and the
   // retransmitted frame solicits a fresh one via the dedup path.
   const sim::Time now = fabric_->engine().now();
-  send_frame(now, dst, seq);
-  arm_rto(now, dst, seq);
+  send_frame(now, dst, p, seq);
+  arm_rto(now, dst, p, seq);
 }
 
-void Reliability::on_data(sim::Time t, int src, std::uint64_t seq,
+void Reliability::on_data(sim::Time t, int src, Peer* rx, std::uint64_t seq,
                           std::uint64_t acked) {
-  process_ack(src, acked);
-  RxChannel& rx = rx_[static_cast<std::size_t>(src)];
-  if (seq <= rx.floor || rx.buffered.count(seq) != 0) {
+  Peer& p = rx != nullptr ? *rx : open_peer(src);
+  if (p.mirror == nullptr) {
+    Peer& back = group_->at(src).peer(node_);  // src sent, so it has one
+    p.mirror = &back;
+    back.mirror = &p;
+  }
+  process_ack(p, acked);
+  if (seq <= p.floor || p.buffered.count(seq) != 0) {
     // Duplicate (wire dup, or a retransmit racing its own ack). Re-ack:
     // the sender retransmitting means our previous ack didn't land.
     ++fabric_->counters().net_dup_discards;
-    schedule_ack(t, src);
+    schedule_ack(t, src, p);
     return;
   }
-  if (seq == rx.floor + 1) {
-    const std::uint64_t old_floor = rx.floor;
-    rx.floor = seq;
-    auto it = rx.buffered.begin();
-    while (it != rx.buffered.end() && *it == rx.floor + 1) {
-      rx.floor = *it;
-      it = rx.buffered.erase(it);
+  if (seq == p.floor + 1) {
+    const std::uint64_t old_floor = p.floor;
+    p.floor = seq;
+    auto it = p.buffered.begin();
+    while (it != p.buffered.end() && *it == p.floor + 1) {
+      p.floor = *it;
+      it = p.buffered.erase(it);
     }
-    const std::uint64_t new_floor = rx.floor;
+    const std::uint64_t new_floor = p.floor;
     // Arm the ack BEFORE delivering: the upper layer's reaction may send
     // a reverse frame that cancels it and piggybacks instead.
-    schedule_ack(t, src);
+    schedule_ack(t, src, p);
+    Reliability& sender = group_->at(src);
     for (std::uint64_t s = old_floor + 1; s <= new_floor; ++s) {
-      group_->at(src).deliver_payload(t, node_, s);
+      sender.deliver_payload(t, *p.mirror, s);
     }
   } else {
-    rx.buffered.insert(seq);
-    schedule_ack(t, src);
+    p.buffered.insert(seq);
+    schedule_ack(t, src, p);
   }
 }
 
-void Reliability::on_ack(sim::Time /*t*/, int src, std::uint64_t acked) {
-  process_ack(src, acked);
-}
-
-void Reliability::deliver_payload(sim::Time t, int dst, std::uint64_t seq) {
+void Reliability::deliver_payload(sim::Time t, Peer& p, std::uint64_t seq) {
   sim::Nic::Deliver payload;
   {
-    TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
-    const auto it = ch.unacked.find(seq);
-    NVGAS_CHECK_MSG(it != ch.unacked.end(),
+    const auto it = p.unacked.find(seq);
+    NVGAS_CHECK_MSG(it != p.unacked.end(),
                     "payload consumed for a retired seq");
     TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
     NVGAS_CHECK_MSG(!s.delivered, "payload consumed twice");
@@ -159,10 +161,9 @@ void Reliability::deliver_payload(sim::Time t, int dst, std::uint64_t seq) {
   payload(t);
 }
 
-void Reliability::process_ack(int dst, std::uint64_t acked) {
-  TxChannel& ch = tx_[static_cast<std::size_t>(dst)];
-  while (!ch.unacked.empty()) {
-    const auto it = ch.unacked.begin();
+void Reliability::process_ack(Peer& p, std::uint64_t acked) {
+  while (!p.unacked.empty()) {
+    const auto it = p.unacked.begin();
     if (it->first > acked) break;
     TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
     // The receiver's floor only advances on accept, which synchronously
@@ -173,46 +174,47 @@ void Reliability::process_ack(int dst, std::uint64_t acked) {
       (void)fabric_->engine().cancel(s.rto);
     }
     retire_slot(it->second);
-    ch.unacked.erase(it);
+    p.unacked.erase(it);
   }
 }
 
-void Reliability::schedule_ack(sim::Time t, int src) {
-  RxChannel& rx = rx_[static_cast<std::size_t>(src)];
-  if (rx.ack_armed) return;
-  rx.ack_armed = true;
-  rx.ack_timer = fabric_->engine().at_cancellable(
-      t + kAckDelayNs, [this, src] {
-        RxChannel& r = rx_[static_cast<std::size_t>(src)];
-        r.ack_armed = false;
-        r.ack_timer = {};
-        send_pure_ack(fabric_->engine().now(), src);
+void Reliability::schedule_ack(sim::Time t, int src, Peer& p) {
+  if (p.ack_armed) return;
+  p.ack_armed = true;
+  Peer* chan = &p;
+  p.ack_timer = fabric_->engine().at_cancellable(
+      t + kAckDelayNs, [this, src, chan] {
+        chan->ack_armed = false;
+        chan->ack_timer = {};
+        send_pure_ack(fabric_->engine().now(), src, *chan);
       });
 }
 
-void Reliability::send_pure_ack(sim::Time t, int dst) {
+void Reliability::send_pure_ack(sim::Time t, int dst, const Peer& p) {
   ++fabric_->counters().net_acks;
   // Pure acks are unsequenced and unretransmitted; the wire may eat
   // them, in which case the peer's next retransmit solicits another.
   Reliability* peer = &group_->at(dst);
-  const int src = node_;
-  const std::uint64_t acked = rx_[static_cast<std::size_t>(dst)].floor;
+  // Linked when the data being acked was accepted.
+  Peer* tx = p.mirror;
+  NVGAS_CHECK_MSG(tx != nullptr, "pure ack on a channel that accepted nothing");
+  const std::uint64_t acked = p.floor;
   fabric_->nic(node_).send(
       t, dst, kRelHeaderBytes,
-      [peer, src, acked](sim::Time at) { peer->on_ack(at, src, acked); });
+      [peer, tx, acked](sim::Time) { peer->process_ack(*tx, acked); });
 }
 
 std::uint64_t Reliability::unacked() const {
   std::uint64_t n = 0;
-  for (const auto& ch : tx_) n += ch.unacked.size();
+  for (const auto& entry : peers_) n += entry.second.unacked.size();
   return n;
 }
 
 #ifdef NVGAS_SIMSAN
 void Reliability::simsan_double_cancel_rto(int dst) {
-  TxChannel& ch = tx_.at(static_cast<std::size_t>(dst));
-  NVGAS_CHECK_MSG(!ch.unacked.empty(), "no unacked slot to cancel");
-  TxSlot& s = slots_[static_cast<std::size_t>(ch.unacked.begin()->second)];
+  Peer& p = peer(dst);
+  NVGAS_CHECK_MSG(!p.unacked.empty(), "no unacked slot to cancel");
+  TxSlot& s = slots_[static_cast<std::size_t>(p.unacked.begin()->second)];
   (void)fabric_->engine().cancel(s.rto);
   (void)fabric_->engine().cancel(s.rto);  // double cancel: SimSan aborts
 }

@@ -7,7 +7,10 @@
 //
 //   * per-(src, dst) sequence numbers — every data frame carries the
 //     channel's next seq and a piggybacked cumulative ack of the
-//     reverse channel;
+//     reverse channel. A node keeps one Peer record (both directions)
+//     per peer it has exchanged a frame with, created by the first
+//     send to it or data frame from it, so state grows with the peers
+//     that talk, not with the machine;
 //   * sender window — each unacked frame holds its upper-layer Deliver
 //     closure in a pooled slot with an O(1)-cancellable retransmit
 //     timer (Engine::at_cancellable) backing off exponentially to a
@@ -24,9 +27,9 @@
 //     by the next retransmission soliciting a fresh one.
 //
 // Simulation trick: the wire frame is a thin POD closure carrying only
-// {dst endpoint, src, seq, piggybacked ack} — re-invocable, so the NIC
-// can deliver a fault-duplicated copy twice, and cheap to re-create for
-// retransmits. The upper layer's one-shot Deliver closure never rides
+// {dst endpoint, src, the receiver's record for src once linked, seq,
+// piggybacked ack} — re-invocable, so the NIC can deliver a
+// fault-duplicated copy twice, and cheap to re-create for retransmits. The upper layer's one-shot Deliver closure never rides
 // the wire: it stays in the sender's window slot and is consumed
 // exactly once, at the moment the receiver ACCEPTS the seq (the bytes
 // it models were on the wire; frames are billed header + payload).
@@ -68,18 +71,12 @@ class Reliability {
   void send(sim::Time depart, int dst, std::uint64_t bytes,
             sim::Nic::Deliver deliver);
 
-  // Wire-frame entry points, invoked at THIS (receiving) node by the
-  // frame closures the peer put on the wire.
-  void on_data(sim::Time t, int src, std::uint64_t seq, std::uint64_t acked);
-  void on_ack(sim::Time t, int src, std::uint64_t acked);
-
-  // Receiver-side accept calls back here (at the SENDER) to consume the
-  // stored payload closure for `seq` toward `dst` and run it at time t.
-  void deliver_payload(sim::Time t, int dst, std::uint64_t seq);
-
   [[nodiscard]] int node() const { return node_; }
   // Frames sent but not yet cumulatively acked, across all channels.
   [[nodiscard]] std::uint64_t unacked() const;
+  // Peers this node holds channel state for (has sent a data frame to or
+  // received one from).
+  [[nodiscard]] std::size_t peer_records() const { return peers_.size(); }
 
 #ifdef NVGAS_SIMSAN
   // Death-test hook: cancel the oldest unacked slot's armed retransmit
@@ -103,33 +100,54 @@ class Reliability {
     bool delivered = false;         // payload consumed; awaiting ack
     std::int32_t next_free = -1;
   };
-  struct TxChannel {
+  // Both directions of the channel with one peer: a send touches the
+  // reverse floor for its piggybacked ack, so one lookup serves a frame.
+  struct Peer {
+    // Sender side (frames toward the peer).
     std::uint64_t next_seq = 1;
     // seq -> slot pool index; ordered so cumulative acks retire a prefix
     // deterministically.
     std::map<std::uint64_t, std::int32_t> unacked;
-  };
-  struct RxChannel {
+    // Receiver side (frames from the peer).
     std::uint64_t floor = 0;  // highest contiguously accepted seq
     std::set<std::uint64_t> buffered;  // out-of-order seqs past the gap
     sim::Engine::TimerId ack_timer;
     bool ack_armed = false;
+    // The peer's record for this node. Linked in both directions when the
+    // first data frame between the two is accepted, so later frames, acks
+    // and payload consumes reach their record without a lookup.
+    Peer* mirror = nullptr;
   };
 
-  void send_frame(sim::Time depart, int dst, std::uint64_t seq);
-  void arm_rto(sim::Time ref, int dst, std::uint64_t seq);
-  void on_rto(int dst, std::uint64_t seq);
-  void schedule_ack(sim::Time t, int src);
-  void send_pure_ack(sim::Time t, int dst);
-  void process_ack(int dst, std::uint64_t acked);
+  // The peer's record, created on first use (a send, or a data frame).
+  Peer& open_peer(int node) { return peers_[node]; }
+  // The peer's existing record; a node with none is a protocol error.
+  Peer& peer(int node);
+
+  void send_frame(sim::Time depart, int dst, Peer& p, std::uint64_t seq);
+  void arm_rto(sim::Time ref, int dst, Peer& p, std::uint64_t seq);
+  void on_rto(int dst, Peer& p, std::uint64_t seq);
+  // Wire-frame entry points, invoked at THIS (receiving) node by the
+  // frame closures the peer put on the wire. `rx` is this node's record
+  // for src when the sender already knew it.
+  void on_data(sim::Time t, int src, Peer* rx, std::uint64_t seq,
+               std::uint64_t acked);
+  // Receiver-side accept calls back here (at the SENDER) to consume the
+  // stored payload closure for `seq` on channel `p` and run it at time t.
+  void deliver_payload(sim::Time t, Peer& p, std::uint64_t seq);
+  void schedule_ack(sim::Time t, int src, Peer& p);
+  void send_pure_ack(sim::Time t, int dst, const Peer& p);
+  void process_ack(Peer& p, std::uint64_t acked);
   std::int32_t alloc_slot();
   void retire_slot(std::int32_t idx);
 
   sim::Fabric* fabric_;
   int node_;
   ReliabilityGroup* group_;
-  std::vector<TxChannel> tx_;  // indexed by dst
-  std::vector<RxChannel> rx_;  // indexed by src
+  // Keyed by peer node. Node-stable: a payload delivered inside on_data
+  // may send() to a new peer while a Peer& is held. Ordered for
+  // deterministic iteration.
+  std::map<int, Peer> peers_;
   std::vector<TxSlot> slots_;
   std::int32_t slots_free_ = -1;
 };

@@ -4,10 +4,6 @@ namespace nvgas::rt {
 
 Coalescer::Coalescer(Runtime& rt, CoalescerConfig config)
     : rt_(rt), config_(config) {
-  // protolint:allow(P4: dense per-(src,dst) coalescing slots, O(P^2) for the whole world; ROADMAP item 6 pools slots over active destinations)
-  slots_.resize(static_cast<std::size_t>(rt.nodes()) *
-                static_cast<std::size_t>(rt.nodes()));
-
   // Receiver side: unpack and dispatch each message in the batch. One
   // parcel's o_recv+dispatch has already been charged by the parcel path;
   // each inner message still pays the per-action dispatch.
@@ -30,7 +26,7 @@ Coalescer::Coalescer(Runtime& rt, CoalescerConfig config)
 
 void Coalescer::send(Context& ctx, int dst, ActionId action,
                      util::Buffer args) {
-  Slot& s = slot(ctx.rank(), dst);
+  Slot& s = slots_[{ctx.rank(), dst}];
   if (s.count == 0) {
     s.buf.clear();
     s.buf.put<std::uint32_t>(0);  // count placeholder — rewritten at ship
@@ -64,12 +60,15 @@ void Coalescer::ship(Context& ctx, int dst, Slot& s) {
 }
 
 void Coalescer::flush(Context& ctx, int dst) {
-  ship(ctx, dst, slot(ctx.rank(), dst));
+  const auto it = slots_.find({ctx.rank(), dst});
+  if (it != slots_.end()) ship(ctx, dst, it->second);
 }
 
 void Coalescer::flush_all(Context& ctx) {
-  for (int dst = 0; dst < rt_.nodes(); ++dst) {
-    flush(ctx, dst);
+  const int src = ctx.rank();
+  for (auto it = slots_.lower_bound({src, 0});
+       it != slots_.end() && it->first.first == src; ++it) {
+    ship(ctx, it->first.second, it->second);
   }
 }
 
@@ -77,7 +76,7 @@ void Coalescer::arm_timer(int src, int dst, std::uint64_t epoch) {
   rt_.fabric().cpu(src).submit_at(
       rt_.fabric().engine().now() + config_.max_delay_ns,
       [this, src, dst, epoch](sim::TaskCtx& task) {
-        Slot& s = slot(src, dst);
+        Slot& s = slots_.at({src, dst});
         if (s.epoch != epoch || s.count == 0) return;  // already shipped
         CurrentTaskScope scope(rt_, task);
         ship(rt_.ctx(src), dst, s);

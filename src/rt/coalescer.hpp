@@ -13,7 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <map>
+#include <utility>
 
 #include "rt/action.hpp"
 #include "rt/context.hpp"
@@ -54,18 +55,16 @@ class Coalescer {
     std::uint64_t epoch = 0;     // invalidates stale flush timers
   };
 
-  [[nodiscard]] Slot& slot(int src, int dst) {
-    return slots_[static_cast<std::size_t>(src) *
-                      static_cast<std::size_t>(rt_.nodes()) +
-                  static_cast<std::size_t>(dst)];
-  }
 
   void ship(Context& ctx, int dst, Slot& s);
   void arm_timer(int src, int dst, std::uint64_t epoch);
 
   Runtime& rt_;
   CoalescerConfig config_;
-  std::vector<Slot> slots_;  // (src, dst) matrix
+  // (src, dst) -> slot, created by the first send from src to dst.
+  // Ordered, so flush_all visits a rank's destinations in ascending dst;
+  // node-stable, so a Slot& stays valid across inserts made during ship.
+  std::map<std::pair<int, int>, Slot> slots_;
   ActionId batch_action_ = kInvalidAction;
   std::uint64_t batches_sent_ = 0;
   std::uint64_t messages_coalesced_ = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/nvgas.hpp"
+#include "net/reliability.hpp"
 
 namespace nvgas {
 namespace {
@@ -52,6 +53,12 @@ TEST_P(LimitsTest, MaxNodesRunFetchAddAndBarrier) {
     // rank, with kNodes).
     EXPECT_EQ(seen[i], static_cast<std::uint64_t>(r == 0 ? kNodes : r))
         << "rank " << r;
+  }
+  // Without a fault plan no frame enters a reliability channel, so no
+  // node holds per-peer channel state.
+  for (int n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(world.endpoints().reliability().at(n).peer_records(), 0u)
+        << "node " << n;
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "core/nvgas.hpp"
 #include "gas/invariants.hpp"
+#include "net/reliability.hpp"
 
 namespace nvgas {
 namespace {
@@ -429,6 +430,29 @@ TEST(FaultForcedDropTest, NthFrameDropRecovers) {
   EXPECT_EQ(world.counters().faults_injected_drops, 1u);
   EXPECT_GT(world.counters().net_retransmits, 0u);
   EXPECT_EQ(obs.check_quiescent(world.counters()), "");
+}
+
+// Channel state exists only for peers that exchange frames: traffic on
+// one link of a lossy 4-node machine opens a record at each end and none
+// anywhere else.
+TEST(FaultChannelStateTest, OnlyTalkingPeersHoldRecords) {
+  Config cfg = Config::with_nodes(4, GasMode::kAgasNet);
+  cfg.faults = make_plan(FaultKind::kDrop10);
+  World world(cfg);
+  net::ReliabilityGroup& rels = world.endpoints().reliability();
+  int delivered = 0;
+  for (int i = 0; i < 8; ++i) {
+    net::channel_send(world.fabric(), rels, 0, 1, 0, 64,
+                      [&delivered](sim::Time) { ++delivered; });
+  }
+  world.run(kMaxEvents);
+  EXPECT_TRUE(world.engine().idle());
+  EXPECT_EQ(delivered, 8);
+  EXPECT_EQ(rels.at(0).unacked(), 0u);
+  EXPECT_EQ(rels.at(0).peer_records(), 1u);
+  EXPECT_EQ(rels.at(1).peer_records(), 1u);
+  EXPECT_EQ(rels.at(2).peer_records(), 0u);
+  EXPECT_EQ(rels.at(3).peer_records(), 0u);
 }
 
 }  // namespace

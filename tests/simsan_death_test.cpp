@@ -99,6 +99,15 @@ TEST(SimSanDeath, ReliabilityDoubleCancelRtoAborts) {
   EXPECT_DEATH(rels.at(0).simsan_double_cancel_rto(1), "double cancel");
 }
 
+TEST(SimSanDeath, ReliabilityHookOnPeerWithoutRecordAborts) {
+  nvgas::sim::Fabric fabric(tiny_machine());
+  nvgas::net::ReliabilityGroup rels(fabric);
+  // Node 0 never exchanged a frame with node 1, so it holds no record:
+  // the lookup is a named check, not an out-of-range index.
+  EXPECT_DEATH(rels.at(0).simsan_double_cancel_rto(1),
+               "no reliability record for this peer");
+}
+
 TEST(SimSanDeath, ReliabilityRetiredSlotInvokeAborts) {
   nvgas::sim::Fabric fabric(tiny_machine());
   nvgas::net::ReliabilityGroup rels(fabric);

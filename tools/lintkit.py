@@ -49,6 +49,11 @@ class StrippedFile:
     allows: dict  # line (1-based) -> set of rule ids suppressed there
 
 
+# Text ending inside a numeric literal: a quote there is a C++14 digit
+# separator (1'000'000, 0xFF'FF), not the start of a char literal.
+NUMBER_TAIL_RE = re.compile(r"(?<![\w.'])\d[\w.']*$")
+
+
 def allow_re(tool: str) -> re.Pattern:
     """Suppression directive for one tool: `<tool>:allow(D1,P2: why)`.
     Tools ignore each other's directives, so a line may carry both a
@@ -105,6 +110,10 @@ def strip_and_collect(path: str, text: str, tool: str) -> StrippedFile:
                 else:
                     state = "string"
                 out.append('"')
+                i += 1
+                continue
+            if c == "'" and NUMBER_TAIL_RE.search(text, max(0, i - 64), i):
+                out.append(c)  # C++14 digit separator (4'000), not a char
                 i += 1
                 continue
             if c == "'":

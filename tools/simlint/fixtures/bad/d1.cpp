@@ -25,3 +25,10 @@ struct MultiLine {
                      std::unordered_map<std::uint64_t, int>>  // simlint-expect(D1)
       nested;
 };
+
+// A digit separator is not a char literal: an odd count of them must not
+// swallow the lines that follow, so the flag keeps its line.
+constexpr std::uint64_t kWindowNs = 4'000;
+struct AfterDigitSeparator {
+  std::unordered_set<int> seen;  // simlint-expect(D1)
+};
