@@ -25,17 +25,35 @@ void AgasNet::piggyback(int node, std::uint64_t key, net::TlbEntry entry) {
   }
 }
 
-void AgasNet::complete(Op& op, sim::Time t, std::vector<std::byte> get_data,
-                       std::uint64_t fadd_old) {
+std::uint32_t AgasNet::park_op(Op op) {
+  if (free_ops_.empty()) {
+    ops_.push_back(std::move(op));
+    return static_cast<std::uint32_t>(ops_.size() - 1);
+  }
+  const std::uint32_t id = free_ops_.back();
+  free_ops_.pop_back();
+  ops_[id] = std::move(op);
+  return id;
+}
+
+AgasNet::Op AgasNet::unpark_op(std::uint32_t id) {
+  Op op = std::exchange(ops_[id], Op{});
+  free_ops_.push_back(id);
+  return op;
+}
+
+void AgasNet::complete(sim::Time t, std::uint32_t id) {
+  // The id is free before the callback runs, which may issue more ops.
+  Op op = unpark_op(id);
   switch (op.kind) {
     case Op::Kind::kPut:
       if (op.on_done) op.on_done(t);
       break;
     case Op::Kind::kGet:
-      if (op.on_data) op.on_data(t, std::move(get_data));
+      if (op.on_data) op.on_data(t, std::move(op.data));
       break;
     case Op::Kind::kFadd:
-      if (op.on_u64) op.on_u64(t, fadd_old);
+      if (op.on_u64) op.on_u64(t, op.fadd_old);
       break;
   }
 }
@@ -57,7 +75,7 @@ AgasNet::AgasNet(sim::Fabric& fabric, net::EndpointGroup& endpoints,
   // protolint:allow(P4: host array of capacity-bounded per-node TLB devices)
   tlbs_.reserve(static_cast<std::size_t>(fabric.nodes()));
   for (int n = 0; n < fabric.nodes(); ++n) {
-    tlbs_.push_back(std::make_unique<net::NicTlb>(config.tlb_capacity));
+    tlbs_.emplace_back(config.tlb_capacity);
   }
   // The home directory is the AGAS authoritative map, one per world.
   // protolint:allow(P4: world-level AGAS home directory, one per simulated node)
@@ -76,7 +94,7 @@ gas::Gva AgasNet::alloc(sim::TaskCtx& task, int node, gas::Dist dist,
     e.base = heap_->initial_lva(block);
     e.generation = 0;
     e.pinned = true;  // home entries are authoritative and never evict
-    NVGAS_CHECK(tlb_mut(home).insert(block.block_key(), e));
+    tlb_mut(home).insert(block.block_key(), e);
   }
   return base;
 }
@@ -85,7 +103,7 @@ gas::Gva AgasNet::alloc(sim::TaskCtx& task, int node, gas::Dist dist,
 // Data path.
 // ---------------------------------------------------------------------------
 
-void AgasNet::issue(sim::TaskCtx& task, int node, Op op) {
+void AgasNet::issue(sim::TaskCtx& task, int node, std::uint32_t id) {
   auto& counters = fabric_->counters();
   // CPU posts the descriptor; everything after is NIC work.
   task.charge(ep(node).post_cost());
@@ -93,38 +111,38 @@ void AgasNet::issue(sim::TaskCtx& task, int node, Op op) {
   const sim::Time looked_up = nic.occupy_command_processor(
       task.now(), sim::kNicTlbNs);
 
-  const auto hit = tlb_mut(node).lookup(op.key);
+  const std::uint64_t key = ops_[id].key;
+  const auto hit = tlb_mut(node).lookup(key);
   if (hit.has_value()) {
     ++counters.nic_tlb_hits;
     if (hit->owner == node && !hit->in_flight) {
       // Local fast path: the block is here; a plain memcpy suffices.
-      execute(looked_up, node, *hit, std::move(op));
+      execute(looked_up, node, *hit, id);
       return;
     }
-    send_op(looked_up, node, hit->owner, std::move(op));
+    send_op(looked_up, node, hit->owner, id);
     return;
   }
   ++counters.nic_tlb_misses;
-  const int home = home_of(base_of_key(op.key));
+  const int home = home_of(base_of_key(key));
   if (home == node) {
     // We ARE the home but hold no entry — only possible for a foreign
     // (unallocated) address.
     NVGAS_CHECK_MSG(false, "gva op on unallocated address");
   }
-  send_op(looked_up, node, home, std::move(op));
+  send_op(looked_up, node, home, id);
 }
 
-void AgasNet::send_op(sim::Time depart, int from, int to, Op op) {
+void AgasNet::send_op(sim::Time depart, int from, int to, std::uint32_t id) {
+  Op& op = ops_[id];
   NVGAS_CHECK_MSG(op.hops < kMaxHops, "gva op forwarding loop");
   ++op.hops;
-  const std::uint64_t bytes = op.wire_bytes();
-  ep(from).raw_send(depart, to, bytes,
-                    [this, to, op = std::move(op)](sim::Time t) mutable {
-                      route(t, to, std::move(op));
-                    });
+  ep(from).raw_send(depart, to, op.wire_bytes(),
+                    [this, to, id](sim::Time t) { route(t, to, id); });
 }
 
-void AgasNet::route(sim::Time t, int at, Op op) {
+void AgasNet::route(sim::Time t, int at, std::uint32_t id) {
+  Op& op = ops_[id];
   auto& counters = fabric_->counters();
   auto& nic = fabric_->nic(at);
   const sim::Time looked_up = nic.occupy_command_processor(t, sim::kNicTlbNs);
@@ -133,7 +151,7 @@ void AgasNet::route(sim::Time t, int at, Op op) {
   const int home = home_of(base_of_key(op.key));
 
   if (e != nullptr && e->owner == at && !e->in_flight) {
-    execute(looked_up, at, *e, std::move(op));
+    execute(looked_up, at, *e, id);
     return;
   }
 
@@ -142,14 +160,14 @@ void AgasNet::route(sim::Time t, int at, Op op) {
     if (e->in_flight) {
       // Block is mid-migration: the home queues the op and re-dispatches
       // it at commit (no CPU anywhere).
-      hstate(op.key).queued_ops[op.key].push_back(std::move(op));
+      hstate(op.key).queued_ops[op.key].push_back(id);
       return;
     }
     // Authoritative forward.
     ++counters.nic_forwards;
     const sim::Time fwd =
         nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
-    send_op(fwd, at, e->owner, std::move(op));
+    send_op(fwd, at, e->owner, id);
     return;
   }
 
@@ -165,72 +183,69 @@ void AgasNet::route(sim::Time t, int at, Op op) {
   }
   ++counters.nic_forwards;
   const sim::Time fwd = nic.occupy_command_processor(looked_up, sim::kNicFwdNs);
-  send_op(fwd, at, next, std::move(op));
+  send_op(fwd, at, next, id);
 }
 
 void AgasNet::execute(sim::Time t, int owner, const net::TlbEntry& entry,
-                      Op op) {
+                      std::uint32_t id) {
+  Op& op = ops_[id];
+  op.entry = entry;
   const sim::Lva lva = entry.base + op.offset;
   switch (op.kind) {
-    case Op::Kind::kPut: {
-      std::vector<std::byte> data = std::move(op.data);
-      ep(owner).nic_write(t, lva, std::move(data),
-                          [this, owner, entry, op = std::move(op)](sim::Time done) mutable {
-                            if (op.on_remote) op.on_remote(done);  // remote completion ledger
-                            reply(done, owner, entry, std::move(op), {}, 0);
+    case Op::Kind::kPut:
+      ep(owner).nic_write(t, lva, std::move(op.data),
+                          [this, owner, id](sim::Time done) {
+                            // Moved out first: the remote completion
+                            // ledger's callback may issue ops.
+                            const net::OnDone on_remote =
+                                std::move(ops_[id].on_remote);
+                            if (on_remote) on_remote(done);
+                            reply(done, owner, id);
                           });
       break;
-    }
-    case Op::Kind::kGet: {
-      const std::size_t len = op.len;
-      ep(owner).nic_read(t, lva, len,
-                         [this, owner, entry, op = std::move(op)](
-                             sim::Time done, std::vector<std::byte> data) mutable {
-                           reply(done, owner, entry, std::move(op), std::move(data), 0);
+    case Op::Kind::kGet:
+      ep(owner).nic_read(t, lva, op.len,
+                         [this, owner, id](sim::Time done,
+                                           std::vector<std::byte> data) {
+                           ops_[id].data = std::move(data);
+                           reply(done, owner, id);
                          });
       break;
-    }
     case Op::Kind::kFadd: {
       const std::uint64_t operand = op.operand;
       ep(owner).nic_atomic(
           t,
           [lva, operand](sim::Memory& mem) { return mem.fetch_add_u64(lva, operand); },
-          [this, owner, entry, op = std::move(op)](sim::Time done,
-                                                   std::uint64_t old) mutable {
-            reply(done, owner, entry, std::move(op), {}, old);
+          [this, owner, id](sim::Time done, std::uint64_t old) {
+            ops_[id].fadd_old = old;
+            reply(done, owner, id);
           });
       break;
     }
   }
 }
 
-void AgasNet::reply(sim::Time depart, int owner, const net::TlbEntry& entry,
-                    Op op, std::vector<std::byte> get_data,
-                    std::uint64_t fadd_old) {
+void AgasNet::reply(sim::Time depart, int owner, std::uint32_t id) {
+  const Op& op = ops_[id];
   const int src = op.src;
   if (src == owner) {
     // Local op: complete immediately, no ack message.
-    complete(op, depart, std::move(get_data), fadd_old);
+    complete(depart, id);
     return;
   }
 
   const std::uint64_t bytes =
-      kReplyBytes + (op.kind == Op::Kind::kGet ? get_data.size() : 0);
-  ep(owner).raw_send(
-      depart, src, bytes,
-      [this, src, entry, fadd_old, op = std::move(op),
-       get_data = std::move(get_data)](sim::Time t) mutable {
-        auto& src_nic = fabric_->nic(src);
-        sim::Time done = src_nic.occupy_command_processor(t, sim::kNicTlbNs);
-        piggyback(src, op.key, entry);
-        if (op.kind == Op::Kind::kGet) {
-          done = src_nic.occupy_dma(done, get_data.size());
-        }
-        fabric_->engine().at(done, [done, fadd_old, op = std::move(op),
-                                    get_data = std::move(get_data)]() mutable {
-          complete(op, done, std::move(get_data), fadd_old);
-        });
-      });
+      kReplyBytes + (op.kind == Op::Kind::kGet ? op.data.size() : 0);
+  ep(owner).raw_send(depart, src, bytes, [this, src, id](sim::Time t) {
+    auto& src_nic = fabric_->nic(src);
+    sim::Time done = src_nic.occupy_command_processor(t, sim::kNicTlbNs);
+    const Op& arrived = ops_[id];
+    piggyback(src, arrived.key, arrived.entry);
+    if (arrived.kind == Op::Kind::kGet) {
+      done = src_nic.occupy_dma(done, arrived.data.size());
+    }
+    fabric_->engine().at(done, [this, done, id] { complete(done, id); });
+  });
 }
 
 AgasNet::Op AgasNet::make_op(Op::Kind kind, int src, gas::Gva addr) {
@@ -262,7 +277,7 @@ void AgasNet::do_memput(sim::TaskCtx& task, int node, gas::Gva dst,
   op.on_done = std::move(done);
   op.on_remote = std::move(remote_notify);
   observe_op(node, op.key, op.on_done);
-  issue(task, node, std::move(op));
+  issue(task, node, park_op(std::move(op)));
 }
 
 void AgasNet::do_memget(sim::TaskCtx& task, int node, gas::Gva src,
@@ -271,7 +286,7 @@ void AgasNet::do_memget(sim::TaskCtx& task, int node, gas::Gva src,
   op.len = static_cast<std::uint32_t>(len);
   op.on_data = std::move(done);
   observe_op(node, op.key, op.on_data);
-  issue(task, node, std::move(op));
+  issue(task, node, park_op(std::move(op)));
 }
 
 void AgasNet::do_fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
@@ -280,7 +295,7 @@ void AgasNet::do_fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
   op.operand = operand;
   op.on_u64 = std::move(done);
   observe_op(node, op.key, op.on_u64);
-  issue(task, node, std::move(op));
+  issue(task, node, park_op(std::move(op)));
 }
 
 void AgasNet::do_resolve(sim::TaskCtx& task, int node, gas::Gva addr,
@@ -408,7 +423,7 @@ void AgasNet::mig_alloc_ok(sim::Time t, gas::Gva block_base, sim::Lva dst_lva) {
       hint.generation = next_gen;
       hint.pinned = false;
       tlb_mut(owner).erase(key);
-      (void)tlb_mut(owner).insert(key, hint);
+      tlb_mut(owner).insert(key, hint);
     }
 
     ep(owner).nic_read(t2, old_lva, bsize, [this, block_base, key, owner, dst,
@@ -430,7 +445,7 @@ void AgasNet::mig_alloc_ok(sim::Time t, gas::Gva block_base, sim::Lva dst_lva) {
                 owned.generation = next_gen;
                 owned.pinned = true;
                 tlb_mut(dst).erase(key);
-                NVGAS_CHECK(tlb_mut(dst).insert(key, owned));
+                tlb_mut(dst).insert(key, owned);
               }
               ep(dst).raw_send(write_done, home, kCtrlBytes,
                                [this, block_base](sim::Time t4) {
@@ -470,13 +485,13 @@ void AgasNet::mig_commit(sim::Time t, gas::Gva block_base) {
   // Re-dispatch ops that queued during the move (forward to new owner).
   const auto qit = hs.queued_ops.find(key);
   if (qit != hs.queued_ops.end()) {
-    auto ops = std::move(qit->second);
+    const std::vector<std::uint32_t> ids = std::move(qit->second);
     hs.queued_ops.erase(qit);
     sim::Time depart = committed;
-    for (auto& op : ops) {
+    for (const std::uint32_t id : ids) {
       depart = hnic.occupy_command_processor(depart, sim::kNicFwdNs);
       ++counters.nic_forwards;
-      send_op(depart, home, mig.dst, std::move(op));
+      send_op(depart, home, mig.dst, id);
     }
   }
 
@@ -514,7 +529,7 @@ std::pair<int, sim::Lva> AgasNet::drop_block_state(gas::Gva block_base) {
                   "free_alloc with queued migrations");
   const std::pair<int, sim::Lva> place{e->owner, e->base};
   // Collective free: every NIC drops its entry (pinned or cached).
-  for (auto& tlb : tlbs_) tlb->erase(key);
+  for (auto& tlb : tlbs_) tlb.erase(key);
   return place;
 }
 
@@ -601,6 +616,16 @@ std::string AgasNet::audit_quiescent() const {
   }
   if (qmigs != 0) {
     return util::format("%zu block(s) still hold queued migrations", qmigs);
+  }
+  if (ops_.size() != free_ops_.size()) {
+    for (const Op& op : ops_) {
+      if (op.src < 0) continue;
+      return util::format(
+          "%zu op(s) never completed; the first is on block %llx from node "
+          "%d after %d hop(s)",
+          ops_.size() - free_ops_.size(),
+          static_cast<unsigned long long>(op.key), op.src, op.hops);
+    }
   }
   const int n_nodes = fabric_->nodes();
   for (int n = 0; n < n_nodes; ++n) {

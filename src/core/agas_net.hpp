@@ -21,7 +21,6 @@
 // an atomic remap of the home NIC's entry.
 #pragma once
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -59,11 +58,13 @@ class AgasNet final : public gas::GasBase {
   // agree with the home on owner/base, pinned or in-flight state is
   // confined to the home (plus the committed new owner's pinned copy),
   // and a committed non-home owner holds that pinned copy.
+  // audit_quiescent also reports ops still parked in the slab: an op
+  // that never completes would otherwise only leave a fiber waiting.
   [[nodiscard]] std::string audit_translation() const override;
   [[nodiscard]] std::string audit_quiescent() const override;
 
   [[nodiscard]] const net::NicTlb& tlb(int node) const {
-    return *tlbs_.at(static_cast<std::size_t>(node));
+    return tlbs_.at(static_cast<std::size_t>(node));
   }
 
  protected:
@@ -79,17 +80,21 @@ class AgasNet final : public gas::GasBase {
   std::pair<int, sim::Lva> drop_block_state(gas::Gva block_base) override;
 
  private:
+  // An in-flight GVA op. It is parked in the ops_ slab from issue to
+  // completion, and every hop's closure carries only its slab id.
   struct Op {
     enum class Kind : std::uint8_t { kPut, kGet, kFadd };
     Kind kind = Kind::kPut;
-    int src = -1;
+    bool used_hint = false;  // a hint forward may be taken only once
+    int src = -1;            // -1: the slab slot is free
     std::uint64_t key = 0;
     std::uint32_t offset = 0;
-    std::vector<std::byte> data;   // put payload
     std::uint32_t len = 0;         // get length
+    std::vector<std::byte> data;   // put payload; get result
     std::uint64_t operand = 0;     // fadd operand
+    std::uint64_t fadd_old = 0;    // fadd result
     int hops = 0;
-    bool used_hint = false;  // a hint forward may be taken only once
+    net::TlbEntry entry;  // owner's translation, piggybacked on the reply
     net::OnDone on_done;
     net::OnData on_data;
     net::OnU64 on_u64;
@@ -106,6 +111,12 @@ class AgasNet final : public gas::GasBase {
   void observe_op(int node, std::uint64_t key,
                   std::function<void(sim::Time, Args...)>& done);
 
+  // Move `op` into the slab and return its id; unpark_op(id) moves it
+  // back out and frees the id. A reference into ops_ is valid only until
+  // the next park_op, so no Op& is held across anything that may issue.
+  [[nodiscard]] std::uint32_t park_op(Op op);
+  [[nodiscard]] Op unpark_op(std::uint32_t id);
+
   struct Migration {
     int dst = -1;
     int initiator = -1;
@@ -119,7 +130,7 @@ class AgasNet final : public gas::GasBase {
   };
 
   [[nodiscard]] net::NicTlb& tlb_mut(int node) {
-    return *tlbs_.at(static_cast<std::size_t>(node));
+    return tlbs_.at(static_cast<std::size_t>(node));
   }
   [[nodiscard]] int home_of(gas::Gva block_base) const {
     return block_base.home(fabric_->nodes());
@@ -130,25 +141,24 @@ class AgasNet final : public gas::GasBase {
 
   // Source-side issue: CPU posts the descriptor, the source NIC looks up
   // its TLB and targets the owner or the home.
-  void issue(sim::TaskCtx& task, int node, Op op);
+  void issue(sim::TaskCtx& task, int node, std::uint32_t id);
 
   // NIC-level routing at `at` when the op message arrives (time `t` is
   // post-rx-port).
-  void route(sim::Time t, int at, Op op);
-  void send_op(sim::Time depart, int from, int to, Op op);
+  void route(sim::Time t, int at, std::uint32_t id);
+  void send_op(sim::Time depart, int from, int to, std::uint32_t id);
 
   // Execute at the verified owner.
-  void execute(sim::Time t, int owner, const net::TlbEntry& entry, Op op);
+  void execute(sim::Time t, int owner, const net::TlbEntry& entry,
+               std::uint32_t id);
   // Install an unpinned copy of `entry`, piggybacked on a reply, in the
   // TLB of `node`, unless `node` holds a pinned or newer entry
   // (NicTlb::update).
   void piggyback(int node, std::uint64_t key, net::TlbEntry entry);
-  // Run the op's completion callback at `t`.
-  static void complete(Op& op, sim::Time t, std::vector<std::byte> get_data,
-                       std::uint64_t fadd_old);
+  // Unpark the op and run its completion callback at `t`.
+  void complete(sim::Time t, std::uint32_t id);
   // Ack/reply to the source, piggybacking the owner's translation.
-  void reply(sim::Time depart, int owner, const net::TlbEntry& entry, Op op,
-             std::vector<std::byte> get_data, std::uint64_t fadd_old);
+  void reply(sim::Time depart, int owner, std::uint32_t id);
 
   // Migration steps (NIC-level at the home except the dst allocation).
   void mig_request(sim::Time t, gas::Gva block_base, int dst, int initiator,
@@ -165,7 +175,7 @@ class AgasNet final : public gas::GasBase {
     // simlint:allow(D1: keyed find/erase only, never iterated)
     std::unordered_map<std::uint64_t, Migration> migrations;
     // simlint:allow(D1: vector extracted per key; the map is never iterated)
-    std::unordered_map<std::uint64_t, std::vector<Op>> queued_ops;
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> queued_ops;
     // simlint:allow(D1: vector extracted per key; the map is never iterated)
     std::unordered_map<std::uint64_t, std::vector<PendingMigration>> queued_migs;
   };
@@ -173,8 +183,11 @@ class AgasNet final : public gas::GasBase {
     return homes_.at(static_cast<std::size_t>(home_of(base_of_key(key))));
   }
 
-  std::vector<std::unique_ptr<net::NicTlb>> tlbs_;
+  std::vector<net::NicTlb> tlbs_;
   std::vector<HomeState> homes_;
+  // In-flight ops by id, and the ids free for reuse.
+  std::vector<Op> ops_;
+  std::vector<std::uint32_t> free_ops_;
 };
 
 }  // namespace nvgas::core

@@ -3,7 +3,9 @@
 // owned / hint), and the closed-form cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/nvgas.hpp"
 
@@ -102,29 +104,29 @@ TEST(AgasNetWhitebox, TlbRolesThroughAMigration) {
   const auto key = block.block_key();
 
   // Home (2): pinned, authoritative, generation 2.
-  const auto home_e = const_cast<net::NicTlb&>(net.tlb(2)).lookup(key);
-  ASSERT_TRUE(home_e.has_value());
+  const net::TlbEntry* home_e = net.tlb(2).peek(key);
+  ASSERT_NE(home_e, nullptr);
   EXPECT_TRUE(home_e->pinned);
   EXPECT_EQ(home_e->owner, 4);
   EXPECT_EQ(home_e->generation, 2u);
   EXPECT_FALSE(home_e->in_flight);
 
   // Current owner (4): pinned owned entry.
-  const auto owner_e = const_cast<net::NicTlb&>(net.tlb(4)).lookup(key);
-  ASSERT_TRUE(owner_e.has_value());
+  const net::TlbEntry* owner_e = net.tlb(4).peek(key);
+  ASSERT_NE(owner_e, nullptr);
   EXPECT_TRUE(owner_e->pinned);
   EXPECT_EQ(owner_e->owner, 4);
 
   // Previous owner (6): unpinned forwarding hint to 4.
-  const auto hint_e = const_cast<net::NicTlb&>(net.tlb(6)).lookup(key);
-  ASSERT_TRUE(hint_e.has_value());
+  const net::TlbEntry* hint_e = net.tlb(6).peek(key);
+  ASSERT_NE(hint_e, nullptr);
   EXPECT_FALSE(hint_e->pinned);
   EXPECT_EQ(hint_e->owner, 4);
 
   // Stale source (0): unpinned cached entry pointing at the FIRST
   // location it learned (the home, who owned at warmup).
-  const auto src_e = const_cast<net::NicTlb&>(net.tlb(0)).lookup(key);
-  ASSERT_TRUE(src_e.has_value());
+  const net::TlbEntry* src_e = net.tlb(0).peek(key);
+  ASSERT_NE(src_e, nullptr);
   EXPECT_FALSE(src_e->pinned);
   EXPECT_EQ(src_e->owner, 2);
 }
@@ -141,8 +143,8 @@ TEST(AgasNetWhitebox, PiggybackRepairsStaleSourceAfterOneAccess) {
   });
   world.run();
   const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
-  const auto e = const_cast<net::NicTlb&>(net.tlb(0)).lookup(block.block_key());
-  ASSERT_TRUE(e.has_value());
+  const net::TlbEntry* e = net.tlb(0).peek(block.block_key());
+  ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->owner, 5);  // repaired by the ack's piggyback
   EXPECT_GE(world.counters().nic_forwards, 1u);
 }
@@ -221,11 +223,161 @@ TEST(AgasNetWhitebox, FreeRemovesEveryEntry) {
   const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
   for (int n = 0; n < 4; ++n) {
     for (int b = 0; b < 4; ++b) {
-      EXPECT_FALSE(const_cast<net::NicTlb&>(net.tlb(n))
-                       .lookup(base.advanced(b * 256, 256).block_key())
-                       .has_value());
+      EXPECT_EQ(net.tlb(n).peek(base.advanced(b * 256, 256).block_key()),
+                nullptr);
     }
   }
+}
+
+// The in-flight op slab: every op leaves it when it completes, and an op
+// that never completes shows up in the quiescent audit.
+TEST(AgasNetWhitebox, SlabHoldsNoOpsAfterRun) {
+  for (const bool lossy : {false, true}) {
+    Config cfg = Config::with_nodes(8, GasMode::kAgasNet);
+    if (lossy) {
+      sim::FaultRule drop;
+      drop.drop = 0.05;
+      cfg.faults.rules.push_back(drop);
+    }
+    World world(cfg);
+    world.run_spmd([&world](Context& ctx) -> Fiber {
+      const Gva table = alloc_cyclic(ctx, 8, 256);
+      for (int b = 0; b < 8; ++b) {
+        const Gva block = table.advanced(((ctx.rank() + b) % 8) * 256, 256);
+        co_await memput_value<std::uint64_t>(ctx, block, 1);
+        (void)co_await fetch_add(ctx, block, 2);
+        (void)co_await memget_value<std::uint64_t>(ctx, block);
+      }
+      if (ctx.rank() == 0) co_await migrate(ctx, table, 5);
+      (void)co_await memget_value<std::uint64_t>(ctx, table);
+      co_await world.coll().barrier(ctx);
+    });
+    EXPECT_EQ(world.gas().audit_quiescent(), "") << "lossy=" << lossy;
+  }
+}
+
+TEST(AgasNetWhitebox, QuiescentAuditNamesAnUnfinishedOp) {
+  World world(Config::with_nodes(4, GasMode::kAgasNet));
+  Gva block;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    block = alloc_cyclic(ctx, 4, 256);
+    while (block.home(4) != 2) block = block.advanced(256, 256);
+    (void)co_await fetch_add(ctx, block, 1);
+  });
+  // Step event by event: while the fetch_add is on the wire the audit
+  // names it; once it completes the audit is clean.
+  std::string seen;
+  while (!world.engine().idle()) {
+    (void)world.run(1);
+    const std::string err = world.gas().audit_quiescent();
+    if (seen.empty()) seen = err;
+  }
+  EXPECT_NE(seen.find("1 op(s) never completed"), std::string::npos) << seen;
+  EXPECT_NE(seen.find("from node 0 after 1 hop(s)"), std::string::npos)
+      << seen;
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
+}
+
+// Ops issued from inside completions. Each fetch_add and memget
+// completion issues two more until a budget runs out, and a memput's
+// remote-notify callback issues three fetch_adds while the put is still
+// parked; as the run's first op it leaves the slab no free id, so the
+// slab grows under that callback. Every callback captures 16 bytes or
+// less, which std::function stores inside the op itself, and reads its
+// captures again after issuing: a callback run in place while the slab
+// grows would read them from freed memory, which the sanitizer builds
+// report.
+struct SlabChain {
+  gas::GasBase* gas = nullptr;
+  sim::Fabric* fabric = nullptr;
+  Gva counter;
+  Gva cell;
+  int owner = -1;  // the cell's owner, where its remote notify fires
+  int budget = 200;
+  int issued = 0;
+  int fadds_done = 0;
+  int gets_done = 0;
+  int notifies = 0;
+  int notified_fadds = 0;
+  int bad_gets = 0;
+  std::uint64_t max_old = 0;
+  bool put_done = false;
+
+  void put_with_notify(int node, sim::Time t) {
+    sim::TaskCtx task(fabric->cpu(node), t);
+    gas->memput_notify(
+        task, node, cell, std::vector<std::byte>(8, std::byte{7}),
+        [c = this](sim::Time) { c->put_done = true; },
+        [c = this](sim::Time done) {
+          c->notify(done);
+          ++c->notifies;
+        });
+  }
+
+  void notify(sim::Time t) {
+    sim::TaskCtx task(fabric->cpu(owner), t);
+    for (int i = 0; i < 3; ++i) {
+      gas->fetch_add(task, owner, counter, 1,
+                     [c = this](sim::Time, std::uint64_t) {
+                       ++c->notified_fadds;
+                     });
+    }
+  }
+
+  void issue_two(int node, sim::Time t) {
+    sim::TaskCtx task(fabric->cpu(node), t);
+    if (issued++ < budget) {
+      gas->fetch_add(task, node, counter, 1,
+                     [c = this, node](sim::Time done, std::uint64_t old) {
+                       c->issue_two((node + 1) % 4, done);
+                       ++c->fadds_done;
+                       c->max_old = std::max(c->max_old, old);
+                     });
+    }
+    if (issued++ < budget) {
+      gas->memget(task, node, cell, 8,
+                  [c = this, node](sim::Time done, std::vector<std::byte> data) {
+                    c->issue_two((node + 3) % 4, done);
+                    ++c->gets_done;
+                    if (data != std::vector<std::byte>(8, std::byte{7})) {
+                      ++c->bad_gets;
+                    }
+                  });
+    }
+  }
+};
+
+TEST(AgasNetWhitebox, OpsIssuedFromCompletionsGrowTheSlab) {
+  World world(Config::with_nodes(4, GasMode::kAgasNet));
+  SlabChain chain;
+  chain.gas = &world.gas();
+  chain.fabric = &world.fabric();
+  world.spawn(0, [&chain](Context& ctx) -> Fiber {
+    chain.counter = alloc_cyclic(ctx, 4, 64);
+    while (chain.counter.home(4) != 1) {
+      chain.counter = chain.counter.advanced(64, 64);
+    }
+    chain.cell = chain.counter.advanced(64, 64);
+    co_return;
+  });
+  world.run();
+  chain.owner = world.gas().owner_of(chain.cell).first;
+  ASSERT_NE(chain.owner, 3);
+
+  chain.put_with_notify(3, world.engine().now());
+  world.run();
+  EXPECT_TRUE(chain.put_done);
+  EXPECT_EQ(chain.notifies, 1);
+  EXPECT_EQ(chain.notified_fadds, 3);
+
+  chain.issue_two(0, world.engine().now());
+  world.run();
+  EXPECT_EQ(chain.fadds_done + chain.gets_done, chain.budget);
+  EXPECT_EQ(chain.bad_gets, 0);
+  // The notify's three adds came first; the chain's adds return every
+  // value after them exactly once.
+  EXPECT_EQ(chain.max_old, 3u + static_cast<std::uint64_t>(chain.fadds_done) - 1);
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
 }
 
 // --- closed-form cost model ---------------------------------------------------

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "reference_nic_tlb.hpp"
+#include "util/rng.hpp"
+
 namespace nvgas::net {
 namespace {
 
@@ -17,7 +23,7 @@ TlbEntry entry(int owner, sim::Lva base = 0, std::uint32_t gen = 0,
 
 TEST(NicTlb, InsertLookup) {
   NicTlb tlb(8);
-  EXPECT_TRUE(tlb.insert(42, entry(3, 0x1000, 7)));
+  tlb.insert(42, entry(3, 0x1000, 7));
   auto e = tlb.lookup(42);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->owner, 3);
@@ -93,7 +99,7 @@ TEST(NicTlb, PinnedEntriesDoNotConsumeCacheCapacity) {
   // full cache of unpinned ones.
   NicTlb tlb(2);
   for (std::uint64_t k = 100; k < 110; ++k) {
-    EXPECT_TRUE(tlb.insert(k, entry(0, 0, 0, true)));
+    tlb.insert(k, entry(0, 0, 0, true));
   }
   tlb.insert(1, entry(1));
   tlb.insert(2, entry(2));
@@ -156,6 +162,126 @@ TEST(NicTlb, HeavyChurnStaysWithinCapacity) {
     EXPECT_LE(tlb.size(), 16u);
   }
   EXPECT_EQ(tlb.evictions(), 1000u - 16u);
+}
+
+// --- differential test against the seed table ---------------------------------
+
+bool same(const TlbEntry& a, const TlbEntry& b) {
+  return a.owner == b.owner && a.base == b.base &&
+         a.generation == b.generation && a.pinned == b.pinned &&
+         a.in_flight == b.in_flight;
+}
+
+// Everything observable about the two tables must agree: counters, size
+// and the whole entries() sequence (pin order, then LRU order).
+void expect_same_state(const NicTlb& tlb, const ReferenceNicTlb& ref,
+                       const std::string& where) {
+  ASSERT_EQ(tlb.hits(), ref.hits()) << where;
+  ASSERT_EQ(tlb.misses(), ref.misses()) << where;
+  ASSERT_EQ(tlb.evictions(), ref.evictions()) << where;
+  ASSERT_EQ(tlb.size(), ref.size()) << where;
+  const auto got = tlb.entries();
+  const auto want = ref.entries();
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].first, want[i].first) << where << " entry " << i;
+    ASSERT_TRUE(same(got[i].second, want[i].second)) << where << " entry " << i;
+  }
+}
+
+// Replays `calls` seeded random calls on both tables. Keys are shaped
+// like block keys (low 20 bits zero); `pin_pct` percent of inserts pin.
+// Records the largest size() reached in `peak`.
+void run_differential(std::size_t capacity, std::uint64_t keyspace,
+                      int calls, std::uint64_t pin_pct, std::uint64_t seed,
+                      std::size_t& peak) {
+  NicTlb tlb(capacity);
+  ReferenceNicTlb ref(capacity);
+  util::Rng rng(seed);
+  const auto random_entry = [&rng](bool pinned) {
+    return entry(static_cast<int>(rng.below(64)), rng.below(1u << 16) * 64,
+                 static_cast<std::uint32_t>(rng.below(4)), pinned);
+  };
+  for (int c = 0; c < calls; ++c) {
+    const std::uint64_t key = (rng.below(keyspace) + 1) << 20;
+    const std::string where = "capacity " + std::to_string(capacity) +
+                              " call " + std::to_string(c);
+    switch (rng.below(6)) {
+      case 0: {
+        const TlbEntry e = random_entry(rng.below(100) < pin_pct);
+        tlb.insert(key, e);
+        (void)ref.insert(key, e);
+        break;
+      }
+      case 1: {
+        const TlbEntry e = random_entry(false);  // stale or fresh generation
+        ASSERT_EQ(tlb.update(key, e), ref.update(key, e)) << where;
+        break;
+      }
+      case 2: {
+        const auto got = tlb.lookup(key);
+        const auto want = ref.lookup(key);
+        ASSERT_EQ(got.has_value(), want.has_value()) << where;
+        if (got) {
+          ASSERT_TRUE(same(*got, *want)) << where;
+        }
+        break;
+      }
+      case 3: {
+        // find, then remap in place the way a migration does.
+        TlbEntry* got = tlb.find(key);
+        TlbEntry* want = ref.find(key);
+        ASSERT_EQ(got == nullptr, want == nullptr) << where;
+        if (got != nullptr) {
+          ASSERT_TRUE(same(*got, *want)) << where;
+          const TlbEntry e = random_entry(got->pinned);
+          for (TlbEntry* t : {got, want}) {
+            t->owner = e.owner;
+            t->base = e.base;
+            t->generation = e.generation;
+            t->in_flight = !t->in_flight;
+          }
+        }
+        break;
+      }
+      case 4:
+        tlb.erase(key);
+        ref.erase(key);
+        break;
+      default: {
+        const TlbEntry* got = tlb.peek(key);
+        const TlbEntry* want = ref.peek(key);
+        ASSERT_EQ(got == nullptr, want == nullptr) << where;
+        if (got != nullptr) {
+          ASSERT_TRUE(same(*got, *want)) << where;
+        }
+        break;
+      }
+    }
+    expect_same_state(tlb, ref, where);
+    if (::testing::Test::HasFatalFailure()) return;
+    peak = std::max(peak, tlb.size());
+  }
+}
+
+TEST(NicTlbDifferential, MatchesSeedTableUnderRandomCalls) {
+  // Small capacities churn the LRU chain; keyspaces above capacity keep
+  // eviction, re-pinning and unpinning frequent.
+  std::uint64_t seed = 1;
+  std::size_t peak = 0;
+  for (const std::size_t capacity : {1, 2, 3, 8, 64}) {
+    run_differential(capacity, 4 * capacity + 8, 25'000, 30, seed++, peak);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(NicTlbDifferential, MatchesSeedTableThroughTableGrowth) {
+  // Mostly pinned inserts over a large keyspace: the table doubles from
+  // 16 slots at least six times (past 512 entries) while both chains are
+  // linked.
+  std::size_t peak = 0;
+  run_differential(64, 4096, 20'000, 70, 99, peak);
+  EXPECT_GT(peak, 512u);
 }
 
 }  // namespace

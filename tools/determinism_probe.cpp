@@ -17,6 +17,7 @@
 // simulated model shows up as a failing test (update the file in the
 // same change that deliberately alters the model).
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -55,12 +56,7 @@ std::uint64_t engine_wheel_hash(std::uint64_t seed) {
 
 // Scenario B: a full World integration pass — allocation, one-sided
 // puts/gets, atomics, migration, spanning I/O — on one GAS mode.
-std::uint64_t world_hash(nvgas::GasMode mode, std::uint64_t seed,
-                         const nvgas::sim::FaultPlan& faults = {}) {
-  nvgas::Config cfg = nvgas::Config::with_nodes(8, mode);
-  cfg.seed = seed;
-  cfg.faults = faults;  // empty plan: injector never built, trace untouched
-  nvgas::World world(cfg);
+void run_world_program(nvgas::World& world) {
   world.run_spmd([&world](nvgas::Context& ctx) -> nvgas::Fiber {
     const nvgas::Gva table = nvgas::alloc_cyclic(ctx, 8, 4096);
     for (int b = 0; b < 8; ++b) {
@@ -88,7 +84,78 @@ std::uint64_t world_hash(nvgas::GasMode mode, std::uint64_t seed,
     nvgas::free_alloc(ctx, counter);
     nvgas::free_alloc(ctx, table);
   });
+}
+
+std::uint64_t world_hash(nvgas::GasMode mode, std::uint64_t seed,
+                         const nvgas::sim::FaultPlan& faults = {}) {
+  nvgas::Config cfg = nvgas::Config::with_nodes(8, mode);
+  cfg.seed = seed;
+  cfg.faults = faults;  // empty plan: injector never built, trace untouched
+  nvgas::World world(cfg);
+  run_world_program(world);
   return world.engine().trace_hash();
+}
+
+// Scenario B on agas-net with 4-entry NIC TLBs, followed by a phase
+// whose routing depends on NIC-TLB eviction: every block of a fresh
+// allocation moves off its home, then each rank sweeps all eight blocks
+// twice. With room for them, the second sweep goes straight to the
+// owners; with 4 entries, LRU has evicted each translation before its
+// revisit, so the op detours through the home again.
+struct TlbRun {
+  std::uint64_t hash;
+  std::uint64_t evictions;  // summed over every NIC
+};
+
+TlbRun agas_net_tlb_run(std::size_t tlb_capacity, std::uint64_t seed) {
+  nvgas::Config cfg = nvgas::Config::with_nodes(8, nvgas::GasMode::kAgasNet);
+  cfg.seed = seed;
+  cfg.agas_net.tlb_capacity = tlb_capacity;
+  nvgas::World world(cfg);
+  run_world_program(world);
+  world.run_spmd([&world](nvgas::Context& ctx) -> nvgas::Fiber {
+    const nvgas::Gva table = nvgas::alloc_cyclic(ctx, 8, 256);
+    co_await world.coll().barrier(ctx);
+    if (ctx.rank() == 0) {
+      for (int b = 0; b < 8; ++b) {
+        const nvgas::Gva block = table.advanced(b * 256, 256);
+        co_await nvgas::migrate(ctx, block, (block.home(8) + 3) % 8);
+      }
+    }
+    co_await world.coll().barrier(ctx);
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      for (int b = 0; b < 8; ++b) {
+        (void)co_await nvgas::memget_value<std::uint64_t>(
+            ctx, table.advanced(((ctx.rank() + b) % 8) * 256, 256));
+      }
+    }
+    co_await world.coll().barrier(ctx);
+    nvgas::free_alloc(ctx, table);
+  });
+  const auto& net = dynamic_cast<const nvgas::core::AgasNet&>(world.gas());
+  TlbRun run{world.engine().trace_hash(), 0};
+  for (int n = 0; n < cfg.machine.nodes; ++n) {
+    run.evictions += net.tlb(n).evictions();
+  }
+  return run;
+}
+
+// Exits 1 unless some NIC evicted and the hash differs from the same
+// program with default-capacity TLBs: otherwise the scenario would
+// cover nothing the default does.
+std::uint64_t world_agas_net_tlb4(std::uint64_t seed) {
+  const TlbRun small = agas_net_tlb_run(4, seed);
+  const TlbRun roomy =
+      agas_net_tlb_run(nvgas::core::AgasNetConfig{}.tlb_capacity, seed);
+  if (small.evictions == 0 || small.hash == roomy.hash) {
+    std::fprintf(stderr,
+                 "world_agas_net_tlb4: %llu eviction(s), hash %s the "
+                 "default-capacity run's\n",
+                 static_cast<unsigned long long>(small.evictions),
+                 small.hash == roomy.hash ? "equals" : "differs from");
+    std::exit(1);
+  }
+  return small.hash;
 }
 
 // Scenario C: a World with the adaptive migration subsystem enabled —
@@ -210,6 +277,7 @@ constexpr Scenario kScenarios[] = {
     {"world_pgas", world<nvgas::GasMode::kPgas>},
     {"world_agas_sw", world<nvgas::GasMode::kAgasSw>},
     {"world_agas_net", world<nvgas::GasMode::kAgasNet>},
+    {"world_agas_net_tlb4", world_agas_net_tlb4},
     {"lb_pgas_greedy",
      world_lb<nvgas::GasMode::kPgas, nvgas::lb::PolicyKind::kGreedy>},
     {"lb_pgas_hyst",
