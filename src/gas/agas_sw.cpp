@@ -16,9 +16,10 @@ constexpr std::uint64_t kReplyBytes = 48;
 AgasSw::AgasSw(sim::Fabric& fabric, net::EndpointGroup& endpoints,
                GlobalHeap& heap, GasCosts config)
     : GasBase(fabric, endpoints, heap), config_(config) {
-  // Host array of per-node SW translation caches; each cache is bounded by
-  // sw_cache_capacity, so per-simulated-node state is O(1).
-  // protolint:allow(P4: host array of capacity-bounded per-node SW caches)
+  // Host array of per-node SW translation caches; each grows only as
+  // entries arrive, up to sw_cache_capacity, so per-simulated-node state
+  // is O(entries cached).
+  // protolint:allow(P4: host array of per-node SW caches, each grown on demand up to sw_cache_capacity)
   nodes_.reserve(static_cast<std::size_t>(fabric.nodes()));
   for (int n = 0; n < fabric.nodes(); ++n) {
     nodes_.emplace_back(config_.sw_cache_capacity);
@@ -61,7 +62,7 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
           });
       return;
     }
-    cont(task, CacheEntry{e.owner, e.lva, e.generation});
+    cont(task, net::TlbEntry{e.owner, e.lva, e.generation});
     return;
   }
 
@@ -101,8 +102,8 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
         });
     return;
   }
-  e.sharers.insert(requester);
-  const CacheEntry entry{e.owner, e.lva, e.generation};
+  e.add_sharer(requester);
+  const net::TlbEntry entry{e.owner, e.lva, e.generation};
 
   task.charge(ep(home).post_cost());
   // The handler finds the requester as the node it runs on, which keeps
@@ -163,15 +164,15 @@ void AgasSw::do_memput(sim::TaskCtx& task, int node, Gva dst,
       task, node, dst.block_base(),
       [this, node, key, off, data = std::move(data), done = std::move(done),
        remote_notify = std::move(remote_notify)](sim::TaskCtx& t,
-                                                 const CacheEntry& e) mutable {
+                                                 const net::TlbEntry& e) mutable {
         if (e.owner == node) {
-          local_put(t, node, e.lva + off, data, done);
+          local_put(t, node, e.base + off, data, done);
           if (remote_notify) remote_notify(t.now());
           return;
         }
         net::OnDone tracked = track_op(node, key, std::move(done));
         t.charge(ep(node).post_cost());
-        ep(node).put(t.now(), e.owner, e.lva + off, std::move(data),
+        ep(node).put(t.now(), e.owner, e.base + off, std::move(data),
                      std::move(tracked), std::move(remote_notify));
       });
 }
@@ -183,14 +184,14 @@ void AgasSw::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
   with_translation(
       task, node, src.block_base(),
       [this, node, key, off, len,
-       done = std::move(done)](sim::TaskCtx& t, const CacheEntry& e) mutable {
+       done = std::move(done)](sim::TaskCtx& t, const net::TlbEntry& e) mutable {
         if (e.owner == node) {
-          local_get(t, node, e.lva + off, len, done);
+          local_get(t, node, e.base + off, len, done);
           return;
         }
         net::OnData tracked = track_op(node, key, std::move(done));
         t.charge(ep(node).post_cost());
-        ep(node).get(t.now(), e.owner, e.lva + off, len, std::move(tracked));
+        ep(node).get(t.now(), e.owner, e.base + off, len, std::move(tracked));
       });
 }
 
@@ -201,21 +202,21 @@ void AgasSw::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
   with_translation(
       task, node, addr.block_base(),
       [this, node, key, off, operand,
-       done = std::move(done)](sim::TaskCtx& t, const CacheEntry& e) mutable {
+       done = std::move(done)](sim::TaskCtx& t, const net::TlbEntry& e) mutable {
         if (e.owner == node) {
-          local_fadd(t, node, e.lva + off, operand, done);
+          local_fadd(t, node, e.base + off, operand, done);
           return;
         }
         net::OnU64 tracked = track_op(node, key, std::move(done));
         t.charge(ep(node).post_cost());
-        ep(node).fetch_add(t.now(), e.owner, e.lva + off, operand,
+        ep(node).fetch_add(t.now(), e.owner, e.base + off, operand,
                            std::move(tracked));
       });
 }
 
 void AgasSw::do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
   with_translation(task, node, addr.block_base(),
-                   [done = std::move(done)](sim::TaskCtx& t, const CacheEntry& e) {
+                   [done = std::move(done)](sim::TaskCtx& t, const net::TlbEntry& e) {
                      done(t.now(), e.owner);
                    });
 }
@@ -279,12 +280,12 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
 
   // Invalidate every sharer; each acks only once its in-flight RMAs have
   // drained. The home fences its own outstanding RMAs the same way.
-  auto sharers = e.sharers;  // copy: set mutates on replay
+  auto sharers = e.sharers;  // copy: the entry mutates on replay
   if (config_.fault_sw_skip_one_sharer_inv && !sharers.empty()) {
     // Test-only seeded fault (mcheck self-validation): "forget" the
     // highest-ranked sharer — send it no INV and do not await its ACK —
     // so its cached translation survives the move stale.
-    sharers.erase(std::prev(sharers.end()));
+    sharers.pop_back();
   }
   mig.pending_acks = static_cast<std::uint32_t>(sharers.size());
   const bool home_fence = st(home).outstanding.count(key) != 0;
@@ -297,7 +298,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
         task.now(), s, kCtrlBytes, [this, key, block_base, s, home](sim::TaskCtx& t2) {
           t2.charge(kInvalidateNs);
           NodeState& ns = st(s);
-          if (ns.cache.invalidate(key)) {
+          if (ns.cache.erase(key)) {
             ++fabric_->counters().sw_cache_invalidations;
           }
           auto send_ack = [this, block_base, s, home](sim::Time t) {
@@ -464,7 +465,7 @@ std::pair<int, sim::Lva> AgasSw::drop_block_state(Gva block_base) {
   const std::pair<int, sim::Lva> place{e.owner, e.lva};
   // Collective free: every rank drops its cached translation.
   for (auto& ns : nodes_) {
-    (void)ns.cache.invalidate(key);
+    (void)ns.cache.erase(key);
     NVGAS_CHECK_MSG(ns.outstanding.count(key) == 0,
                     "free_alloc with in-flight RMAs");
   }
@@ -485,13 +486,13 @@ std::string AgasSw::audit_translation() const {
       }
       const DirEntry& e = dir.at(key);
       if (cached.generation != e.generation || cached.owner != e.owner ||
-          cached.lva != e.lva) {
+          cached.base != e.lva) {
         return util::format(
             "node %d holds a stale translation for block %llx: cached "
             "{owner %d, lva %llx, gen %u} vs directory {owner %d, lva "
             "%llx, gen %u}",
             n, static_cast<unsigned long long>(key), cached.owner,
-            static_cast<unsigned long long>(cached.lva), cached.generation,
+            static_cast<unsigned long long>(cached.base), cached.generation,
             e.owner, static_cast<unsigned long long>(e.lva), e.generation);
       }
     }

@@ -5,8 +5,10 @@
 //   * each block's HOME rank holds the authoritative directory entry
 //     (owner, lva, generation, sharers, move state) — every directory
 //     access is a CPU task at the home;
-//   * every other rank keeps a bounded CLOCK translation cache, filled by
-//     request/response parcels to the home.
+//   * every other rank keeps a bounded translation cache, filled by
+//     request/response parcels to the home: the same exact-LRU table a
+//     NIC holds under agas-net (net::NicTlb, unpinned entries only), but
+//     looked up and filled by CPU tasks.
 //
 // Invariant: a cached translation is never stale. The home enforces it by
 // invalidating all sharers (and waiting for their in-flight RMAs to
@@ -29,7 +31,7 @@
 
 #include "gas/directory.hpp"
 #include "gas/gas_api.hpp"
-#include "gas/tcache.hpp"
+#include "net/nic_tlb.hpp"
 #include "util/inline_function.hpp"
 
 namespace nvgas::gas {
@@ -57,7 +59,7 @@ class AgasSw final : public GasBase {
   [[nodiscard]] std::string audit_quiescent() const override;
 
   // Introspection for tests/benches.
-  [[nodiscard]] const TranslationCache& cache(int node) const {
+  [[nodiscard]] const net::NicTlb& cache(int node) const {
     return nodes_.at(static_cast<std::size_t>(node)).cache;
   }
   [[nodiscard]] const Directory& directory(int node) const {
@@ -78,7 +80,7 @@ class AgasSw final : public GasBase {
  private:
   // Continuation receiving a valid translation, run inside a CPU task on
   // the issuing node.
-  using Cont = std::function<void(sim::TaskCtx&, const CacheEntry&)>;
+  using Cont = std::function<void(sim::TaskCtx&, const net::TlbEntry&)>;
 
   struct Migration {
     int dst = -1;
@@ -102,8 +104,8 @@ class AgasSw final : public GasBase {
 
   struct NodeState {
     explicit NodeState(std::size_t cache_capacity) : cache(cache_capacity) {}
-    // Source side.
-    TranslationCache cache;
+    // Source side: unpinned entries only.
+    net::NicTlb cache;
     // simlint:allow(D1: keyed find/erase only, never iterated)
     std::unordered_map<std::uint64_t, std::vector<Cont>> pending_resolves;
     // simlint:allow(D1: keyed find/erase only, never iterated)

@@ -7,8 +7,8 @@
 // removes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -22,7 +22,12 @@ struct DirEntry {
   sim::Lva lva = 0;
   std::uint32_t generation = 0;
   bool moving = false;
-  std::set<int> sharers;
+  std::vector<int> sharers;  // ascending, no duplicates
+
+  void add_sharer(int node) {
+    const auto it = std::lower_bound(sharers.begin(), sharers.end(), node);
+    if (it == sharers.end() || *it != node) sharers.insert(it, node);
+  }
 };
 
 class Directory {

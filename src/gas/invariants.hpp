@@ -7,7 +7,7 @@
 // audits from the manager (GasBase::audit_translation / audit_quiescent).
 // Together these check, on EVERY explored schedule:
 //
-//   * directory <-> tcache <-> NIC-TLB coherence — every cached
+//   * directory <-> source cache <-> NIC-TLB coherence — every cached
 //     translation anywhere is current-generation, or (agas-net)
 //     stale-detectable: generation strictly below the authoritative
 //     record so the owner NACKs/forwards it;

@@ -166,9 +166,11 @@ const TlbEntry* NicTlb::peek(std::uint64_t block) const {
   return i == kEmpty ? nullptr : &slots_[i].entry;
 }
 
-void NicTlb::erase(std::uint64_t block) {
+bool NicTlb::erase(std::uint64_t block) {
   const std::uint32_t i = find_slot(block);
-  if (i != kEmpty) remove(i);
+  if (i == kEmpty) return false;
+  remove(i);
+  return true;
 }
 
 std::vector<std::pair<std::uint64_t, TlbEntry>> NicTlb::entries() const {

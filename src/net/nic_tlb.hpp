@@ -1,9 +1,15 @@
-// NIC-resident translation table ("NIC TLB").
+// Translation table: global block id -> {owner node, local base address,
+// generation}.
 //
-// This is the hardware structure the paper's contribution programs: each
-// NIC holds a finite map from global block id to {owner node, local base
-// address, generation}. Lookups, inserts and the atomic remap used by
-// migration all execute on the NIC command processor, never the CPU.
+// Both mobile managers hold this one table; only who runs it differs,
+// which is the paper's variable:
+//   * agas-net: each NIC holds one ("NIC TLB"). Lookups, inserts and the
+//     atomic remap used by migration execute on the NIC command
+//     processor, never the CPU. This is the hardware structure the
+//     paper's contribution programs.
+//   * agas-sw: each node's CPU holds one of unpinned entries only, the
+//     source-side translation cache, and every lookup and insert is a
+//     CPU task (gas::AgasSw).
 //
 // Capacity bounds the *cached* (unpinned) entries; eviction is exact LRU.
 // Pinned entries — the home NIC's authoritative records, which live in a
@@ -12,10 +18,9 @@
 // resort, exactly like AGAS's home-based resolution.
 //
 // Layout: one flat open-addressing table of 40-byte slots (Fibonacci
-// multiply-shift hash, linear probing, backward-shift deletion — the
-// scheme TranslationCache uses), so an operation allocates nothing and a
-// probe walks adjacent slots instead of chasing list and bucket nodes.
-// The table starts small and doubles at
+// multiply-shift hash, linear probing, backward-shift deletion), so an
+// operation allocates nothing and a probe walks adjacent slots instead of
+// chasing list and bucket nodes. The table starts small and doubles at
 // load factor 1/2; it is never sized from the capacity, which defaults
 // far above what a run touches. Each occupied slot links to two
 // neighbours by slot index, threading it onto one of two chains:
@@ -76,7 +81,8 @@ class NicTlb {
   // which picks the entry's chain; re-pin through insert().
   [[nodiscard]] TlbEntry* find(std::uint64_t block);
 
-  void erase(std::uint64_t block);
+  // Remove one entry; returns true if it was present.
+  bool erase(std::uint64_t block);
 
   // Read-only probe: no LRU refresh and no hit/miss accounting, so
   // invariant audits never perturb eviction or counters.

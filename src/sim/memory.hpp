@@ -104,10 +104,8 @@ class Memory {
 
   std::byte* materialize(std::size_t chunk) {
     auto& c = chunks_[chunk];
-    if (!c) {
-      c = std::make_unique<std::array<std::byte, kChunkBytes>>();
-      std::memset(c->data(), 0, kChunkBytes);
-    }
+    // Value-initialized: untouched memory reads zero.
+    if (!c) c = std::make_unique<std::array<std::byte, kChunkBytes>>();
     return c->data();
   }
 

@@ -2,7 +2,6 @@
 
 #include "gas/block_store.hpp"
 #include "gas/gheap.hpp"
-#include "gas/tcache.hpp"
 #include "sim/fabric.hpp"
 #include "util/rng.hpp"
 
@@ -131,36 +130,6 @@ TEST_F(HeapFixture, ReleaseMetaForgetsAllocation) {
   heap.release_meta(base.alloc_id());
   EXPECT_FALSE(heap.contains(base));
   EXPECT_DEATH((void)heap.meta_of(base), "unknown");
-}
-
-TEST(TranslationCacheExtra, InsertOverwriteKeepsSize) {
-  TranslationCache cache(4);
-  cache.insert(1, CacheEntry{0, 0, 0});
-  cache.insert(1, CacheEntry{2, 64, 1});
-  EXPECT_EQ(cache.size(), 1u);
-  const auto e = cache.lookup(1);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->owner, 2);
-  EXPECT_EQ(e->generation, 1u);
-}
-
-TEST(TranslationCacheExtra, LruEvictionOrder) {
-  TranslationCache cache(2);
-  cache.insert(1, CacheEntry{1, 0, 0});
-  cache.insert(2, CacheEntry{2, 0, 0});
-  (void)cache.lookup(1);
-  cache.insert(3, CacheEntry{3, 0, 0});
-  EXPECT_TRUE(cache.lookup(1).has_value());
-  EXPECT_FALSE(cache.lookup(2).has_value());
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(TranslationCacheExtra, InvalidateReportsPresence) {
-  TranslationCache cache(2);
-  cache.insert(1, CacheEntry{1, 0, 0});
-  EXPECT_TRUE(cache.invalidate(1));
-  EXPECT_FALSE(cache.invalidate(1));
-  EXPECT_FALSE(cache.lookup(1).has_value());
 }
 
 }  // namespace

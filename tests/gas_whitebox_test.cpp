@@ -33,7 +33,7 @@ TEST(AgasSwWhitebox, DirectoryTracksSharersAsTheyResolve) {
   world.run();
   const auto& sw = dynamic_cast<const gas::AgasSw&>(world.gas());
   const auto& entry = sw.directory(3).at(block.block_key());
-  EXPECT_EQ(entry.sharers, (std::set<int>{1, 2, 5, 7}));
+  EXPECT_EQ(entry.sharers, (std::vector<int>{1, 2, 5, 7}));
   EXPECT_EQ(entry.owner, 3);
   EXPECT_FALSE(entry.moving);
   EXPECT_EQ(entry.generation, 0u);
@@ -85,6 +85,37 @@ TEST(AgasSwWhitebox, CacheHitRatioMatchesCounters) {
   // First access missed, nine hit.
   EXPECT_EQ(world.counters().sw_cache_misses, 1u);
   EXPECT_EQ(world.counters().sw_cache_hits, 9u);
+}
+
+TEST(AgasSwWhitebox, SourceCacheEvictsLeastRecentlyUsed) {
+  // A two-entry source cache on rank 0; A, B and C are homed elsewhere.
+  // Resolving A, B, A, C touches A after B, so C's insert evicts B.
+  Config cfg = Config::with_nodes(4, GasMode::kAgasSw);
+  cfg.gas_costs.sw_cache_capacity = 2;
+  World world(cfg);
+  Gva a;
+  Gva b;
+  Gva c;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    const Gva base = alloc_cyclic(ctx, 8, 256);
+    const auto homed_at = [&](int home) {
+      Gva g = base;
+      while (g.home(4) != home) g = g.advanced(256, 256);
+      return g;
+    };
+    a = homed_at(1);
+    b = homed_at(2);
+    c = homed_at(3);
+    for (const Gva g : {a, b, a, c}) (void)co_await resolve(ctx, g);
+  });
+  world.run();
+  const auto& cache = dynamic_cast<const gas::AgasSw&>(world.gas()).cache(0);
+  EXPECT_NE(cache.peek(a.block_key()), nullptr);
+  EXPECT_EQ(cache.peek(b.block_key()), nullptr);
+  EXPECT_NE(cache.peek(c.block_key()), nullptr);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(world.counters().sw_cache_misses, 3u);
+  EXPECT_EQ(world.counters().sw_cache_hits, 1u);
 }
 
 // --- network-managed AGAS internals -----------------------------------------

@@ -155,6 +155,38 @@ TEST(NicTlb, EraseRemoves) {
   EXPECT_EQ(tlb.size(), 2u);
 }
 
+TEST(NicTlb, EraseReportsPresence) {
+  NicTlb tlb(2);
+  tlb.insert(1, entry(1));
+  EXPECT_TRUE(tlb.erase(1));
+  EXPECT_FALSE(tlb.erase(1));
+  EXPECT_FALSE(tlb.lookup(1).has_value());
+}
+
+// agas-sw's source translation cache is this table with unpinned entries
+// only (gas::AgasSw).
+TEST(TranslationCacheExtra, InsertOverwriteKeepsSize) {
+  NicTlb cache(4);
+  cache.insert(1, entry(0));
+  cache.insert(1, entry(2, 64, 1));
+  EXPECT_EQ(cache.size(), 1u);
+  const auto e = cache.lookup(1);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->owner, 2);
+  EXPECT_EQ(e->generation, 1u);
+}
+
+TEST(TranslationCacheExtra, LruEvictionOrder) {
+  NicTlb cache(2);
+  cache.insert(1, entry(1));
+  cache.insert(2, entry(2));
+  (void)cache.lookup(1);
+  cache.insert(3, entry(3));
+  EXPECT_TRUE(cache.lookup(1).has_value());
+  EXPECT_FALSE(cache.lookup(2).has_value());
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
 TEST(NicTlb, HeavyChurnStaysWithinCapacity) {
   NicTlb tlb(16);
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -244,10 +276,12 @@ void run_differential(std::size_t capacity, std::uint64_t keyspace,
         }
         break;
       }
-      case 4:
-        tlb.erase(key);
+      case 4: {
+        const bool was_present = ref.peek(key) != nullptr;
+        ASSERT_EQ(tlb.erase(key), was_present) << where;
         ref.erase(key);
         break;
+      }
       default: {
         const TlbEntry* got = tlb.peek(key);
         const TlbEntry* want = ref.peek(key);
