@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/agas_net.hpp"
+#include "gas/agas_net.hpp"
 #include "gas/costs.hpp"
 #include "gas/gas_api.hpp"
 #include "lb/policy.hpp"
@@ -22,7 +22,7 @@ struct Config {
   net::NetConfig net;              // middleware knobs
   rt::CollAlgo coll_algo = rt::CollAlgo::kFlat;  // collective algorithm
   gas::GasCosts gas_costs;         // software-AGAS cache size (+ mcheck fault)
-  core::AgasNetConfig agas_net;    // NIC TLB capacity
+  gas::AgasNetConfig agas_net;     // NIC TLB capacity
   lb::LbConfig lb;                 // adaptive migration subsystem (src/lb)
   sim::FaultPlan faults;           // wire-fault injection; inert when empty
   gas::GasMode gas_mode = gas::GasMode::kAgasNet;

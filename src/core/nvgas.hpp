@@ -2,9 +2,9 @@
 // runtimes. Umbrella header: include this from applications.
 #pragma once
 
-#include "core/agas_net.hpp"   // IWYU pragma: export
 #include "core/config.hpp"     // IWYU pragma: export
 #include "core/world.hpp"      // IWYU pragma: export
+#include "gas/agas_net.hpp"    // IWYU pragma: export
 #include "gas/agas_sw.hpp"     // IWYU pragma: export
 #include "gas/gva.hpp"         // IWYU pragma: export
 #include "gas/pgas.hpp"        // IWYU pragma: export

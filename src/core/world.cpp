@@ -3,6 +3,7 @@
 #include <limits>
 #include <sstream>
 
+#include "gas/agas_net.hpp"
 #include "gas/agas_sw.hpp"
 #include "gas/pgas.hpp"
 #include "util/stats.hpp"
@@ -49,8 +50,8 @@ World::World(const Config& cfg) : cfg_(cfg) {
                                            cfg_.gas_costs);
       break;
     case GasMode::kAgasNet:
-      gas_ = std::make_unique<core::AgasNet>(*fabric_, *endpoints_, *heap_,
-                                             cfg_.agas_net);
+      gas_ = std::make_unique<gas::AgasNet>(*fabric_, *endpoints_, *heap_,
+                                            cfg_.agas_net);
       break;
   }
 

@@ -54,12 +54,12 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
     // The home consults its directory directly (CPU cost, no wire).
     task.charge(kDirLookupNs);
     ++counters.directory_lookups;
-    DirEntry& e = st(home).dir.at(key);
-    if (e.moving) {
-      st(home).deferred[key].push_back(
-          [this, node, block_base, cont = std::move(cont)](sim::TaskCtx& t2) mutable {
-            with_translation(t2, node, block_base, std::move(cont));
-          });
+    const DirEntry& e = st(home).dir.at(key);
+    if (moves_.moving(key)) {
+      moves_.park(key, [this, node, block_base,
+                        cont = std::move(cont)](sim::TaskCtx& t2) mutable {
+        with_translation(t2, node, block_base, std::move(cont));
+      });
       return;
     }
     cont(task, net::TlbEntry{e.owner, e.lva, e.generation});
@@ -95,11 +95,10 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
   ++fabric_->counters().directory_lookups;
 
   DirEntry& e = st(home).dir.at(key);
-  if (e.moving) {
-    st(home).deferred[key].push_back(
-        [this, block_base, requester](sim::TaskCtx& t2) {
-          handle_resolve_request(t2, block_base, requester);
-        });
+  if (moves_.moving(key)) {
+    moves_.park(key, [this, block_base, requester](sim::TaskCtx& t2) {
+      handle_resolve_request(t2, block_base, requester);
+    });
     return;
   }
   e.add_sharer(requester);
@@ -231,52 +230,42 @@ void AgasSw::migrate(sim::TaskCtx& task, int node, Gva block, int dst,
   const Gva base = block.block_base();
   const int home = home_of_key(base);
   if (node == home) {
-    start_migration(task, base, dst, node, std::move(done));
+    start_migration(task, base, {dst, node, std::move(done)});
     return;
   }
   task.charge(ep(node).post_cost());
   ep(node).send_to_cpu(task.now(), home, kCtrlBytes,
                        [this, base, dst, node,
                         done = std::move(done)](sim::TaskCtx& t2) mutable {
-                         start_migration(t2, base, dst, node, std::move(done));
+                         start_migration(t2, base, {dst, node, std::move(done)});
                        });
 }
 
-void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
-                             int initiator, net::OnDone done) {
+void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base,
+                             MoveRequest req) {
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
   NodeState& hs = st(home);
 
   task.charge(kDirLookupNs);
-  DirEntry& e = hs.dir.at(key);
-  if (e.moving) {
-    hs.queued_migrations[key].push_back({dst, initiator, std::move(done)});
+  const DirEntry& e = hs.dir.at(key);
+  if (moves_.moving(key)) {
+    moves_.queue(key, std::move(req));
     return;
   }
-  if (e.owner == dst) {
+  if (e.owner == req.dst) {
     // Already there: acknowledge immediately, then keep draining any
     // migrations that queued behind this one.
-    if (initiator == home) {
-      if (done) done(task.now());
-    } else {
-      task.charge(ep(home).post_cost());
-      ep(home).raw_send(task.now(), initiator, kCtrlBytes,
-                        [done = std::move(done)](sim::Time t) {
-                          if (done) done(t);
-                        });
+    notify_initiator(task, home, std::move(req));
+    if (auto next = moves_.next(key)) {
+      start_migration(task, block_base, std::move(*next));
     }
-    chain_queued_migration(task, block_base);
     return;
   }
 
   task.charge(kDirUpdateNs);
-  e.moving = true;
+  auto& mig = moves_.begin(key, std::move(req));
   if (observer_ != nullptr) observer_->on_migration_start(key);
-  Migration mig;
-  mig.dst = dst;
-  mig.initiator = initiator;
-  mig.done = std::move(done);
 
   // Invalidate every sharer; each acks only once its in-flight RMAs have
   // drained. The home fences its own outstanding RMAs the same way.
@@ -288,9 +277,8 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
     sharers.pop_back();
   }
   mig.pending_acks = static_cast<std::uint32_t>(sharers.size());
-  const bool home_fence = st(home).outstanding.count(key) != 0;
+  const bool home_fence = hs.outstanding.count(key) != 0;
   if (home_fence) ++mig.pending_acks;
-  hs.migrations[key] = std::move(mig);
 
   for (int s : sharers) {
     task.charge(ep(home).post_cost());
@@ -322,14 +310,11 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
       });
     });
   }
-  if (hs.migrations[key].pending_acks == 0) {
-    migration_alloc(task, block_base);
-  }
+  if (mig.pending_acks == 0) migration_alloc(task, block_base);
 }
 
 void AgasSw::migration_acked(sim::TaskCtx& task, Gva block_base) {
-  const std::uint64_t key = block_base.block_key();
-  Migration& mig = st(home_of_key(block_base)).migrations.at(key);
+  auto& mig = moves_.move(block_base.block_key());
   NVGAS_CHECK(mig.pending_acks > 0);
   if (--mig.pending_acks == 0) migration_alloc(task, block_base);
 }
@@ -340,9 +325,8 @@ void AgasSw::migration_alloc(sim::TaskCtx& task, Gva block_base) {
   // Reached exactly once per migration, when the invalidation/drain
   // fence has fully completed (all sharer ACKs in, home drained).
   if (observer_ != nullptr) observer_->on_fence_complete(key);
-  Migration& mig = st(home).migrations.at(key);
   const std::uint32_t bsize = heap_->meta_of(block_base).block_size;
-  const int dst = mig.dst;
+  const int dst = moves_.move(key).dst;
 
   task.charge(ep(home).post_cost());
   ep(home).send_to_cpu(
@@ -353,9 +337,7 @@ void AgasSw::migration_alloc(sim::TaskCtx& task, Gva block_base) {
         t2.charge(ep(dst).post_cost());
         ep(dst).send_to_cpu(t2.now(), home, kReplyBytes,
                             [this, block_base, lva](sim::TaskCtx& t3) {
-                              st(home_of_key(block_base))
-                                  .migrations.at(block_base.block_key())
-                                  .dst_lva = lva;
+                              moves_.move(block_base.block_key()).dst_lva = lva;
                               migration_transfer(t3, block_base);
                             });
       });
@@ -364,8 +346,8 @@ void AgasSw::migration_alloc(sim::TaskCtx& task, Gva block_base) {
 void AgasSw::migration_transfer(sim::TaskCtx& task, Gva block_base) {
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
-  Migration& mig = st(home).migrations.at(key);
-  DirEntry& e = st(home).dir.at(key);
+  const auto& mig = moves_.move(key);
+  const DirEntry& e = st(home).dir.at(key);
   const std::uint32_t bsize = heap_->meta_of(block_base).block_size;
   const sim::Lva old_lva = e.lva;
   const sim::Lva dst_lva = mig.dst_lva;
@@ -396,16 +378,13 @@ void AgasSw::migration_transfer(sim::TaskCtx& task, Gva block_base) {
 void AgasSw::finish_migration(sim::TaskCtx& task, Gva block_base) {
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
-  NodeState& hs = st(home);
-  Migration mig = std::move(hs.migrations.at(key));
-  hs.migrations.erase(key);
+  auto [mig, parked] = moves_.commit(key);
 
   task.charge(kDirUpdateNs);
-  DirEntry& e = hs.dir.at(key);
+  DirEntry& e = st(home).dir.at(key);
   e.owner = mig.dst;
   e.lva = mig.dst_lva;
   ++e.generation;
-  e.moving = false;
   e.sharers.clear();
   if (observer_ != nullptr) {
     observer_->on_migration_commit(key, e.owner, e.generation);
@@ -415,53 +394,38 @@ void AgasSw::finish_migration(sim::TaskCtx& task, Gva block_base) {
   ++counters.migrations;
   counters.migration_bytes += heap_->meta_of(block_base).block_size;
 
-  // Notify the initiator.
-  if (mig.initiator == home) {
-    if (mig.done) mig.done(task.now());
-  } else {
-    task.charge(ep(home).post_cost());
-    ep(home).raw_send(task.now(), mig.initiator, kCtrlBytes,
-                      [done = std::move(mig.done)](sim::Time t) {
-                        if (done) done(t);
-                      });
-  }
+  notify_initiator(task, home, std::move(mig));
 
-  // Replay work that queued while the block was moving.
-  const auto dit = hs.deferred.find(key);
-  if (dit != hs.deferred.end()) {
-    auto work = std::move(dit->second);
-    hs.deferred.erase(dit);
-    for (auto& w : work) {
-      fabric_->cpu(home).submit_at(
-          task.now(), [w = std::move(w)](sim::TaskCtx& t2) mutable { w(t2); });
-    }
+  // Replay work parked while the block was moving.
+  for (auto& w : parked) {
+    fabric_->cpu(home).submit_at(
+        task.now(), [w = std::move(w)](sim::TaskCtx& t2) mutable { w(t2); });
   }
 
   // Chain any queued migration for the same block.
-  chain_queued_migration(task, block_base);
+  if (auto next = moves_.next(key)) {
+    start_migration(task, block_base, std::move(*next));
+  }
 }
 
-void AgasSw::chain_queued_migration(sim::TaskCtx& task, Gva block_base) {
-  NodeState& hs = st(home_of_key(block_base));
-  const auto qit = hs.queued_migrations.find(block_base.block_key());
-  if (qit == hs.queued_migrations.end() || qit->second.empty()) return;
-  PendingMigration next = std::move(qit->second.front());
-  qit->second.erase(qit->second.begin());
-  if (qit->second.empty()) hs.queued_migrations.erase(qit);
-  start_migration(task, block_base, next.dst, next.initiator,
-                  std::move(next.done));
+void AgasSw::notify_initiator(sim::TaskCtx& task, int home, MoveRequest req) {
+  if (req.initiator == home) {
+    if (req.done) req.done(task.now());
+    return;
+  }
+  task.charge(ep(home).post_cost());
+  ep(home).raw_send(task.now(), req.initiator, kCtrlBytes,
+                    [done = std::move(req.done)](sim::Time t) {
+                      if (done) done(t);
+                    });
 }
 
 std::pair<int, sim::Lva> AgasSw::drop_block_state(Gva block_base) {
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
   NodeState& hs = st(home);
-  DirEntry& e = hs.dir.at(key);
-  NVGAS_CHECK_MSG(!e.moving, "free_alloc while a block is migrating");
-  // Migrations queue only at the block's home, and an emptied queue is
-  // erased (chain_queued_migration).
-  NVGAS_CHECK_MSG(hs.queued_migrations.count(key) == 0,
-                  "free_alloc with queued migrations");
+  const DirEntry& e = hs.dir.at(key);
+  moves_.check_not_moving(key);
   const std::pair<int, sim::Lva> place{e.owner, e.lva};
   // Collective free: every rank drops its cached translation.
   for (auto& ns : nodes_) {
@@ -512,17 +476,8 @@ std::string AgasSw::audit_quiescent() const {
     if (!ns.fence_waiters.empty()) {
       return util::format("node %d has fence waiters never released", n);
     }
-    if (!ns.deferred.empty()) {
-      return util::format("home %d has deferred work never replayed", n);
-    }
-    if (!ns.migrations.empty()) {
-      return util::format("home %d has migrations never committed", n);
-    }
-    if (!ns.queued_migrations.empty()) {
-      return util::format("home %d has queued migrations never started", n);
-    }
   }
-  return {};
+  return moves_.audit_quiescent();
 }
 
 std::pair<int, sim::Lva> AgasSw::owner_of(Gva block) const {

@@ -3,8 +3,9 @@
 //
 // Translation state:
 //   * each block's HOME rank holds the authoritative directory entry
-//     (owner, lva, generation, sharers, move state) — every directory
-//     access is a CPU task at the home;
+//     (owner, lva, generation, sharers) — every directory access is a
+//     CPU task at the home — and sequences the block's moves
+//     (gas::MoveSequencer, shared with agas-net);
 //   * every other rank keeps a bounded translation cache, filled by
 //     request/response parcels to the home: the same exact-LRU table a
 //     NIC holds under agas-net (net::NicTlb, unpinned entries only), but
@@ -31,6 +32,7 @@
 
 #include "gas/directory.hpp"
 #include "gas/gas_api.hpp"
+#include "gas/move_sequencer.hpp"
 #include "net/nic_tlb.hpp"
 #include "util/inline_function.hpp"
 
@@ -82,24 +84,11 @@ class AgasSw final : public GasBase {
   // the issuing node.
   using Cont = std::function<void(sim::TaskCtx&, const net::TlbEntry&)>;
 
-  struct Migration {
-    int dst = -1;
-    int initiator = -1;
-    std::uint32_t pending_acks = 0;
-    sim::Lva dst_lva = 0;
-    net::OnDone done;
-  };
-  struct PendingMigration {
-    int dst;
-    int initiator;
-    net::OnDone done;
-  };
-
   // Parked continuations waiting for an RMA fence to drain. Stored
   // out-of-line (never copied, moved in/out once), so the fixed 48-byte
   // inline buffer replaces a heap-allocating std::function per waiter.
   using FenceWaiter = util::InlineFunction<void(sim::Time), 48>;
-  // Work queued at the home while a block is mid-migration.
+  // Work parked at the home while a block is mid-migration.
   using DeferredWork = util::InlineFunction<void(sim::TaskCtx&), 48>;
 
   struct NodeState {
@@ -114,13 +103,6 @@ class AgasSw final : public GasBase {
     std::unordered_map<std::uint64_t, std::vector<FenceWaiter>> fence_waiters;
     // Home side.
     Directory dir;
-    // Work queued while the block is moving.
-    // simlint:allow(D1: vector extracted per key; the map is never iterated)
-    std::unordered_map<std::uint64_t, std::vector<DeferredWork>> deferred;
-    // simlint:allow(D1: keyed find/erase only, never iterated)
-    std::unordered_map<std::uint64_t, Migration> migrations;
-    // simlint:allow(D1: keyed find/erase only, never iterated)
-    std::unordered_map<std::uint64_t, std::vector<PendingMigration>> queued_migrations;
   };
 
   [[nodiscard]] NodeState& st(int node) {
@@ -147,16 +129,18 @@ class AgasSw final : public GasBase {
   void end_op(int node, std::uint64_t key, sim::Time t);
 
   // Migration steps (all run at the home unless noted).
-  void start_migration(sim::TaskCtx& task, Gva block_base, int dst,
-                       int initiator, net::OnDone done);
+  void start_migration(sim::TaskCtx& task, Gva block_base, MoveRequest req);
   void migration_acked(sim::TaskCtx& task, Gva block_base);
   void migration_alloc(sim::TaskCtx& task, Gva block_base);
   void migration_transfer(sim::TaskCtx& task, Gva block_base);
   void finish_migration(sim::TaskCtx& task, Gva block_base);
-  void chain_queued_migration(sim::TaskCtx& task, Gva block_base);
+  // Acknowledge a committed (or no-op) move: run `req.done` here if the
+  // initiator is the home, else send it the notice.
+  void notify_initiator(sim::TaskCtx& task, int home, MoveRequest req);
 
   GasCosts config_;
   std::vector<NodeState> nodes_;
+  MoveSequencer<DeferredWork> moves_;  // parks work at the block's home
 };
 
 }  // namespace nvgas::gas

@@ -1,10 +1,10 @@
 // Home-based directory for the software-managed AGAS.
 //
 // Each block's home rank holds the authoritative record of its current
-// owner, local address, generation, sharer set (nodes caching the
-// translation) and move state. Directory accesses always run as CPU
-// tasks at the home — the structural cost the network-managed design
-// removes.
+// owner, local address, generation and sharer set (nodes caching the
+// translation); a move in flight is kept by gas::MoveSequencer. Directory
+// accesses always run as CPU tasks at the home — the structural cost the
+// network-managed design removes.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +21,6 @@ struct DirEntry {
   int owner = -1;
   sim::Lva lva = 0;
   std::uint32_t generation = 0;
-  bool moving = false;
   std::vector<int> sharers;  // ascending, no duplicates
 
   void add_sharer(int node) {
@@ -34,7 +33,7 @@ class Directory {
  public:
   void insert(std::uint64_t block_key, int owner, sim::Lva lva) {
     const auto [it, fresh] =
-        entries_.emplace(block_key, DirEntry{owner, lva, 0, false, {}});
+        entries_.emplace(block_key, DirEntry{owner, lva, 0, {}});
     NVGAS_CHECK_MSG(fresh, "duplicate directory insert");
     (void)it;
   }

@@ -139,7 +139,7 @@ TEST(FailureInjection, TinyTlbUnderMigrationChurnStaysCorrect) {
   EXPECT_TRUE(done);
   // The churn must actually have evicted translations.
   std::uint64_t evictions = 0;
-  const auto& agas = dynamic_cast<const core::AgasNet&>(world.gas());
+  const auto& agas = dynamic_cast<const gas::AgasNet&>(world.gas());
   for (int n = 0; n < 8; ++n) evictions += agas.tlb(n).evictions();
   EXPECT_GT(evictions, 0u);
 }

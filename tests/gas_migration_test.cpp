@@ -183,27 +183,91 @@ TEST_P(MigrationTest, ConcurrentWritersDuringMigrationLoseNoAckedWrite) {
   EXPECT_EQ(world.counters().migrations, 2u);
 }
 
-TEST_P(MigrationTest, QueuedMigrationsChainInOrder) {
-  World world(make_config());
+// Fires three migrations of one block back-to-back without awaiting in
+// between, so the second and third queue at the home behind the first.
+// Each is acknowledged and the block ends at the last destination;
+// `moves` of them actually move it.
+void run_queued_migrations(const Config& cfg, const std::vector<int>& dsts,
+                           std::uint64_t moves) {
+  World world(cfg);
   gas::InvariantObserver obs(world.gas());
+  Gva base;
   world.spawn(0, [&](Context& ctx) -> Fiber {
-    const Gva base = alloc_cyclic(ctx, 1, 512);
-    rt::AndGate gate(3);
+    base = alloc_cyclic(ctx, 1, 512);
+    rt::AndGate gate(dsts.size());
     const rt::LcoRef gref = ctx.make_ref(gate);
-    // Fire three migrations back-to-back without awaiting in between.
-    for (int dst : {2, 4, 6}) {
+    for (int dst : dsts) {
       ctx.spawn(0, [&, dst, gref](Context& c) -> Fiber {
         co_await migrate(c, base, dst);
         c.set_lco(gref);
       });
     }
     co_await gate;
-    EXPECT_EQ(world.gas().owner_of(base).first, 6);
+    EXPECT_EQ(world.gas().owner_of(base).first, dsts.back());
     const auto v = co_await memget_value<std::uint64_t>(ctx, base);
     (void)v;  // readable without deadlock
   });
   world.run();
   EXPECT_EQ(obs.check_quiescent(world.counters()), "");
+  EXPECT_EQ(world.gas().owner_of(base).first, dsts.back());
+  EXPECT_EQ(world.counters().migrations, moves);
+}
+
+TEST_P(MigrationTest, QueuedMigrationsChainInOrder) {
+  run_queued_migrations(make_config(), {2, 4, 6}, 3);
+}
+
+// The second request finds the block already at 2: it is acknowledged
+// at once and must still start the third, queued behind it.
+TEST_P(MigrationTest, QueuedNoOpMigrationStartsTheNext) {
+  run_queued_migrations(make_config(), {2, 2, 4}, 2);
+}
+
+// Step a one-block migration event by event: while the move is in flight
+// the home's quiescent audit names it, and once it commits the audit is
+// clean.
+TEST_P(MigrationTest, QuiescentAuditNamesAMoveInFlight) {
+  World world(make_config(4));
+  world.spawn(0, [](Context& ctx) -> Fiber {
+    Gva block = alloc_cyclic(ctx, 4, 256);
+    while (block.home(4) != 2) block = block.advanced(256, 256);
+    co_await migrate(ctx, block, 3);
+  });
+  int mid_move_events = 0;
+  while (!world.engine().idle()) {
+    (void)world.run(1);
+    const std::string err = world.gas().audit_quiescent();
+    if (err.empty()) continue;
+    EXPECT_EQ(err, "1 move(s) never committed");
+    ++mid_move_events;
+  }
+  EXPECT_GT(mid_move_events, 0);
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
+  EXPECT_EQ(world.counters().migrations, 1u);
+}
+
+// Freeing an allocation while one of its blocks moves trips the home's
+// safety check. The free is spawned at the first event that leaves the
+// move in flight.
+TEST_P(MigrationTest, FreeWhileAMoveIsInFlightAborts) {
+  EXPECT_DEATH(
+      {
+        World world(make_config(4));
+        Gva base;
+        world.spawn(0, [&base](Context& ctx) -> Fiber {
+          base = alloc_cyclic(ctx, 4, 256);
+          co_await migrate(ctx, base, 3);
+        });
+        while (world.gas().audit_quiescent().empty() && !world.engine().idle()) {
+          (void)world.run(1);
+        }
+        world.spawn(1, [&base](Context& ctx) -> Fiber {
+          free_alloc(ctx, base);
+          co_return;
+        });
+        world.run();
+      },
+      "free_alloc while a block is migrating");
 }
 
 TEST_P(MigrationTest, MigrationReleasesOldStorage) {

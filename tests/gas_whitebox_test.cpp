@@ -35,7 +35,7 @@ TEST(AgasSwWhitebox, DirectoryTracksSharersAsTheyResolve) {
   const auto& entry = sw.directory(3).at(block.block_key());
   EXPECT_EQ(entry.sharers, (std::vector<int>{1, 2, 5, 7}));
   EXPECT_EQ(entry.owner, 3);
-  EXPECT_FALSE(entry.moving);
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
   EXPECT_EQ(entry.generation, 0u);
 }
 
@@ -63,7 +63,7 @@ TEST(AgasSwWhitebox, MigrationBumpsGenerationAndClearsSharers) {
   EXPECT_EQ(entry.owner, 5);
   EXPECT_EQ(entry.generation, 1u);
   EXPECT_TRUE(entry.sharers.empty());
-  EXPECT_FALSE(entry.moving);
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
   // Both sharers' caches were invalidated.
   EXPECT_FALSE(const_cast<gas::AgasSw&>(sw).cache(4).size() > 0 &&
                world.counters().sw_cache_invalidations < 2);
@@ -131,7 +131,7 @@ TEST(AgasNetWhitebox, TlbRolesThroughAMigration) {
     co_await migrate(ctx, block, 4);
   });
   world.run();
-  const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
+  const auto& net = dynamic_cast<const gas::AgasNet&>(world.gas());
   const auto key = block.block_key();
 
   // Home (2): pinned, authoritative, generation 2.
@@ -173,7 +173,7 @@ TEST(AgasNetWhitebox, PiggybackRepairsStaleSourceAfterOneAccess) {
     (void)co_await memget_value<std::uint64_t>(ctx, block);  // stale → fwd
   });
   world.run();
-  const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
+  const auto& net = dynamic_cast<const gas::AgasNet&>(world.gas());
   const net::TlbEntry* e = net.tlb(0).peek(block.block_key());
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->owner, 5);  // repaired by the ack's piggyback
@@ -209,7 +209,7 @@ TEST(AgasNetWhitebox, LateResolveReplyKeepsTheNewOwnersPinnedEntry) {
     });
     world.run();
     ASSERT_EQ(world.gas().owner_of(block).first, 2);
-    const auto& agas = dynamic_cast<const core::AgasNet&>(world.gas());
+    const auto& agas = dynamic_cast<const gas::AgasNet&>(world.gas());
     const net::TlbEntry* e = agas.tlb(2).peek(block.block_key());
     const bool pinned = e != nullptr && e->pinned && e->owner == 2;
 
@@ -251,7 +251,7 @@ TEST(AgasNetWhitebox, FreeRemovesEveryEntry) {
     free_alloc(ctx, base);
   });
   world.run();
-  const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
+  const auto& net = dynamic_cast<const gas::AgasNet&>(world.gas());
   for (int n = 0; n < 4; ++n) {
     for (int b = 0; b < 4; ++b) {
       EXPECT_EQ(net.tlb(n).peek(base.advanced(b * 256, 256).block_key()),

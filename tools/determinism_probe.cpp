@@ -132,7 +132,7 @@ TlbRun agas_net_tlb_run(std::size_t tlb_capacity, std::uint64_t seed) {
     co_await world.coll().barrier(ctx);
     nvgas::free_alloc(ctx, table);
   });
-  const auto& net = dynamic_cast<const nvgas::core::AgasNet&>(world.gas());
+  const auto& net = dynamic_cast<const nvgas::gas::AgasNet&>(world.gas());
   TlbRun run{world.engine().trace_hash(), 0};
   for (int n = 0; n < cfg.machine.nodes; ++n) {
     run.evictions += net.tlb(n).evictions();
@@ -146,7 +146,7 @@ TlbRun agas_net_tlb_run(std::size_t tlb_capacity, std::uint64_t seed) {
 std::uint64_t world_agas_net_tlb4(std::uint64_t seed) {
   const TlbRun small = agas_net_tlb_run(4, seed);
   const TlbRun roomy =
-      agas_net_tlb_run(nvgas::core::AgasNetConfig{}.tlb_capacity, seed);
+      agas_net_tlb_run(nvgas::gas::AgasNetConfig{}.tlb_capacity, seed);
   if (small.evictions == 0 || small.hash == roomy.hash) {
     std::fprintf(stderr,
                  "world_agas_net_tlb4: %llu eviction(s), hash %s the "
