@@ -32,12 +32,18 @@ Gva AgasSw::alloc(sim::TaskCtx& task, int node, Dist dist,
   // Install the authoritative directory entries at each block's home as
   // part of the allocation collective.
   const AllocMeta& m = heap_->meta_of(base);
+  const std::span<DirEntry> entries = dir_.add(m.id, nblocks);
   for (std::uint32_t b = 0; b < nblocks; ++b) {
     const Gva block = Gva::make(m.dist, m.creator, m.id, b, 0);
-    const int home = home_of_key(block);
-    st(home).dir.insert(block.block_key(), home, heap_->initial_lva(block));
+    entries[b].owner = home_of_key(block);
+    entries[b].lva = heap_->initial_lva(block);
   }
   return base;
+}
+
+void AgasSw::free_alloc(sim::TaskCtx& task, int node, Gva base) {
+  GasBase::free_alloc(task, node, base);
+  dir_.erase(base.alloc_id());
 }
 
 // ---------------------------------------------------------------------------
@@ -54,7 +60,7 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
     // The home consults its directory directly (CPU cost, no wire).
     task.charge(kDirLookupNs);
     ++counters.directory_lookups;
-    const DirEntry& e = st(home).dir.at(key);
+    const DirEntry& e = dir_.at(block_base);
     if (moves_.moving(key)) {
       moves_.park(key, [this, node, block_base,
                         cont = std::move(cont)](sim::TaskCtx& t2) mutable {
@@ -94,7 +100,7 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
   task.charge(kDirLookupNs);
   ++fabric_->counters().directory_lookups;
 
-  DirEntry& e = st(home).dir.at(key);
+  DirEntry& e = dir_.at(block_base);
   if (moves_.moving(key)) {
     moves_.park(key, [this, block_base, requester](sim::TaskCtx& t2) {
       handle_resolve_request(t2, block_base, requester);
@@ -248,7 +254,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base,
   NodeState& hs = st(home);
 
   task.charge(kDirLookupNs);
-  const DirEntry& e = hs.dir.at(key);
+  const DirEntry& e = dir_.at(block_base);
   if (moves_.moving(key)) {
     moves_.queue(key, std::move(req));
     return;
@@ -347,7 +353,7 @@ void AgasSw::migration_transfer(sim::TaskCtx& task, Gva block_base) {
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
   const auto& mig = moves_.move(key);
-  const DirEntry& e = st(home).dir.at(key);
+  const DirEntry& e = dir_.at(block_base);
   const std::uint32_t bsize = heap_->meta_of(block_base).block_size;
   const sim::Lva old_lva = e.lva;
   const sim::Lva dst_lva = mig.dst_lva;
@@ -381,7 +387,7 @@ void AgasSw::finish_migration(sim::TaskCtx& task, Gva block_base) {
   auto [mig, parked] = moves_.commit(key);
 
   task.charge(kDirUpdateNs);
-  DirEntry& e = st(home).dir.at(key);
+  DirEntry& e = dir_.at(block_base);
   e.owner = mig.dst;
   e.lva = mig.dst_lva;
   ++e.generation;
@@ -422,33 +428,30 @@ void AgasSw::notify_initiator(sim::TaskCtx& task, int home, MoveRequest req) {
 
 std::pair<int, sim::Lva> AgasSw::drop_block_state(Gva block_base) {
   const std::uint64_t key = block_base.block_key();
-  const int home = home_of_key(block_base);
-  NodeState& hs = st(home);
-  const DirEntry& e = hs.dir.at(key);
+  const DirEntry& e = dir_.at(block_base);
   moves_.check_not_moving(key);
-  const std::pair<int, sim::Lva> place{e.owner, e.lva};
-  // Collective free: every rank drops its cached translation.
+  // Collective free: every rank drops its cached translation. The
+  // allocation's directory entries go together, in free_alloc.
   for (auto& ns : nodes_) {
     (void)ns.cache.erase(key);
     NVGAS_CHECK_MSG(ns.outstanding.count(key) == 0,
                     "free_alloc with in-flight RMAs");
   }
-  hs.dir.erase(key);
-  return place;
+  return {e.owner, e.lva};
 }
 
 std::string AgasSw::audit_translation() const {
   for (int n = 0; n < static_cast<int>(nodes_.size()); ++n) {
     const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
     for (const auto& [key, cached] : ns.cache.entries()) {
-      const int home = Gva(key).home(fabric_->nodes());
-      const Directory& dir = nodes_[static_cast<std::size_t>(home)].dir;
-      if (!dir.contains(key)) {
+      const DirEntry* found = dir_.find(Gva(key));
+      if (found == nullptr) {
         return util::format("node %d caches a translation for block %llx "
                             "with no directory entry at home %d",
-                            n, static_cast<unsigned long long>(key), home);
+                            n, static_cast<unsigned long long>(key),
+                            Gva(key).home(fabric_->nodes()));
       }
-      const DirEntry& e = dir.at(key);
+      const DirEntry& e = *found;
       if (cached.generation != e.generation || cached.owner != e.owner ||
           cached.base != e.lva) {
         return util::format(
@@ -481,10 +484,7 @@ std::string AgasSw::audit_quiescent() const {
 }
 
 std::pair<int, sim::Lva> AgasSw::owner_of(Gva block) const {
-  const Gva base = block.block_base();
-  const int home = base.home(fabric_->nodes());
-  const DirEntry& e =
-      nodes_.at(static_cast<std::size_t>(home)).dir.at(base.block_key());
+  const DirEntry& e = dir_.at(block.block_base());
   return {e.owner, e.lva};
 }
 

@@ -48,6 +48,7 @@ class AgasSw final : public GasBase {
 
   Gva alloc(sim::TaskCtx& task, int node, Dist dist, std::uint32_t nblocks,
             std::uint32_t block_size) override;
+  void free_alloc(sim::TaskCtx& task, int node, Gva base) override;
 
   void migrate(sim::TaskCtx& task, int node, Gva block, int dst,
                net::OnDone done) override;
@@ -64,9 +65,8 @@ class AgasSw final : public GasBase {
   [[nodiscard]] const net::NicTlb& cache(int node) const {
     return nodes_.at(static_cast<std::size_t>(node)).cache;
   }
-  [[nodiscard]] const Directory& directory(int node) const {
-    return nodes_.at(static_cast<std::size_t>(node)).dir;
-  }
+  // Every home's entries; a block's home is arithmetic on its GVA.
+  [[nodiscard]] const Directory& directory() const { return dir_; }
 
  protected:
   void do_memput(sim::TaskCtx& task, int node, Gva dst,
@@ -101,8 +101,6 @@ class AgasSw final : public GasBase {
     std::unordered_map<std::uint64_t, std::uint32_t> outstanding;  // in-flight RMAs
     // simlint:allow(D1: vector extracted per key; the map is never iterated)
     std::unordered_map<std::uint64_t, std::vector<FenceWaiter>> fence_waiters;
-    // Home side.
-    Directory dir;
   };
 
   [[nodiscard]] NodeState& st(int node) {
@@ -140,6 +138,7 @@ class AgasSw final : public GasBase {
 
   GasCosts config_;
   std::vector<NodeState> nodes_;
+  Directory dir_;  // home side: each entry is charged to its block's home
   MoveSequencer<DeferredWork> moves_;  // parks work at the block's home
 };
 

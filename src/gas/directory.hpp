@@ -5,13 +5,20 @@
 // translation); a move in flight is kept by gas::MoveSequencer. Directory
 // accesses always run as CPU tasks at the home — the structural cost the
 // network-managed design removes.
+//
+// Host-side storage is one DirEntry array per live allocation, indexed
+// by the GVA's (allocation id, block): which home a record belongs to is
+// arithmetic on the address, so the simulator keeps the records of every
+// home in one place. Only the charging (at the home's CPU) is per-home.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "gas/gva.hpp"
 #include "sim/memory.hpp"
 #include "util/assert.hpp"
 
@@ -31,33 +38,43 @@ struct DirEntry {
 
 class Directory {
  public:
-  void insert(std::uint64_t block_key, int owner, sim::Lva lva) {
-    const auto [it, fresh] =
-        entries_.emplace(block_key, DirEntry{owner, lva, 0, {}});
-    NVGAS_CHECK_MSG(fresh, "duplicate directory insert");
-    (void)it;
+  // Entries for a fresh allocation's blocks, for the caller to fill in.
+  [[nodiscard]] std::span<DirEntry> add(std::uint32_t alloc_id,
+                                        std::uint32_t nblocks) {
+    if (allocs_.size() <= alloc_id) allocs_.resize(alloc_id + 1);
+    auto& blocks = allocs_[alloc_id];
+    NVGAS_CHECK_MSG(blocks.empty(), "duplicate directory insert");
+    blocks.resize(nblocks);
+    return blocks;
   }
 
-  [[nodiscard]] DirEntry& at(std::uint64_t block_key) {
-    const auto it = entries_.find(block_key);
-    NVGAS_CHECK_MSG(it != entries_.end(), "directory entry missing");
-    return it->second;
-  }
-  [[nodiscard]] const DirEntry& at(std::uint64_t block_key) const {
-    return const_cast<Directory*>(this)->at(block_key);
+  // Drop every entry of a freed allocation.
+  void erase(std::uint32_t alloc_id) {
+    NVGAS_CHECK_MSG(alloc_id < allocs_.size() && !allocs_[alloc_id].empty(),
+                    "directory entry missing");
+    std::vector<DirEntry>().swap(allocs_[alloc_id]);
   }
 
-  [[nodiscard]] bool contains(std::uint64_t block_key) const {
-    return entries_.count(block_key) != 0;
+  // The block's entry, or null when its allocation has none.
+  [[nodiscard]] const DirEntry* find(Gva block) const {
+    if (block.alloc_id() >= allocs_.size()) return nullptr;
+    const auto& blocks = allocs_[block.alloc_id()];
+    return block.block() < blocks.size() ? &blocks[block.block()] : nullptr;
   }
-
-  void erase(std::uint64_t block_key) { entries_.erase(block_key); }
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] const DirEntry& at(Gva block) const {
+    const DirEntry* e = find(block);
+    NVGAS_CHECK_MSG(e != nullptr, "directory entry missing");
+    return *e;
+  }
+  [[nodiscard]] DirEntry& at(Gva block) {
+    return const_cast<DirEntry&>(std::as_const(*this).at(block));
+  }
 
  private:
-  // simlint:allow(D1: keyed at/find/erase only, never iterated)
-  std::unordered_map<std::uint64_t, DirEntry> entries_;
+  // allocs_[alloc id][block]. A held DirEntry& survives later
+  // allocations: growing the outer vector moves each inner one, and a
+  // moved vector keeps its buffer.
+  std::vector<std::vector<DirEntry>> allocs_;
 };
 
 }  // namespace nvgas::gas

@@ -66,7 +66,8 @@ std::pair<int, sim::Lva> GasBase::drop_block_state(Gva block_base) {
 }
 
 void GasBase::free_alloc(sim::TaskCtx& task, int /*node*/, Gva base) {
-  const AllocMeta meta = heap_->meta_of(base);  // copy: released below
+  // No copy: the heap never moves a record, and release_meta comes last.
+  const AllocMeta& meta = heap_->meta_of(base);
   // Cost model mirrors alloc: a collective round trip plus per-block
   // local heap work amortized across ranks.
   const std::uint64_t blocks_here = std::max<std::uint64_t>(

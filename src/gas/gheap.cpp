@@ -16,58 +16,56 @@ Gva GlobalHeap::alloc(Dist dist, int creator, std::uint32_t nblocks,
   NVGAS_CHECK(nblocks >= 1 && nblocks <= Gva::kMaxBlocks);
   NVGAS_CHECK(block_size >= 1 && block_size <= Gva::kMaxBlockSize);
   NVGAS_CHECK(creator >= 0 && creator < fabric_->nodes());
+  NVGAS_CHECK_MSG(allocs_.size() < Gva::kMaxAllocs, "allocation ids exhausted");
 
-  AllocMeta meta;
-  NVGAS_CHECK_MSG(next_alloc_id_ <= Gva::kMaxAllocs,
-                  "allocation ids exhausted");
-  meta.id = next_alloc_id_++;
-  meta.dist = dist;
-  meta.creator = creator;
-  meta.nblocks = nblocks;
-  meta.block_size = block_size;
+  Alloc& a = allocs_.emplace_back();
+  a.meta.id = static_cast<std::uint32_t>(allocs_.size());
+  a.meta.dist = dist;
+  a.meta.creator = creator;
+  a.meta.nblocks = nblocks;
+  a.meta.block_size = block_size;
 
-  const Gva base = Gva::make(dist, creator, meta.id, 0, 0);
   // The creator reserves backing store on every home rank.
+  a.initial.reserve(nblocks);
   for (std::uint32_t b = 0; b < nblocks; ++b) {
-    const Gva block = Gva::make(dist, creator, meta.id, b, 0);
-    const int home = block.home(fabric_->nodes());
-    initial_[block.block_key()] = store(home).allocate(block_size);
+    const int home = Gva::make(dist, creator, a.meta.id, b, 0).home(fabric_->nodes());
+    a.initial.push_back(store(home).allocate(block_size));
   }
-  metas_.emplace(meta.id, meta);
-  return base;
+  return Gva::make(dist, creator, a.meta.id, 0, 0);
+}
+
+const GlobalHeap::Alloc* GlobalHeap::find(std::uint32_t alloc_id) const {
+  if (alloc_id == 0 || alloc_id > allocs_.size()) return nullptr;
+  const Alloc& a = allocs_[alloc_id - 1];
+  return a.initial.empty() ? nullptr : &a;
 }
 
 void GlobalHeap::release_meta(std::uint32_t alloc_id) {
-  const auto it = metas_.find(alloc_id);
-  NVGAS_CHECK_MSG(it != metas_.end(), "release of unknown allocation");
-  const AllocMeta meta = it->second;
-  for (std::uint32_t b = 0; b < meta.nblocks; ++b) {
-    const Gva block = Gva::make(meta.dist, meta.creator, meta.id, b, 0);
-    initial_.erase(block.block_key());
-  }
-  metas_.erase(it);
+  NVGAS_CHECK_MSG(find(alloc_id) != nullptr, "release of unknown allocation");
+  // Free the placement array now; the record itself stays, so references
+  // into it held elsewhere never dangle.
+  std::vector<sim::Lva>().swap(allocs_[alloc_id - 1].initial);
 }
 
 const AllocMeta& GlobalHeap::meta(std::uint32_t alloc_id) const {
-  const auto it = metas_.find(alloc_id);
-  NVGAS_CHECK_MSG(it != metas_.end(), "unknown allocation id");
-  // References into an unordered_map survive rehash; erasure only
-  // happens in release_meta, whose collective contract forbids any
-  // outstanding access to the allocation being freed.
-  return it->second;
+  const Alloc* a = find(alloc_id);
+  NVGAS_CHECK_MSG(a != nullptr, "unknown allocation id");
+  return a->meta;
 }
 
 bool GlobalHeap::contains(Gva gva) const {
-  const auto it = metas_.find(gva.alloc_id());
-  if (it == metas_.end()) return false;
-  const AllocMeta& m = it->second;
-  return gva.block() < m.nblocks && gva.offset() < m.block_size;
+  const Alloc* a = find(gva.alloc_id());
+  return a != nullptr && gva.block() < a->meta.nblocks &&
+         gva.offset() < a->meta.block_size;
 }
 
 sim::Lva GlobalHeap::initial_lva(Gva block_base) const {
-  const auto it = initial_.find(block_base.block_key());
-  NVGAS_CHECK_MSG(it != initial_.end(), "no initial placement for block");
-  return it->second;
+  const Alloc* a = find(block_base.alloc_id());
+  NVGAS_CHECK_MSG(a != nullptr && block_base.block() < a->meta.nblocks &&
+                      block_base.dist() == a->meta.dist &&
+                      block_base.creator() == a->meta.creator,
+                  "no initial placement for block");
+  return a->initial[block_base.block()];
 }
 
 void GlobalHeap::check_extent(Gva gva, std::size_t len) const {

@@ -5,11 +5,16 @@
 // assigns each block a *home* rank (arithmetic on the address) and
 // reserves backing storage for it on that rank. What differs between the
 // managers is only how the block's *current owner* is tracked afterwards.
+//
+// A GVA names its allocation id and block number, so the metadata is
+// found by position, not by hash: ids run from 1 and are never reused,
+// the allocation table is indexed by id, and each allocation keeps one
+// initial placement per block.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "gas/block_store.hpp"
@@ -40,10 +45,13 @@ class GlobalHeap {
   Gva alloc(Dist dist, int creator, std::uint32_t nblocks,
             std::uint32_t block_size);
 
-  // Release every block's *initial* backing store and the metadata.
-  // Blocks that migrated are released by the owning GAS manager.
+  // Forget the allocation's metadata and initial placements; its id is
+  // never handed out again. Backing stores are released by the GAS
+  // manager (GasBase::free_alloc) at each block's current owner.
   void release_meta(std::uint32_t alloc_id);
 
+  // A returned reference stays valid for the heap's lifetime: later
+  // allocations never move a record, and release only marks it dead.
   [[nodiscard]] const AllocMeta& meta(std::uint32_t alloc_id) const;
   [[nodiscard]] const AllocMeta& meta_of(Gva gva) const { return meta(gva.alloc_id()); }
   [[nodiscard]] bool contains(Gva gva) const;
@@ -60,14 +68,17 @@ class GlobalHeap {
   void check_extent(Gva gva, std::size_t len) const;
 
  private:
+  struct Alloc {
+    AllocMeta meta;
+    std::vector<sim::Lva> initial;  // per block; empty once released
+  };
+  // The live allocation `alloc_id` names, or null.
+  [[nodiscard]] const Alloc* find(std::uint32_t alloc_id) const;
+
   sim::Fabric* fabric_;
   std::vector<std::unique_ptr<BlockStore>> stores_;
-  // simlint:allow(D1: keyed find only, never iterated)
-  std::unordered_map<std::uint32_t, AllocMeta> metas_;
-  // block_key -> initial lva at the home node.
-  // simlint:allow(D1: keyed find/erase only, never iterated)
-  std::unordered_map<std::uint64_t, sim::Lva> initial_;
-  std::uint32_t next_alloc_id_ = 1;
+  // allocs_[id - 1]; a deque, so growing it moves no record.
+  std::deque<Alloc> allocs_;
 };
 
 }  // namespace nvgas::gas

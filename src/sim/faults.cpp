@@ -20,16 +20,20 @@ FaultInjector::FaultInjector(const FaultPlan& plan, Fabric& fabric)
     : plan_(plan), fabric_(&fabric) {}
 
 FaultInjector::LinkState& FaultInjector::link(int src, int dst) {
-  const std::uint64_t key = link_key(src, dst);
-  auto it = links_.find(key);
-  if (it == links_.end()) {
+  const auto s = static_cast<std::size_t>(src);
+  const auto d = static_cast<std::size_t>(dst);
+  if (links_.size() <= s) links_.resize(s + 1);
+  auto& row = links_[s];
+  if (row.size() <= d) row.resize(d + 1);
+  std::unique_ptr<LinkState>& ls = row[d];
+  if (!ls) {
     // Per-link stream: decisions on one link are independent of traffic
     // on every other link, so adding a flow elsewhere cannot perturb the
     // fault sequence here (and mcheck's schedule perturbations replay).
-    it = links_.try_emplace(key).first;
-    it->second.rng.reseed(util::SplitMix64(plan_.seed ^ key).next());
+    ls = std::make_unique<LinkState>();
+    ls->rng.reseed(util::SplitMix64(plan_.seed ^ link_key(src, dst)).next());
   }
-  return it->second;
+  return *ls;
 }
 
 const FaultRule* FaultInjector::rule_for(int src, int dst) const {

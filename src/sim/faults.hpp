@@ -22,7 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "sim/counters.hpp"
@@ -114,8 +114,10 @@ class FaultInjector {
 
   FaultPlan plan_;
   Fabric* fabric_;
-  // simlint:allow(D1: keyed access only, never iterated)
-  std::unordered_map<std::uint64_t, LinkState> links_;
+  // links_[src][dst], created by the link's first frame. Both levels grow
+  // on demand, so a sender holds slots only up to the highest node it
+  // has sent to.
+  std::vector<std::vector<std::unique_ptr<LinkState>>> links_;
 };
 
 }  // namespace nvgas::sim

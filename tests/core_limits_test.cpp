@@ -62,6 +62,41 @@ TEST_P(LimitsTest, MaxNodesRunFetchAddAndBarrier) {
   }
 }
 
+// alloc -> free -> alloc of two blocks per rank on kMaxNodes nodes: the
+// free returns every byte, and the second allocation gets a fresh id.
+TEST_P(LimitsTest, MaxNodesAllocFreeAlloc) {
+  constexpr int kNodes = Gva::kMaxNodes;
+  World world(Config::with_nodes(kNodes, GetParam()));
+  Gva first;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    first = alloc_cyclic(ctx, 2 * kNodes, 64);
+    co_await memput_value<std::uint64_t>(ctx, first.advanced(64, 64), 1);
+    free_alloc(ctx, first);
+  });
+  world.run();
+  for (int n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(world.heap().store(n).bytes_in_use(), 0u) << "node " << n;
+  }
+  EXPECT_EQ(world.gas().audit_translation(), "");
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
+
+  Gva second;
+  std::uint64_t got = 0;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    second = alloc_cyclic(ctx, 2 * kNodes, 64);
+    const Gva last = second.advanced((2 * kNodes - 1) * 64, 64);
+    (void)co_await fetch_add(ctx, last, 5);
+    got = co_await memget_value<std::uint64_t>(ctx, last);
+  });
+  world.run();
+  EXPECT_NE(second.alloc_id(), first.alloc_id());
+  EXPECT_FALSE(world.heap().contains(first));
+  EXPECT_TRUE(world.heap().contains(second));
+  EXPECT_EQ(got, 5u);
+  EXPECT_EQ(world.gas().audit_translation(), "");
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, LimitsTest,
                          ::testing::Values(GasMode::kPgas, GasMode::kAgasSw,
                                            GasMode::kAgasNet),

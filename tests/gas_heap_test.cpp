@@ -132,5 +132,47 @@ TEST_F(HeapFixture, ReleaseMetaForgetsAllocation) {
   EXPECT_DEATH((void)heap.meta_of(base), "unknown");
 }
 
+TEST_F(HeapFixture, AllocationIdsAreNeverReused) {
+  const Gva a = heap.alloc(Dist::kCyclic, 0, 2, 64);
+  heap.release_meta(a.alloc_id());
+  const Gva b = heap.alloc(Dist::kCyclic, 0, 2, 64);
+  EXPECT_EQ(b.alloc_id(), a.alloc_id() + 1);
+  EXPECT_FALSE(heap.contains(a));
+  EXPECT_TRUE(heap.contains(b));
+}
+
+TEST_F(HeapFixture, ReleasedIdIsRejected) {
+  const Gva base = heap.alloc(Dist::kCyclic, 0, 2, 64);
+  const Gva other = heap.alloc(Dist::kCyclic, 0, 2, 64);
+  heap.release_meta(base.alloc_id());
+  EXPECT_FALSE(heap.contains(base));
+  EXPECT_FALSE(heap.contains(base.advanced(64, 64)));
+  EXPECT_DEATH((void)heap.meta(base.alloc_id()), "unknown allocation id");
+  EXPECT_DEATH(heap.release_meta(base.alloc_id()),
+               "release of unknown allocation");
+  EXPECT_DEATH(heap.release_meta(other.alloc_id() + 1),
+               "release of unknown allocation");
+  EXPECT_EQ(heap.meta(other.alloc_id()).nblocks, 2u);
+}
+
+TEST_F(HeapFixture, InitialLvaOfReleasedAllocationAborts) {
+  const Gva base = heap.alloc(Dist::kCyclic, 0, 2, 64);
+  (void)heap.initial_lva(base);
+  heap.release_meta(base.alloc_id());
+  EXPECT_DEATH((void)heap.initial_lva(base), "no initial placement");
+}
+
+TEST_F(HeapFixture, MetaReferenceSurvivesLaterAllocations) {
+  const Gva base = heap.alloc(Dist::kLocal, 3, 5, 128);
+  const AllocMeta& m = heap.meta_of(base);
+  for (int i = 0; i < 100; ++i) (void)heap.alloc(Dist::kCyclic, i % 4, 1, 64);
+  EXPECT_EQ(m.id, base.alloc_id());
+  EXPECT_EQ(m.dist, Dist::kLocal);
+  EXPECT_EQ(m.creator, 3);
+  EXPECT_EQ(m.nblocks, 5u);
+  EXPECT_EQ(m.block_size, 128u);
+  EXPECT_EQ(&m, &heap.meta_of(base));
+}
+
 }  // namespace
 }  // namespace nvgas::gas

@@ -32,7 +32,7 @@ TEST(AgasSwWhitebox, DirectoryTracksSharersAsTheyResolve) {
   });
   world.run();
   const auto& sw = dynamic_cast<const gas::AgasSw&>(world.gas());
-  const auto& entry = sw.directory(3).at(block.block_key());
+  const auto& entry = sw.directory().at(block);
   EXPECT_EQ(entry.sharers, (std::vector<int>{1, 2, 5, 7}));
   EXPECT_EQ(entry.owner, 3);
   EXPECT_EQ(world.gas().audit_quiescent(), "");
@@ -59,7 +59,7 @@ TEST(AgasSwWhitebox, MigrationBumpsGenerationAndClearsSharers) {
   });
   world.run();
   const auto& sw = dynamic_cast<const gas::AgasSw&>(world.gas());
-  const auto& entry = sw.directory(2).at(block.block_key());
+  const auto& entry = sw.directory().at(block);
   EXPECT_EQ(entry.owner, 5);
   EXPECT_EQ(entry.generation, 1u);
   EXPECT_TRUE(entry.sharers.empty());
@@ -116,6 +116,43 @@ TEST(AgasSwWhitebox, SourceCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(world.counters().sw_cache_misses, 3u);
   EXPECT_EQ(world.counters().sw_cache_hits, 1u);
+}
+
+TEST(AgasSwWhitebox, FreeDropsOnlyTheFreedAllocationsEntries) {
+  World world(Config::with_nodes(4, GasMode::kAgasSw));
+  Gva gone;
+  Gva kept;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    gone = alloc_cyclic(ctx, 4, 256);
+    kept = alloc_cyclic(ctx, 4, 256);
+    // Rank 0 caches every remote block of both, and one kept block moves.
+    for (int b = 0; b < 4; ++b) {
+      (void)co_await resolve(ctx, gone.advanced(b * 256, 256));
+      (void)co_await resolve(ctx, kept.advanced(b * 256, 256));
+    }
+    co_await migrate(ctx, kept.advanced(256, 256), 3);
+    (void)co_await resolve(ctx, kept.advanced(256, 256));
+    free_alloc(ctx, gone);
+  });
+  world.run();
+  const auto& sw = dynamic_cast<const gas::AgasSw&>(world.gas());
+  for (int b = 0; b < 4; ++b) {
+    EXPECT_EQ(sw.directory().find(gone.advanced(b * 256, 256)), nullptr)
+        << "block " << b;
+    const Gva block = kept.advanced(b * 256, 256);
+    const gas::DirEntry* e = sw.directory().find(block);
+    ASSERT_NE(e, nullptr) << "block " << b;
+    if (b == 1) {
+      EXPECT_EQ(e->owner, 3);
+      EXPECT_EQ(e->generation, 1u);
+    } else {
+      EXPECT_EQ(e->owner, block.home(4));
+      EXPECT_EQ(e->lva, world.heap().initial_lva(block));
+      EXPECT_EQ(e->generation, 0u);
+    }
+  }
+  EXPECT_EQ(world.gas().audit_translation(), "");
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
 }
 
 // --- network-managed AGAS internals -----------------------------------------

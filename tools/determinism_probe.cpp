@@ -227,6 +227,42 @@ nvgas::sim::FaultPlan probe_dupdelay_plan() {
   return p;
 }
 
+// Scenario F: allocation ids across a free. Each rank fills and reads
+// an allocation (moving one block first where the manager can), frees
+// it, then allocates again and touches every block of the new one, whose
+// id the heap has never handed out before. Ids, placements and every
+// manager's per-block state are rebuilt from scratch for the second.
+template <nvgas::GasMode Mode>
+std::uint64_t realloc_hash(std::uint64_t seed) {
+  nvgas::Config cfg = nvgas::Config::with_nodes(8, Mode);
+  cfg.seed = seed;
+  nvgas::World world(cfg);
+  world.run_spmd([&world](nvgas::Context& ctx) -> nvgas::Fiber {
+    const int r = ctx.rank();
+    const nvgas::Gva first = nvgas::alloc_cyclic(ctx, 8, 256);
+    for (int b = 0; b < 8; ++b) {
+      co_await nvgas::memput_value<std::uint64_t>(
+          ctx, first.advanced(b * 256, 256), static_cast<std::uint64_t>(r * 8 + b));
+    }
+    if (world.gas().supports_migration()) {
+      const nvgas::Gva moved = first.advanced(((r + 1) % 8) * 256, 256);
+      co_await nvgas::migrate(ctx, moved, (moved.home(8) + 3) % 8);
+    }
+    (void)co_await nvgas::memget_value<std::uint64_t>(
+        ctx, first.advanced(((r + 1) % 8) * 256, 256));
+    co_await world.coll().barrier(ctx);
+    nvgas::free_alloc(ctx, first);
+    const nvgas::Gva second = nvgas::alloc_cyclic(ctx, 8, 256);
+    for (int b = 0; b < 8; ++b) {
+      (void)co_await nvgas::fetch_add(ctx, second.advanced(((r + b) % 8) * 256, 256),
+                                      static_cast<std::uint64_t>(b + 1));
+    }
+    co_await world.coll().barrier(ctx);
+    nvgas::free_alloc(ctx, second);
+  });
+  return world.engine().trace_hash();
+}
+
 struct Scenario {
   const char* name;
   std::uint64_t (*run)(std::uint64_t seed);
@@ -301,6 +337,9 @@ constexpr Scenario kScenarios[] = {
     {"kvstore_pgas", kv_hash<nvgas::GasMode::kPgas>},
     {"kvstore_agas_sw", kv_hash<nvgas::GasMode::kAgasSw>},
     {"kvstore_agas_net", kv_hash<nvgas::GasMode::kAgasNet>},
+    {"realloc_pgas", realloc_hash<nvgas::GasMode::kPgas>},
+    {"realloc_agas_sw", realloc_hash<nvgas::GasMode::kAgasSw>},
+    {"realloc_agas_net", realloc_hash<nvgas::GasMode::kAgasNet>},
 };
 
 }  // namespace
