@@ -93,7 +93,7 @@ inline util::Buffer encode_request(const MsgHdr& hdr,
                                    std::span<const std::byte> value,
                                    const ReqMeta& meta) {
   NVGAS_CHECK(hdr.klen == key.size() && hdr.vlen == value.size());
-  util::Buffer buf;
+  util::Buffer buf(sizeof(MsgHdr) + key.size() + value.size() + sizeof(ReqMeta));
   buf.put(hdr);
   buf.append_raw(key);
   buf.append_raw(value);
@@ -114,7 +114,7 @@ inline Request decode_request(const util::Buffer& buf) {
 inline util::Buffer encode_response(const RespHdr& hdr,
                                     std::span<const std::byte> value) {
   NVGAS_CHECK(hdr.vlen == value.size());
-  util::Buffer buf;
+  util::Buffer buf(sizeof(RespHdr) + value.size());
   buf.put(hdr);
   buf.append_raw(value);
   return buf;

@@ -156,7 +156,7 @@ BfsResult run_bfs(World& world, const Graph& graph, SendMode send_mode) {
             // let the coalescer pack per-destination parcels.
             coalescer->send(ctx, world.gas().owner_of(group_gva(g)).first,
                             world.runtime().apply_action(),
-                            encode_apply(group_gva(g), relax, payload.bytes()));
+                            encode_apply(group_gva(g), relax, std::move(payload)));
           } else {
             co_await apply(ctx, group_gva(g), relax, std::move(payload));
           }

@@ -16,13 +16,10 @@ static_assert(gas::Gva::kMaxNodes - 1 <=
                   std::numeric_limits<decltype(sim::TraceRecord::node)>::max(),
               "sim::TraceRecord::node cannot hold every GVA creator id");
 
-util::Buffer encode_apply(Gva addr, rt::ActionId action,
-                          std::span<const std::byte> args) {
-  util::Buffer payload;
-  payload.put<std::uint64_t>(addr.bits());
-  payload.put<rt::ActionId>(action);
-  payload.append_raw(args);
-  return payload;
+util::Buffer encode_apply(Gva addr, rt::ActionId action, util::Buffer args) {
+  args.prepend<rt::ActionId>(action);
+  args.prepend<std::uint64_t>(addr.bits());
+  return args;
 }
 
 World::World(const Config& cfg) : cfg_(cfg) {
@@ -77,21 +74,20 @@ World::World(const Config& cfg) : cfg_(cfg) {
         auto r = args.reader();
         const Gva gva(r.get<std::uint64_t>());
         const auto action = r.get<rt::ActionId>();
-        util::Buffer rest;
-        rest.append_raw(r.rest());
+        args.drop_front(sizeof(std::uint64_t) + sizeof(rt::ActionId));
         const int node = c.rank();
         sim::TaskCtx* task = runtime_->current_task(node);
         NVGAS_CHECK(task != nullptr);
         gas_->resolve(
             *task, node, gva,
             [this, node, src, gva, action,
-             rest = std::move(rest)](sim::Time t, int owner) mutable {
+             rest = std::move(args)](sim::Time t, int owner) mutable {
               if (owner == node) {
                 runtime_->invoke_action_at(node, t, action, src, std::move(rest));
                 return;
               }
               runtime_->send_parcel_at(node, t, owner, runtime_->apply_action(),
-                                       encode_apply(gva, action, rest.bytes()));
+                                       encode_apply(gva, action, std::move(rest)));
             });
       });
   runtime_->set_apply_action(apply_id);

@@ -457,9 +457,9 @@ inline void prefetch_nb(Context& ctx, Gva base, std::uint32_t nblocks,
 // sender encodes with this: apply(), the forwarding hop of the World's
 // nvgas.apply action (the one decoder, next to this in world.cpp), and
 // callers that ship the parcel through another path such as an
-// rt::Coalescer.
+// rt::Coalescer. The header is prepended into `args` in place.
 [[nodiscard]] util::Buffer encode_apply(Gva addr, rt::ActionId action,
-                                        std::span<const std::byte> args);
+                                        util::Buffer args);
 
 // Route a parcel to wherever the addressed object currently lives: resolve
 // locally, send an apply-trampoline parcel to the believed owner; the
@@ -473,9 +473,9 @@ inline void prefetch_nb(Context& ctx, Gva base, std::uint32_t nblocks,
         detail::gas_of(c).resolve(
             detail::task_of(c), src, addr,
             [rtp = &c.runtime(), src, addr, action, args = std::move(args),
-             done = std::move(done)](sim::Time t, int owner) {
+             done = std::move(done)](sim::Time t, int owner) mutable {
               rtp->send_parcel_at(src, t, owner, rtp->apply_action(),
-                                  encode_apply(addr, action, args.bytes()));
+                                  encode_apply(addr, action, std::move(args)));
               done(t);
             });
       });

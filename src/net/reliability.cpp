@@ -25,13 +25,19 @@ std::int32_t Reliability::alloc_slot() {
   return static_cast<std::int32_t>(slots_.size() - 1);
 }
 
+Reliability::TxSlot& Reliability::unacked_slot(Peer& p, std::uint64_t seq,
+                                                const char* what) {
+  NVGAS_CHECK_MSG(seq >= p.base && seq < p.next_seq, what);
+  const std::size_t mask = p.window.size() - 1;
+  return slots_[static_cast<std::size_t>(p.window[seq & mask])];
+}
+
 void Reliability::retire_slot(std::int32_t idx) {
   TxSlot& s = slots_[static_cast<std::size_t>(idx)];
 #ifdef NVGAS_SIMSAN
   s.payload.poison();  // a late consume of a retired slot must abort
 #endif
   s.delivered = false;
-  s.seq = 0;
   s.bytes = 0;
   s.rto = {};
   s.next_free = slots_free_;
@@ -43,24 +49,29 @@ void Reliability::send(sim::Time depart, int dst, std::uint64_t bytes,
   NVGAS_CHECK_MSG(dst != node_,
                   "loopback frames never enter the reliability channel");
   Peer& p = open_peer(dst);
+  if (p.next_seq - p.base == p.window.size()) {
+    // Full: double, re-placing each unacked seq by the wider mask.
+    std::vector<std::int32_t> grown(std::max<std::size_t>(8, 2 * p.window.size()));
+    for (std::uint64_t q = p.base; q < p.next_seq; ++q) {
+      grown[q & (grown.size() - 1)] = p.window[q & (p.window.size() - 1)];
+    }
+    p.window.swap(grown);
+  }
   const std::uint64_t seq = p.next_seq++;
   const std::int32_t idx = alloc_slot();
+  p.window[seq & (p.window.size() - 1)] = idx;
   TxSlot& s = slots_[static_cast<std::size_t>(idx)];
-  s.seq = seq;
   s.bytes = bytes;
   s.payload = std::move(deliver);
   s.rto_ns = kRetransmitTimeoutNs;
   s.delivered = false;
-  p.unacked.emplace(seq, idx);
   send_frame(depart, dst, p, seq);
   arm_rto(depart, dst, p, seq);
 }
 
 void Reliability::send_frame(sim::Time depart, int dst, Peer& p,
                              std::uint64_t seq) {
-  const auto it = p.unacked.find(seq);
-  NVGAS_CHECK_MSG(it != p.unacked.end(), "framing a retired seq");
-  const TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
+  const TxSlot& s = unacked_slot(p, seq, "framing a retired seq");
 
   // Piggyback our cumulative floor for dst's reverse channel; a pending
   // delayed pure ack becomes redundant and is cancelled.
@@ -84,19 +95,15 @@ void Reliability::send_frame(sim::Time depart, int dst, Peer& p,
 }
 
 void Reliability::arm_rto(sim::Time ref, int dst, Peer& p, std::uint64_t seq) {
-  const auto it = p.unacked.find(seq);
-  NVGAS_CHECK_MSG(it != p.unacked.end(), "arming RTO for a retired seq");
-  TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
+  TxSlot& s = unacked_slot(p, seq, "arming RTO for a retired seq");
   Peer* chan = &p;  // records are never freed
   s.rto = fabric_->engine().at_cancellable(
       ref + s.rto_ns, [this, dst, chan, seq] { on_rto(dst, *chan, seq); });
 }
 
 void Reliability::on_rto(int dst, Peer& p, std::uint64_t seq) {
-  const auto it = p.unacked.find(seq);
   // Retirement cancels the timer, so a fired RTO always finds its slot.
-  NVGAS_CHECK_MSG(it != p.unacked.end(), "RTO fired for a retired seq");
-  TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
+  TxSlot& s = unacked_slot(p, seq, "RTO fired for a retired seq");
   s.rto = {};
   ++fabric_->counters().net_retransmits;
   s.rto_ns = std::min<sim::Time>(s.rto_ns * 2, kRetransmitBackoffCapNs);
@@ -148,10 +155,7 @@ void Reliability::on_data(sim::Time t, int src, Peer* rx, std::uint64_t seq,
 void Reliability::deliver_payload(sim::Time t, Peer& p, std::uint64_t seq) {
   sim::Nic::Deliver payload;
   {
-    const auto it = p.unacked.find(seq);
-    NVGAS_CHECK_MSG(it != p.unacked.end(),
-                    "payload consumed for a retired seq");
-    TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
+    TxSlot& s = unacked_slot(p, seq, "payload consumed for a retired seq");
     NVGAS_CHECK_MSG(!s.delivered, "payload consumed twice");
     s.delivered = true;
     // Move out before invoking: the payload may reentrantly send() and
@@ -162,10 +166,9 @@ void Reliability::deliver_payload(sim::Time t, Peer& p, std::uint64_t seq) {
 }
 
 void Reliability::process_ack(Peer& p, std::uint64_t acked) {
-  while (!p.unacked.empty()) {
-    const auto it = p.unacked.begin();
-    if (it->first > acked) break;
-    TxSlot& s = slots_[static_cast<std::size_t>(it->second)];
+  for (; p.base <= acked && p.base < p.next_seq; ++p.base) {
+    const std::int32_t idx = p.window[p.base & (p.window.size() - 1)];
+    TxSlot& s = slots_[static_cast<std::size_t>(idx)];
     // The receiver's floor only advances on accept, which synchronously
     // consumed the payload here at the sender — so a covered seq is
     // always delivered.
@@ -173,8 +176,7 @@ void Reliability::process_ack(Peer& p, std::uint64_t acked) {
     if (s.rto.valid()) {
       (void)fabric_->engine().cancel(s.rto);
     }
-    retire_slot(it->second);
-    p.unacked.erase(it);
+    retire_slot(idx);
   }
 }
 
@@ -206,15 +208,14 @@ void Reliability::send_pure_ack(sim::Time t, int dst, const Peer& p) {
 
 std::uint64_t Reliability::unacked() const {
   std::uint64_t n = 0;
-  for (const auto& entry : peers_) n += entry.second.unacked.size();
+  for (const auto& entry : peers_) n += entry.second.next_seq - entry.second.base;
   return n;
 }
 
 #ifdef NVGAS_SIMSAN
 void Reliability::simsan_double_cancel_rto(int dst) {
   Peer& p = peer(dst);
-  NVGAS_CHECK_MSG(!p.unacked.empty(), "no unacked slot to cancel");
-  TxSlot& s = slots_[static_cast<std::size_t>(p.unacked.begin()->second)];
+  TxSlot& s = unacked_slot(p, p.base, "no unacked slot to cancel");
   (void)fabric_->engine().cancel(s.rto);
   (void)fabric_->engine().cancel(s.rto);  // double cancel: SimSan aborts
 }

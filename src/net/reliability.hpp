@@ -14,7 +14,8 @@
 //   * sender window — each unacked frame holds its upper-layer Deliver
 //     closure in a pooled slot with an O(1)-cancellable retransmit
 //     timer (Engine::at_cancellable) backing off exponentially to a
-//     fixed cap (kRetransmitBackoffCapNs, net/config.hpp);
+//     fixed cap (kRetransmitBackoffCapNs, net/config.hpp); a peer's
+//     unacked frames form a ring of slot indices keyed by seq;
 //   * receiver reassembly — frames at or below the channel floor (or
 //     already buffered) are discarded as duplicates; out-of-order
 //     frames wait in a reorder buffer until the gap fills, so
@@ -92,7 +93,6 @@ class Reliability {
 
  private:
   struct TxSlot {
-    std::uint64_t seq = 0;
     std::uint64_t bytes = 0;        // upper-layer payload bytes
     sim::Nic::Deliver payload;      // consumed once, on receiver accept
     sim::Engine::TimerId rto;       // armed while the slot is unacked
@@ -103,11 +103,14 @@ class Reliability {
   // Both directions of the channel with one peer: a send touches the
   // reverse floor for its piggybacked ack, so one lookup serves a frame.
   struct Peer {
-    // Sender side (frames toward the peer).
+    // Sender side (frames toward the peer). Seqs are assigned
+    // contiguously and cumulative acks retire a prefix, so the unacked
+    // frames are exactly [base, next_seq). `window` holds their slot pool
+    // indices, seq at window[seq & (window.size() - 1)]; its size is 0
+    // until the first send, then a power of two.
     std::uint64_t next_seq = 1;
-    // seq -> slot pool index; ordered so cumulative acks retire a prefix
-    // deterministically.
-    std::map<std::uint64_t, std::int32_t> unacked;
+    std::uint64_t base = 1;
+    std::vector<std::int32_t> window;
     // Receiver side (frames from the peer).
     std::uint64_t floor = 0;  // highest contiguously accepted seq
     std::set<std::uint64_t> buffered;  // out-of-order seqs past the gap
@@ -138,6 +141,9 @@ class Reliability {
   void schedule_ack(sim::Time t, int src, Peer& p);
   void send_pure_ack(sim::Time t, int dst, const Peer& p);
   void process_ack(Peer& p, std::uint64_t acked);
+  // The window slot of unacked `seq`; a retired or unsent seq aborts
+  // with `what`.
+  TxSlot& unacked_slot(Peer& p, std::uint64_t seq, const char* what);
   std::int32_t alloc_slot();
   void retire_slot(std::int32_t idx);
 

@@ -63,7 +63,7 @@ class ActionRegistry {
 // Serialize a typed argument pack into a parcel payload.
 template <typename... Args>
 util::Buffer pack_args(const Args&... args) {
-  util::Buffer buf;
+  util::Buffer buf((sizeof(Args) + ... + 0));
   (buf.put(args), ...);
   return buf;
 }

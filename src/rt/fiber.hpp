@@ -27,7 +27,7 @@ Runtime& runtime_of(Context& ctx);
 int node_of(Context& ctx);
 // Defined in runtime.cpp: closure-retention handshake (see below).
 std::uint64_t take_pending_spawn_slot(Runtime& rt, int node);
-void fiber_finished(Runtime& rt, int node, std::uint64_t slot);
+void fiber_finished(Runtime& rt, std::uint64_t slot);
 }  // namespace detail
 
 class Fiber {
@@ -63,7 +63,7 @@ class Fiber {
 
     ~promise_type() {
       if (runtime != nullptr && spawn_slot != 0) {
-        detail::fiber_finished(*runtime, node, spawn_slot);
+        detail::fiber_finished(*runtime, spawn_slot);
       }
     }
 

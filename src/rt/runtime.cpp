@@ -40,11 +40,17 @@ void Runtime::spawn_at(int node, sim::Time not_before,
                        std::function<Fiber(Context&)> fn) {
   // Retain the closure until the fiber completes; the coroutine frame
   // references it rather than copying it.
-  auto& st = states_.at(static_cast<std::size_t>(node));
-  const std::uint64_t slot = st.next_spawn_slot++;
-  auto holder = std::make_unique<std::function<Fiber(Context&)>>(std::move(fn));
-  auto* fptr = holder.get();
-  st.spawned.emplace(slot, std::move(holder));
+  std::uint64_t slot;
+  if (spawn_free_ != 0) {
+    slot = spawn_free_;
+    spawn_free_ = spawn_slots_[slot - 1].next_free;
+  } else {
+    spawn_slots_.emplace_back();
+    slot = spawn_slots_.size();
+  }
+  std::function<Fiber(Context&)>* fptr = &spawn_slots_[slot - 1].fn;
+  *fptr = std::move(fn);
+  ++live_fibers_;
 
   fabric_->cpu(node).submit_at(
       not_before, [this, node, slot, fptr](sim::TaskCtx& tctx) {
@@ -57,21 +63,23 @@ void Runtime::spawn_at(int node, sim::Time not_before,
       });
 }
 
-void Runtime::fiber_finished(int node, std::uint64_t slot) {
+void Runtime::fiber_finished(std::uint64_t slot) {
   // Defer: the completing fiber may still be executing inside the very
   // std::function we are about to destroy.
   auto& engine = fabric_->engine();
-  engine.at(engine.now(), [this, node, slot] {
-    states_.at(static_cast<std::size_t>(node)).spawned.erase(slot);
+  engine.at(engine.now(), [this, slot] {
+    SpawnSlot& s = spawn_slots_[slot - 1];
+    s.fn = nullptr;
+    s.next_free = spawn_free_;
+    spawn_free_ = slot;
+    --live_fibers_;
   });
 }
 
 void Runtime::send_parcel_at(int src, sim::Time depart, int dst,
                              ActionId action, util::Buffer args) {
-  util::Buffer payload;
-  payload.put<ActionId>(action);
-  payload.append_raw(args.bytes());
-  endpoints_->at(src).send_parcel(depart, dst, std::move(payload));
+  args.prepend<ActionId>(action);
+  endpoints_->at(src).send_parcel(depart, dst, std::move(args));
 }
 
 void Runtime::invoke_action_at(int node, sim::Time t, ActionId action, int src,
@@ -88,15 +96,11 @@ void Runtime::dispatch(int node, sim::TaskCtx& tctx, int src,
                        util::Buffer payload) {
   CurrentTaskScope scope(*this, tctx);
   tctx.charge(kActionDispatchNs);
-  auto r = payload.reader();
-  const auto action = r.get<ActionId>();
-  // Hand the handler its own copy of the remaining bytes so a suspending
-  // fiber can outlive this dispatch frame.
-  util::Buffer args;
-  args.append_raw(std::span<const std::byte>(
-      payload.bytes().data() + sizeof(ActionId),
-      payload.size() - sizeof(ActionId)));
-  actions_.handler(action)(ctx(node), src, std::move(args));
+  const auto action = payload.reader().get<ActionId>();
+  // The handler owns the stripped payload, so a suspending fiber can
+  // outlive this dispatch frame.
+  payload.drop_front(sizeof(ActionId));
+  actions_.handler(action)(ctx(node), src, std::move(payload));
 }
 
 LcoRef Runtime::register_lco(int node, LcoBase& lco) {
@@ -177,10 +181,8 @@ void Context::set_lco(LcoRef ref, util::Buffer value) {
     lco->remote_contribute(now(), r);
     return;
   }
-  util::Buffer args;
-  args.put<std::uint64_t>(ref.id);
-  args.append_raw(value.bytes());
-  send(ref.node, runtime_->lco_set_action(), std::move(args));
+  value.prepend<std::uint64_t>(ref.id);
+  send(ref.node, runtime_->lco_set_action(), std::move(value));
 }
 
 // --- detail hooks used by lco.hpp ------------------------------------------
@@ -195,8 +197,8 @@ std::uint64_t take_pending_spawn_slot(Runtime& rt, int node) {
   return rt.take_pending_spawn_slot(node);
 }
 
-void fiber_finished(Runtime& rt, int node, std::uint64_t slot) {
-  rt.fiber_finished(node, slot);
+void fiber_finished(Runtime& rt, std::uint64_t slot) {
+  rt.fiber_finished(slot);
 }
 
 void run_event_at(Runtime& rt, sim::Time t, std::function<void(sim::Time)> fn) {

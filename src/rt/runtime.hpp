@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/endpoint.hpp"
@@ -38,7 +40,9 @@ class Runtime {
 
   // Spawn a fiber on `node`, starting no earlier than `not_before`.
   void spawn_at(int node, sim::Time not_before, std::function<Fiber(Context&)> fn);
-  void spawn(int node, std::function<Fiber(Context&)> fn) { spawn_at(node, 0, fn); }
+  void spawn(int node, std::function<Fiber(Context&)> fn) {
+    spawn_at(node, 0, std::move(fn));
+  }
 
   // Send a parcel [action|args] from `src` departing at `depart`.
   void send_parcel_at(int src, sim::Time depart, int dst, ActionId action,
@@ -76,25 +80,21 @@ class Runtime {
   }
 
   // Closure-retention handshake with Fiber::promise_type (internal; see
-  // the promise docs in fiber.hpp). unique_ptr keeps each std::function at
-  // a stable address across map growth; reclamation is deferred to a
-  // later engine event so a synchronously completing fiber never
-  // destroys the closure it is running in.
+  // the promise docs in fiber.hpp). Each spawned closure sits in a
+  // recycled slot of a deque, whose growth never moves a slot;
+  // reclamation is deferred to a later engine event so a synchronously
+  // completing fiber never destroys the closure it is running in.
   std::uint64_t take_pending_spawn_slot(int node) {
     auto& st = states_.at(static_cast<std::size_t>(node));
     const auto slot = st.pending_spawn_slot;
     st.pending_spawn_slot = 0;
     return slot;
   }
-  void fiber_finished(int node, std::uint64_t slot);
+  void fiber_finished(std::uint64_t slot);
 
   // Spawned fibers that have not yet completed. Zero after a full drain
   // means every spawned fiber ran to completion (deadlock detector).
-  [[nodiscard]] std::size_t live_fibers() const {
-    std::size_t n = 0;
-    for (const NodeState& st : states_) n += st.spawned.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t live_fibers() const { return live_fibers_; }
 
  private:
   friend class Context;
@@ -112,18 +112,23 @@ class Runtime {
     std::uint64_t next_lco_id = 1;
     // Fiber machinery.
     sim::TaskCtx* current = nullptr;
-    // simlint:allow(D1: keyed by spawn slot, find/erase only, never iterated)
-    std::unordered_map<std::uint64_t,
-                       std::unique_ptr<std::function<Fiber(Context&)>>>
-        spawned;
-    std::uint64_t next_spawn_slot = 1;
     std::uint64_t pending_spawn_slot = 0;
+  };
+
+  // A spawned fiber's closure, kept alive until the fiber finishes. Slot
+  // ids are deque index + 1, so 0 means "not spawned".
+  struct SpawnSlot {
+    std::function<Fiber(Context&)> fn;
+    std::uint64_t next_free = 0;  // free-list link while the slot is idle
   };
 
   sim::Fabric* fabric_;
   net::EndpointGroup* endpoints_;
   ActionRegistry actions_;
   std::vector<NodeState> states_;
+  std::deque<SpawnSlot> spawn_slots_;
+  std::uint64_t spawn_free_ = 0;  // head of the idle-slot list
+  std::size_t live_fibers_ = 0;
   ActionId lco_set_action_ = kInvalidAction;
   ActionId apply_action_ = kInvalidAction;
 };

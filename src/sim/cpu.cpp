@@ -17,8 +17,29 @@ std::size_t Cpu::earliest_worker() const {
 }
 
 void Cpu::submit(Task fn) {
-  queue_.push_back(std::move(fn));
+  push_ready(std::move(fn));
   pump();
+}
+
+void Cpu::push_ready(Task fn) {
+  if (queued_ == ring_.size()) {
+    // Full: double, unrolling the FIFO to the front of the new ring.
+    std::vector<Task> grown(std::max<std::size_t>(8, 2 * ring_.size()));
+    for (std::size_t i = 0; i < queued_; ++i) {
+      grown[i] = std::move(ring_[(ring_head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(grown);
+    ring_head_ = 0;
+  }
+  ring_[(ring_head_ + queued_) & (ring_.size() - 1)] = std::move(fn);
+  ++queued_;
+}
+
+Task Cpu::pop_ready() {
+  Task fn = std::move(ring_[ring_head_]);
+  ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+  --queued_;
+  return fn;
 }
 
 std::int32_t Cpu::park_delayed(Task fn) {
@@ -76,7 +97,7 @@ void Cpu::pump() {
     ~Unset() { flag = false; }
   } unset{pumping_};
 
-  while (!queue_.empty()) {
+  while (queued_ != 0) {
     const std::size_t w = earliest_worker();
     const Time start = std::max(engine_.now(), avail_[w]);
     if (start > engine_.now()) {
@@ -91,8 +112,7 @@ void Cpu::pump() {
       }
       return;
     }
-    Task fn = std::move(queue_.front());
-    queue_.pop_front();
+    Task fn = pop_ready();
     TaskCtx ctx(*this, start);
     fn(ctx);
     avail_[w] = start + ctx.charged();

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/counters.hpp"
@@ -64,10 +63,12 @@ class Cpu {
   [[nodiscard]] int workers() const { return static_cast<int>(avail_.size()); }
   [[nodiscard]] Time busy_ns() const { return busy_ns_; }
   [[nodiscard]] std::uint64_t tasks_run() const { return tasks_run_; }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_depth() const { return queued_; }
 
  private:
   void pump();
+  void push_ready(Task fn);
+  Task pop_ready();
   std::size_t earliest_worker() const;
 
   // Parking pool for submit_at: the task waits here so the engine
@@ -97,7 +98,11 @@ class Cpu {
   Counters& counters_;
   Trace* trace_;
   std::vector<Time> avail_;        // per-worker next-free time
-  std::deque<Task> queue_;
+  // Ready tasks, FIFO: a ring whose size is zero until the first task,
+  // then a power of two; `queued_` tasks start at ring_[ring_head_].
+  std::vector<Task> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t queued_ = 0;
   std::vector<Delayed> delayed_;
   std::int32_t delayed_free_ = -1;
   Time wake_at_ = 0;

@@ -3,14 +3,20 @@
 // simulator never crosses real machine boundaries, so host order is fine;
 // the codec still goes through memcpy to stay alignment-safe and
 // strict-aliasing-clean).
+//
+// A parcel's payload is one Buffer from encoder to handler: each layer
+// prepends its header into free space kept in front of the bytes and
+// strips it again with drop_front, so no hop copies the payload.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -19,16 +25,46 @@ namespace nvgas::util {
 
 class Buffer {
  public:
-  Buffer() = default;
-  explicit Buffer(std::size_t reserve) { data_.reserve(reserve); }
-  explicit Buffer(std::span<const std::byte> bytes)
-      : data_(bytes.begin(), bytes.end()) {}
+  // Free bytes every allocation keeps in front of the payload: the
+  // deepest header stack the runtime prepends, a parcel's ActionId over
+  // encode_apply's [u64 gva | ActionId].
+  static constexpr std::size_t kHeadroom = 16;
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
-  [[nodiscard]] const std::byte* data() const { return data_.data(); }
-  [[nodiscard]] std::span<const std::byte> bytes() const { return data_; }
-  void clear() { data_.clear(); }
+  Buffer() = default;
+  explicit Buffer(std::size_t reserve) {
+    if (reserve != 0) reallocate(kHeadroom, reserve);
+  }
+  explicit Buffer(std::span<const std::byte> bytes) { append_raw(bytes); }
+
+  Buffer(const Buffer& other) : Buffer(other.bytes()) {}
+  Buffer& operator=(const Buffer& other) {
+    if (this != &other) {
+      clear();
+      append_raw(other.bytes());
+    }
+    return *this;
+  }
+  Buffer(Buffer&& other) noexcept
+      : mem_(std::move(other.mem_)),
+        head_(std::exchange(other.head_, 0)),
+        size_(std::exchange(other.size_, 0)),
+        cap_(std::exchange(other.cap_, 0)) {}
+  Buffer& operator=(Buffer&& other) noexcept {
+    mem_ = std::move(other.mem_);
+    head_ = std::exchange(other.head_, 0);
+    size_ = std::exchange(other.size_, 0);
+    cap_ = std::exchange(other.cap_, 0);
+    return *this;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const std::byte* data() const { return mem_.get() + head_; }
+  [[nodiscard]] std::span<const std::byte> bytes() const { return {data(), size_}; }
+  void clear() {
+    size_ = 0;
+    head_ = mem_ ? static_cast<std::uint32_t>(kHeadroom) : 0;
+  }
 
   // --- writing -----------------------------------------------------------
 
@@ -61,6 +97,25 @@ class Buffer {
 
   void append_raw(std::span<const std::byte> bytes) {
     grow_copy(bytes.data(), bytes.size());
+  }
+
+  // Write `value` in front of the payload: in place while the headroom
+  // lasts, else into a fresh allocation.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void prepend(const T& value) {
+    if (head_ < sizeof(T)) reallocate(std::max(kHeadroom, sizeof(T)), size_);
+    head_ -= static_cast<std::uint32_t>(sizeof(T));
+    size_ += static_cast<std::uint32_t>(sizeof(T));
+    // Legal byte view, as in put().
+    std::memcpy(mem_.get() + head_, &value, sizeof(T));
+  }
+
+  // Strip the first `n` bytes in place; the freed bytes become headroom.
+  void drop_front(std::size_t n) {
+    NVGAS_CHECK_MSG(n <= size_, "buffer underrun");
+    head_ += static_cast<std::uint32_t>(n);
+    size_ -= static_cast<std::uint32_t>(n);
   }
 
   // --- reading (cursor-based) --------------------------------------------
@@ -137,21 +192,39 @@ class Buffer {
   [[nodiscard]] Reader reader() const { return Reader(*this); }
 
  private:
-  // Explicit reserve (libstdc++'s own doubling) + resize + memcpy: GCC 12
-  // mis-tracks the reallocation inside a growing resize or an
-  // iterator-range insert and reports spurious -Wstringop-overflow /
-  // -Warray-bounds at -O2 and -O3.
   void grow_copy(const std::byte* src, std::size_t n) {
     if (n == 0) return;
-    const std::size_t old = data_.size();
-    if (old + n > data_.capacity()) {
-      data_.reserve(std::max(old + n, 2 * old));
+    if (head_ + size_ + n > cap_) {
+      reallocate(kHeadroom, std::max<std::size_t>(size_ + n, 2 * std::size_t{size_}));
     }
-    data_.resize(old + n);
-    std::memcpy(data_.data() + old, src, n);
+    std::memcpy(mem_.get() + head_ + size_, src, n);
+    size_ += static_cast<std::uint32_t>(n);
   }
 
-  std::vector<std::byte> data_;
+  // Move the payload into a fresh allocation with `front` free bytes
+  // before it and room for `payload` bytes from there.
+  void reallocate(std::size_t front, std::size_t payload) {
+    const std::size_t cap = front + payload;
+    NVGAS_CHECK_MSG(cap <= UINT32_MAX, "buffer larger than 4 GiB");
+    auto mem = std::make_unique_for_overwrite<std::byte[]>(cap);
+    if (size_ != 0) std::memcpy(mem.get() + front, data(), size_);
+    mem_ = std::move(mem);
+    head_ = static_cast<std::uint32_t>(front);
+    cap_ = static_cast<std::uint32_t>(cap);
+  }
+
+  // Payload bytes are mem_[head_, head_ + size_) of a cap_-byte block.
+  // 32-bit offsets keep the object at 24 bytes (asserted below).
+  std::unique_ptr<std::byte[]> mem_;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = 0;
 };
+
+// A Buffer rides by value inside the hot 48-byte InlineFunction closures:
+// the parcel-delivery task (Endpoint::deliver_to_cpu around parcel_task,
+// 48 B) and Runtime::invoke_action_at's task (48 B). One more word spills
+// both to the heap on every parcel.
+static_assert(sizeof(Buffer) == 24);
 
 }  // namespace nvgas::util

@@ -455,5 +455,46 @@ TEST(FaultChannelStateTest, OnlyTalkingPeersHoldRecords) {
   EXPECT_EQ(rels.at(3).peer_records(), 0u);
 }
 
+// The sender window holds exactly the frames sent and not yet covered by
+// a cumulative ack. Node 0 sends bursts to two peers from a quiescent
+// channel; no ack can reach it before a frame crosses the wire, waits out
+// the receiver's ack delay and crosses back, so at a stop inside that span
+// every frame of the burst is unacked. At later stops acks have retired
+// some, but never an undelivered one (delivery is in order, so a delayed
+// first frame can hold back the whole burst). Bursts of 14 to 59 frames
+// on windows whose base keeps advancing make each window grow and wrap.
+TEST(FaultChannelStateTest, UnackedIsSentMinusAckedFrames) {
+  for (const FaultKind kind :
+       {FaultKind::kDrop10, FaultKind::kDup5, FaultKind::kDelayReorder}) {
+    Config cfg = Config::with_nodes(3, GasMode::kAgasNet);
+    cfg.faults = make_plan(kind);
+    World world(cfg);
+    net::ReliabilityGroup& rels = world.endpoints().reliability();
+    std::uint64_t sent = 0;
+    std::uint64_t delivered = 0;
+    for (std::uint64_t burst = 1; burst <= 6; ++burst) {
+      const std::uint64_t n = 5 + 9 * burst;
+      const sim::Time t0 = world.now();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        net::channel_send(world.fabric(), rels, 0, 1 + static_cast<int>(i % 2),
+                          t0, 64, [&delivered](sim::Time) { ++delivered; });
+      }
+      sent += n;
+      sim::Time stop = t0 + sim::kWireLatencyNs + net::kAckDelayNs;
+      world.engine().run_until(stop);
+      ASSERT_FALSE(world.engine().idle()) << kind_name(kind);
+      EXPECT_EQ(rels.at(0).unacked(), n) << kind_name(kind) << " burst " << burst;
+      while (!world.engine().idle()) {
+        stop += 1'000;
+        world.engine().run_until(stop);
+        EXPECT_LE(rels.at(0).unacked(), n);
+        EXPECT_GE(rels.at(0).unacked(), sent - delivered);
+      }
+      EXPECT_EQ(delivered, sent) << kind_name(kind);
+      EXPECT_EQ(rels.at(0).unacked(), 0u) << kind_name(kind);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nvgas

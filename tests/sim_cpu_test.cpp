@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <vector>
 
 #include "sim/counters.hpp"
@@ -131,6 +133,43 @@ TEST_F(CpuFixture, InterleavedSubmitAtPreservesWorkerModel) {
   EXPECT_EQ(log[0], std::make_pair(1, Time{0}));
   // Task 2 became ready at t=100 but the single worker is busy until 1000.
   EXPECT_EQ(log[1], std::make_pair(2, Time{1000}));
+}
+
+// The run queue is a ring that grows by doubling. Ten tasks wait behind
+// a busy worker; the second of them submits forty more while the ring's
+// head is past slot 0, so the queue wraps and then grows twice, and a
+// later task submits thirty more across the wrap point of the grown
+// ring. Every task checks it is the FIFO head of a reference queue and
+// that queue_depth() matches after its pop.
+TEST_F(CpuFixture, RunQueueKeepsFifoAcrossGrowthAndWrap) {
+  Cpu cpu(engine, 0, 1, counters);
+  std::deque<int> model;
+  std::vector<int> ran;
+  int next_id = 0;
+  std::function<void(int)> submit = [&](int burst) {
+    for (int i = 0; i < burst; ++i) {
+      const int id = next_id++;
+      model.push_back(id);
+      cpu.submit([&, id](TaskCtx& ctx) {
+        ASSERT_FALSE(model.empty());
+        EXPECT_EQ(model.front(), id);
+        model.pop_front();
+        EXPECT_EQ(cpu.queue_depth(), model.size()) << "task " << id;
+        ran.push_back(id);
+        ctx.charge(10);
+        if (id == 1) submit(40);
+        if (id == 30) submit(30);
+      });
+    }
+  };
+  cpu.submit([](TaskCtx& ctx) { ctx.charge(100); });  // the busy worker
+  submit(10);
+  EXPECT_EQ(cpu.queue_depth(), 10u);
+  engine.run();
+  ASSERT_EQ(ran.size(), 80u);
+  for (int i = 0; i < 80; ++i) EXPECT_EQ(ran[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(cpu.queue_depth(), 0u);
+  EXPECT_EQ(cpu.busy_ns(), 100u + 80u * 10u);
 }
 
 }  // namespace
