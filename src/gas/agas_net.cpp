@@ -25,26 +25,9 @@ void AgasNet::piggyback(int node, std::uint64_t key, net::TlbEntry entry) {
   }
 }
 
-std::uint32_t AgasNet::park_op(Op op) {
-  if (free_ops_.empty()) {
-    ops_.push_back(std::move(op));
-    return static_cast<std::uint32_t>(ops_.size() - 1);
-  }
-  const std::uint32_t id = free_ops_.back();
-  free_ops_.pop_back();
-  ops_[id] = std::move(op);
-  return id;
-}
-
-AgasNet::Op AgasNet::unpark_op(std::uint32_t id) {
-  Op op = std::exchange(ops_[id], Op{});
-  free_ops_.push_back(id);
-  return op;
-}
-
 void AgasNet::complete(sim::Time t, std::uint32_t id) {
   // The id is free before the callback runs, which may issue more ops.
-  Op op = unpark_op(id);
+  Op op = ops_.unpark(id);
   switch (op.kind) {
     case Op::Kind::kPut:
       if (op.on_done) op.on_done(t);
@@ -274,7 +257,7 @@ void AgasNet::do_memput(sim::TaskCtx& task, int node, Gva dst,
   op.on_done = std::move(done);
   op.on_remote = std::move(remote_notify);
   observe_op(node, op.key, op.on_done);
-  issue(task, node, park_op(std::move(op)));
+  issue(task, node, ops_.park(std::move(op)));
 }
 
 void AgasNet::do_memget(sim::TaskCtx& task, int node, Gva src,
@@ -283,7 +266,7 @@ void AgasNet::do_memget(sim::TaskCtx& task, int node, Gva src,
   op.len = static_cast<std::uint32_t>(len);
   op.on_data = std::move(done);
   observe_op(node, op.key, op.on_data);
-  issue(task, node, park_op(std::move(op)));
+  issue(task, node, ops_.park(std::move(op)));
 }
 
 void AgasNet::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
@@ -292,7 +275,7 @@ void AgasNet::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
   op.operand = operand;
   op.on_u64 = std::move(done);
   observe_op(node, op.key, op.on_u64);
-  issue(task, node, park_op(std::move(op)));
+  issue(task, node, ops_.park(std::move(op)));
 }
 
 void AgasNet::do_resolve(sim::TaskCtx& task, int node, Gva addr,
@@ -578,15 +561,12 @@ std::string AgasNet::audit_translation() const {
 
 std::string AgasNet::audit_quiescent() const {
   if (std::string err = moves_.audit_quiescent(); !err.empty()) return err;
-  if (ops_.size() != free_ops_.size()) {
-    for (const Op& op : ops_) {
-      if (op.src < 0) continue;
-      return util::format(
-          "%zu op(s) never completed; the first is on block %llx from node "
-          "%d after %d hop(s)",
-          ops_.size() - free_ops_.size(),
-          static_cast<unsigned long long>(op.key), op.src, op.hops);
-    }
+  if (const Op* op = ops_.first()) {
+    return util::format(
+        "%zu op(s) never completed; the first is on block %llx from node "
+        "%d after %d hop(s)",
+        ops_.size(), static_cast<unsigned long long>(op->key), op->src,
+        op->hops);
   }
   const int n_nodes = fabric_->nodes();
   for (int n = 0; n < n_nodes; ++n) {

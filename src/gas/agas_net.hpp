@@ -26,6 +26,7 @@
 #include "gas/gas_api.hpp"
 #include "gas/move_sequencer.hpp"
 #include "net/nic_tlb.hpp"
+#include "util/slab.hpp"
 
 namespace nvgas::gas {
 
@@ -86,7 +87,7 @@ class AgasNet final : public GasBase {
     enum class Kind : std::uint8_t { kPut, kGet, kFadd };
     Kind kind = Kind::kPut;
     bool used_hint = false;  // a hint forward may be taken only once
-    int src = -1;            // -1: the slab slot is free
+    int src = -1;            // the issuing node
     std::uint64_t key = 0;
     std::uint32_t offset = 0;
     std::uint32_t len = 0;         // get length
@@ -110,12 +111,6 @@ class AgasNet final : public GasBase {
   template <typename... Args>
   void observe_op(int node, std::uint64_t key,
                   std::function<void(sim::Time, Args...)>& done);
-
-  // Move `op` into the slab and return its id; unpark_op(id) moves it
-  // back out and frees the id. A reference into ops_ is valid only until
-  // the next park_op, so no Op& is held across anything that may issue.
-  [[nodiscard]] std::uint32_t park_op(Op op);
-  [[nodiscard]] Op unpark_op(std::uint32_t id);
 
   [[nodiscard]] net::NicTlb& tlb_mut(int node) {
     return tlbs_.at(static_cast<std::size_t>(node));
@@ -154,9 +149,7 @@ class AgasNet final : public GasBase {
 
   std::vector<net::NicTlb> tlbs_;
   MoveSequencer<std::uint32_t> moves_;  // parks slab ids at the home NIC
-  // In-flight ops by id, and the ids free for reuse.
-  std::vector<Op> ops_;
-  std::vector<std::uint32_t> free_ops_;
+  util::Slab<Op> ops_{"agas-net op"};  // in-flight ops by id
 };
 
 }  // namespace nvgas::gas

@@ -11,6 +11,16 @@ namespace {
 // Nominal wire sizes for the control messages (headers only).
 constexpr std::uint64_t kCtrlBytes = 32;
 constexpr std::uint64_t kReplyBytes = 48;
+
+// The entry for block `key` in one of a node's short per-block lists, or
+// null.
+template <typename List>
+auto find_block(List& list, std::uint64_t key) -> decltype(list.data()) {
+  for (auto& e : list) {
+    if (e.key == key) return &e;
+  }
+  return nullptr;
+}
 }  // namespace
 
 AgasSw::AgasSw(sim::Fabric& fabric, net::EndpointGroup& endpoints,
@@ -50,8 +60,18 @@ void AgasSw::free_alloc(sim::TaskCtx& task, int node, Gva base) {
 // Translation.
 // ---------------------------------------------------------------------------
 
-void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
-                              Cont cont) {
+AgasSw::Op AgasSw::make_op(int node, Gva addr, Op::Done done) {
+  Op op;
+  op.node = node;
+  op.block = addr.block_base();
+  op.offset = addr.offset();
+  op.done = std::move(done);
+  return op;
+}
+
+void AgasSw::with_translation(sim::TaskCtx& task, std::uint32_t id) {
+  const int node = ops_[id].node;
+  const Gva block_base = ops_[id].block;
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
   auto& counters = fabric_->counters();
@@ -62,13 +82,10 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
     ++counters.directory_lookups;
     const DirEntry& e = dir_.at(block_base);
     if (moves_.moving(key)) {
-      moves_.park(key, [this, node, block_base,
-                        cont = std::move(cont)](sim::TaskCtx& t2) mutable {
-        with_translation(t2, node, block_base, std::move(cont));
-      });
+      moves_.park(key, [this, id](sim::TaskCtx& t2) { with_translation(t2, id); });
       return;
     }
-    cont(task, net::TlbEntry{e.owner, e.lva, e.generation});
+    run(task, id, net::TlbEntry{e.owner, e.lva, e.generation});
     return;
   }
 
@@ -76,14 +93,18 @@ void AgasSw::with_translation(sim::TaskCtx& task, int node, Gva block_base,
   task.charge(kSwCacheHitNs);
   if (auto hit = ns.cache.lookup(key)) {
     ++counters.sw_cache_hits;
-    cont(task, *hit);
+    run(task, id, *hit);
     return;
   }
   ++counters.sw_cache_misses;
 
-  auto& pending = ns.pending_resolves[key];
-  pending.push_back(std::move(cont));
-  if (pending.size() > 1) return;  // a request is already in flight
+  if (Resolving* r = find_block(ns.resolving, key)) {
+    // A request is already in flight: wait behind the last op.
+    ops_[r->last].next = id;
+    r->last = id;
+    return;
+  }
+  ns.resolving.push_back({key, id, id});
 
   // Request/response to the home directory.
   task.charge(ep(node).post_cost());
@@ -118,10 +139,80 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
         t2.charge(kSwCacheInsertNs);
         NodeState& ns = st(t2.cpu().node());
         ns.cache.insert(key, entry);
-        auto conts = std::move(ns.pending_resolves[key]);
-        ns.pending_resolves.erase(key);
-        for (auto& c : conts) c(t2, entry);
+        Resolving* r = find_block(ns.resolving, key);
+        NVGAS_CHECK_MSG(r != nullptr, "resolve reply nobody waits for");
+        std::uint32_t id = r->first;
+        *r = ns.resolving.back();
+        ns.resolving.pop_back();
+        // Read each op's successor before running it: running may free
+        // its slot for an op issued from its completion.
+        while (id != kNoOp) {
+          const std::uint32_t next = ops_[id].next;
+          run(t2, id, entry);
+          id = next;
+        }
       });
+}
+
+void AgasSw::run(sim::TaskCtx& task, std::uint32_t id, const net::TlbEntry& e) {
+  Op& op = ops_[id];
+  const int node = op.node;
+  const sim::Lva lva = e.base + op.offset;
+  if (op.kind() == Op::Kind::kResolve || e.owner == node) {
+    // Done here: the op leaves the slab before its completion runs,
+    // which may issue more.
+    Op done = ops_.unpark(id);
+    switch (done.kind()) {
+      case Op::Kind::kResolve:
+        std::get<OnOwner>(done.done)(task.now(), e.owner);
+        break;
+      case Op::Kind::kPut:
+        local_put(task, node, lva, done.data, std::get<net::OnDone>(done.done));
+        if (done.on_remote) done.on_remote(task.now());
+        break;
+      case Op::Kind::kGet:
+        local_get(task, node, lva, done.len, std::get<net::OnData>(done.done));
+        break;
+      case Op::Kind::kFadd:
+        local_fadd(task, node, lva, done.operand, std::get<net::OnU64>(done.done));
+        break;
+    }
+    return;
+  }
+
+  begin_rma(node, op.block.block_key());
+  task.charge(ep(node).post_cost());
+  switch (op.kind()) {
+    case Op::Kind::kPut:
+      ep(node).put(
+          task.now(), e.owner, lva, std::move(op.data),
+          [this, id](sim::Time t) {
+            const Op done = finish_rma(t, id);
+            if (const auto& cb = std::get<net::OnDone>(done.done)) cb(t);
+          },
+          std::move(op.on_remote));
+      break;
+    case Op::Kind::kGet:
+      ep(node).get(task.now(), e.owner, lva, op.len,
+                   [this, id](sim::Time t, std::vector<std::byte> data) {
+                     const Op done = finish_rma(t, id);
+                     if (const auto& cb = std::get<net::OnData>(done.done)) {
+                       cb(t, std::move(data));
+                     }
+                   });
+      break;
+    case Op::Kind::kFadd:
+      ep(node).fetch_add(task.now(), e.owner, lva, op.operand,
+                         [this, id](sim::Time t, std::uint64_t old) {
+                           const Op done = finish_rma(t, id);
+                           if (const auto& cb = std::get<net::OnU64>(done.done)) {
+                             cb(t, old);
+                           }
+                         });
+      break;
+    case Op::Kind::kResolve:
+      NVGAS_UNREACHABLE();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -129,24 +220,27 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
 // still in flight against this block" before acking an invalidation.
 // ---------------------------------------------------------------------------
 
-template <typename... Args>
-std::function<void(sim::Time, Args...)> AgasSw::track_op(
-    int node, std::uint64_t key, std::function<void(sim::Time, Args...)> done) {
-  ++st(node).outstanding[key];
+void AgasSw::begin_rma(int node, std::uint64_t key) {
+  NodeState& ns = st(node);
+  if (InFlight* f = find_block(ns.in_flight, key)) {
+    ++f->rmas;
+  } else {
+    ns.in_flight.push_back({key, 1});
+  }
   if (observer_ != nullptr) observer_->on_remote_op_begin(node, key);
-  return [this, node, key, done = std::move(done)](sim::Time t, Args... args) {
-    end_op(node, key, t);
-    if (done) done(t, std::move(args)...);
-  };
 }
 
-void AgasSw::end_op(int node, std::uint64_t key, sim::Time t) {
+AgasSw::Op AgasSw::finish_rma(sim::Time t, std::uint32_t id) {
+  Op op = ops_.unpark(id);
+  const int node = op.node;
+  const std::uint64_t key = op.block.block_key();
   if (observer_ != nullptr) observer_->on_remote_op_end(node, key);
   NodeState& ns = st(node);
-  const auto it = ns.outstanding.find(key);
-  NVGAS_CHECK(it != ns.outstanding.end() && it->second > 0);
-  if (--it->second == 0) {
-    ns.outstanding.erase(it);
+  InFlight* f = find_block(ns.in_flight, key);
+  NVGAS_CHECK(f != nullptr && f->rmas > 0);
+  if (--f->rmas == 0) {
+    *f = ns.in_flight.back();
+    ns.in_flight.pop_back();
     const auto wit = ns.fence_waiters.find(key);
     if (wit != ns.fence_waiters.end()) {
       auto waiters = std::move(wit->second);
@@ -154,6 +248,13 @@ void AgasSw::end_op(int node, std::uint64_t key, sim::Time t) {
       for (auto& w : waiters) w(t);
     }
   }
+  return op;
+}
+
+std::uint32_t AgasSw::rmas_in_flight(int node, std::uint64_t key) const {
+  const InFlight* f =
+      find_block(nodes_.at(static_cast<std::size_t>(node)).in_flight, key);
+  return f != nullptr ? f->rmas : 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -163,67 +264,28 @@ void AgasSw::end_op(int node, std::uint64_t key, sim::Time t) {
 void AgasSw::do_memput(sim::TaskCtx& task, int node, Gva dst,
                        std::vector<std::byte> data, net::OnDone done,
                        net::OnDone remote_notify) {
-  const std::uint64_t key = dst.block_key();
-  const std::uint32_t off = dst.offset();
-  with_translation(
-      task, node, dst.block_base(),
-      [this, node, key, off, data = std::move(data), done = std::move(done),
-       remote_notify = std::move(remote_notify)](sim::TaskCtx& t,
-                                                 const net::TlbEntry& e) mutable {
-        if (e.owner == node) {
-          local_put(t, node, e.base + off, data, done);
-          if (remote_notify) remote_notify(t.now());
-          return;
-        }
-        net::OnDone tracked = track_op(node, key, std::move(done));
-        t.charge(ep(node).post_cost());
-        ep(node).put(t.now(), e.owner, e.base + off, std::move(data),
-                     std::move(tracked), std::move(remote_notify));
-      });
+  Op op = make_op(node, dst, std::move(done));
+  op.data = std::move(data);
+  op.on_remote = std::move(remote_notify);
+  with_translation(task, ops_.park(std::move(op)));
 }
 
 void AgasSw::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
                        net::OnData done) {
-  const std::uint64_t key = src.block_key();
-  const std::uint32_t off = src.offset();
-  with_translation(
-      task, node, src.block_base(),
-      [this, node, key, off, len,
-       done = std::move(done)](sim::TaskCtx& t, const net::TlbEntry& e) mutable {
-        if (e.owner == node) {
-          local_get(t, node, e.base + off, len, done);
-          return;
-        }
-        net::OnData tracked = track_op(node, key, std::move(done));
-        t.charge(ep(node).post_cost());
-        ep(node).get(t.now(), e.owner, e.base + off, len, std::move(tracked));
-      });
+  Op op = make_op(node, src, std::move(done));
+  op.len = static_cast<std::uint32_t>(len);
+  with_translation(task, ops_.park(std::move(op)));
 }
 
 void AgasSw::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
                           std::uint64_t operand, net::OnU64 done) {
-  const std::uint64_t key = addr.block_key();
-  const std::uint32_t off = addr.offset();
-  with_translation(
-      task, node, addr.block_base(),
-      [this, node, key, off, operand,
-       done = std::move(done)](sim::TaskCtx& t, const net::TlbEntry& e) mutable {
-        if (e.owner == node) {
-          local_fadd(t, node, e.base + off, operand, done);
-          return;
-        }
-        net::OnU64 tracked = track_op(node, key, std::move(done));
-        t.charge(ep(node).post_cost());
-        ep(node).fetch_add(t.now(), e.owner, e.base + off, operand,
-                           std::move(tracked));
-      });
+  Op op = make_op(node, addr, std::move(done));
+  op.operand = operand;
+  with_translation(task, ops_.park(std::move(op)));
 }
 
 void AgasSw::do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
-  with_translation(task, node, addr.block_base(),
-                   [done = std::move(done)](sim::TaskCtx& t, const net::TlbEntry& e) {
-                     done(t.now(), e.owner);
-                   });
+  with_translation(task, ops_.park(make_op(node, addr, std::move(done))));
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +345,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base,
     sharers.pop_back();
   }
   mig.pending_acks = static_cast<std::uint32_t>(sharers.size());
-  const bool home_fence = hs.outstanding.count(key) != 0;
+  const bool home_fence = rmas_in_flight(home, key) != 0;
   if (home_fence) ++mig.pending_acks;
 
   for (int s : sharers) {
@@ -301,7 +363,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base,
                                 migration_acked(t3, block_base);
                               });
           };
-          if (ns.outstanding.count(key) != 0) {
+          if (rmas_in_flight(s, key) != 0) {
             ns.fence_waiters[key].push_back(std::move(send_ack));
           } else {
             t2.charge(ep(s).post_cost());
@@ -432,9 +494,9 @@ std::pair<int, sim::Lva> AgasSw::drop_block_state(Gva block_base) {
   moves_.check_not_moving(key);
   // Collective free: every rank drops its cached translation. The
   // allocation's directory entries go together, in free_alloc.
-  for (auto& ns : nodes_) {
-    (void)ns.cache.erase(key);
-    NVGAS_CHECK_MSG(ns.outstanding.count(key) == 0,
+  for (int n = 0; n < static_cast<int>(nodes_.size()); ++n) {
+    (void)st(n).cache.erase(key);
+    NVGAS_CHECK_MSG(rmas_in_flight(n, key) == 0,
                     "free_alloc with in-flight RMAs");
   }
   return {e.owner, e.lva};
@@ -468,12 +530,21 @@ std::string AgasSw::audit_translation() const {
 }
 
 std::string AgasSw::audit_quiescent() const {
+  if (const Op* op = ops_.first()) {
+    static constexpr const char* kKinds[] = {"put", "get", "fetch_add",
+                                             "resolve"};
+    return util::format(
+        "%zu op(s) never completed; the first is a %s on block %llx from "
+        "node %d",
+        ops_.size(), kKinds[static_cast<int>(op->kind())],
+        static_cast<unsigned long long>(op->block.block_key()), op->node);
+  }
   for (int n = 0; n < static_cast<int>(nodes_.size()); ++n) {
     const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
-    if (!ns.pending_resolves.empty()) {
+    if (!ns.resolving.empty()) {
       return util::format("node %d has unanswered resolve requests", n);
     }
-    if (!ns.outstanding.empty()) {
+    if (!ns.in_flight.empty()) {
       return util::format("node %d has unfinished in-flight RMAs", n);
     }
     if (!ns.fence_waiters.empty()) {

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "gas/directory.hpp"
@@ -35,6 +36,7 @@
 #include "gas/move_sequencer.hpp"
 #include "net/nic_tlb.hpp"
 #include "util/inline_function.hpp"
+#include "util/slab.hpp"
 
 namespace nvgas::gas {
 
@@ -58,6 +60,8 @@ class AgasSw final : public GasBase {
   // mcheck invariant audits (see docs/MODEL_CHECKING.md). This manager's
   // contract is "a cached translation is never stale", so every cache
   // entry anywhere must match its home directory entry exactly.
+  // audit_quiescent also names the first op still parked in the slab, by
+  // kind, block and issuing node.
   [[nodiscard]] std::string audit_translation() const override;
   [[nodiscard]] std::string audit_quiescent() const override;
 
@@ -80,9 +84,42 @@ class AgasSw final : public GasBase {
   std::pair<int, sim::Lva> drop_block_state(Gva block_base) override;
 
  private:
-  // Continuation receiving a valid translation, run inside a CPU task on
-  // the issuing node.
-  using Cont = std::function<void(sim::TaskCtx&, const net::TlbEntry&)>;
+  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+
+  // An in-flight op, parked in the ops_ slab from issue to completion;
+  // every hop's closure carries only its slab id. Ops that miss on one
+  // block while its resolve is in flight chain through `next`, in issue
+  // order, and run when the reply arrives.
+  struct Op {
+    // The caller's completion. Its alternative is the op's kind, in the
+    // order of Kind.
+    using Done = std::variant<net::OnDone, net::OnData, net::OnU64, OnOwner>;
+    enum class Kind : std::uint8_t { kPut, kGet, kFadd, kResolve };
+
+    int node = -1;  // the issuing node
+    Gva block;      // the block's base
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;         // get length
+    std::uint32_t next = kNoOp;    // next op waiting on the same resolve
+    std::uint64_t operand = 0;     // fetch_add operand
+    std::vector<std::byte> data;   // put payload
+    net::OnDone on_remote;         // put's remote notification
+    Done done;
+
+    [[nodiscard]] Kind kind() const { return static_cast<Kind>(done.index()); }
+  };
+  // A resolve request in flight from a node, and the first and last op
+  // waiting on its reply.
+  struct Resolving {
+    std::uint64_t key;
+    std::uint32_t first;
+    std::uint32_t last;
+  };
+  // A block a node has RMAs in flight against, and how many.
+  struct InFlight {
+    std::uint64_t key;
+    std::uint32_t rmas;
+  };
 
   // Parked continuations waiting for an RMA fence to drain. Stored
   // out-of-line (never copied, moved in/out once), so the fixed 48-byte
@@ -95,10 +132,10 @@ class AgasSw final : public GasBase {
     explicit NodeState(std::size_t cache_capacity) : cache(cache_capacity) {}
     // Source side: unpinned entries only.
     net::NicTlb cache;
-    // simlint:allow(D1: keyed find/erase only, never iterated)
-    std::unordered_map<std::uint64_t, std::vector<Cont>> pending_resolves;
-    // simlint:allow(D1: keyed find/erase only, never iterated)
-    std::unordered_map<std::uint64_t, std::uint32_t> outstanding;  // in-flight RMAs
+    // A node has at most one entry per block it is waiting on, a few at
+    // a time, so both are scanned linearly.
+    std::vector<Resolving> resolving;
+    std::vector<InFlight> in_flight;
     // simlint:allow(D1: vector extracted per key; the map is never iterated)
     std::unordered_map<std::uint64_t, std::vector<FenceWaiter>> fence_waiters;
   };
@@ -110,21 +147,26 @@ class AgasSw final : public GasBase {
     return block_base.home(fabric_->nodes());
   }
 
-  // Resolve `block_base` from `node`, then run `cont`. Handles home-local
-  // lookups, cache hits, misses (request/response), and queuing while the
-  // block is moving.
-  void with_translation(sim::TaskCtx& task, int node, Gva block_base, Cont cont);
+  // An op issued by `node` against `addr`, of the kind `done` names; the
+  // caller fills in the payload.
+  [[nodiscard]] static Op make_op(int node, Gva addr, Op::Done done);
+
+  // Resolve op `id`'s block from its node, then run it. Handles
+  // home-local lookups, cache hits, misses (request/response), and
+  // queuing while the block is moving.
+  void with_translation(sim::TaskCtx& task, std::uint32_t id);
+  // Carry out op `id` against the valid translation `e`.
+  void run(sim::TaskCtx& task, std::uint32_t id, const net::TlbEntry& e);
 
   // Home-side request processing (runs as a CPU task at the home).
   void handle_resolve_request(sim::TaskCtx& task, Gva block_base, int requester);
 
-  // Fencing bookkeeping for one RMA from `node` against block `key`: the
-  // op counts as in flight from this call until the returned completion
-  // runs, and wraps `done`.
-  template <typename... Args>
-  std::function<void(sim::Time, Args...)> track_op(
-      int node, std::uint64_t key, std::function<void(sim::Time, Args...)> done);
-  void end_op(int node, std::uint64_t key, sim::Time t);
+  // Fencing bookkeeping: an RMA from `node` against block `key` counts as
+  // in flight from begin_rma until finish_rma takes its op out of the
+  // slab and releases any fence waiting on the block.
+  void begin_rma(int node, std::uint64_t key);
+  [[nodiscard]] Op finish_rma(sim::Time t, std::uint32_t id);
+  [[nodiscard]] std::uint32_t rmas_in_flight(int node, std::uint64_t key) const;
 
   // Migration steps (all run at the home unless noted).
   void start_migration(sim::TaskCtx& task, Gva block_base, MoveRequest req);
@@ -138,6 +180,7 @@ class AgasSw final : public GasBase {
 
   GasCosts config_;
   std::vector<NodeState> nodes_;
+  util::Slab<Op> ops_{"agas-sw op"};  // in-flight ops by id
   Directory dir_;  // home side: each entry is charged to its block's home
   MoveSequencer<DeferredWork> moves_;  // parks work at the block's home
 };

@@ -39,59 +39,68 @@ void Endpoint::put(Time depart, int dst, Lva dst_lva,
 
 // --------------------------------------------------------------------------
 // get: small request -> target NIC DMA-reads the data -> reply carries the
-// payload -> source NIC DMA-writes it and raises the completion.
+// payload -> source NIC DMA-writes it and raises the completion. The
+// completion waits in the ledger; each hop carries its slot id.
 // --------------------------------------------------------------------------
 void Endpoint::get(Time depart, int dst, Lva src_lva, std::size_t len,
                    OnData on_data) {
   ++fabric_->counters().rma_gets;
-  Endpoint* target = &group_.at(dst);
-  raw_send(
-      depart, dst, kRmaHeaderBytes,
-      [this, target, src_lva, len,
-       on_data = std::move(on_data)](Time arrived) mutable {
-        target->nic_read(
-            arrived, src_lva, len,
-            [this, target, len, on_data = std::move(on_data)](
-                Time done, std::vector<std::byte> payload) mutable {
-              target->raw_send(
-                  done, node_, kRmaHeaderBytes + len,
-                  [this, on_data = std::move(on_data),
-                   payload = std::move(payload)](Time replied) mutable {
-                    const Time ready =
-                        fabric_->nic(node_).occupy_dma(replied, payload.size());
-                    fabric_->engine().at(
-                        ready, [ready, on_data = std::move(on_data),
-                                payload = std::move(payload)]() mutable {
-                          on_data(ready, std::move(payload));
-                        });
-                  });
-            });
-      });
+  const std::uint32_t id = ledger_.park(std::move(on_data));
+  raw_send(depart, dst, kRmaHeaderBytes,
+           [this, src_lva, len, id, dst](Time arrived) {
+             group_.at(dst).nic_read(
+                 arrived, src_lva, len,
+                 [this, id, dst](Time done, std::vector<std::byte> payload) {
+                   const std::uint64_t bytes = kRmaHeaderBytes + payload.size();
+                   group_.at(dst).raw_send(
+                       done, node_, bytes,
+                       [this, id, payload = std::move(payload)](Time replied) mutable {
+                         const Time ready =
+                             fabric_->nic(node_).occupy_dma(replied, payload.size());
+                         fabric_->engine().at(
+                             ready, [this, id, ready,
+                                     payload = std::move(payload)]() mutable {
+                               finish_get(ready, id, std::move(payload));
+                             });
+                       });
+                 });
+           });
+}
+
+void Endpoint::finish_get(Time t, std::uint32_t id,
+                          std::vector<std::byte> payload) {
+  // The slot is free before the callback runs, which may issue more.
+  const OnData on_data = std::get<OnData>(ledger_.unpark(id));
+  on_data(t, std::move(payload));
 }
 
 // --------------------------------------------------------------------------
-// NIC-executed remote atomic.
+// NIC-executed remote atomic; the completion waits in the ledger as for
+// get.
 // --------------------------------------------------------------------------
 void Endpoint::fetch_add(Time depart, int dst, Lva lva, std::uint64_t operand,
                          OnU64 on_old) {
   ++fabric_->counters().rma_atomics;
-  Endpoint* target = &group_.at(dst);
+  const std::uint32_t id = ledger_.park(std::move(on_old));
   raw_send(depart, dst, kAtomicBytes,
-           [this, target, lva, operand,
-            on_old = std::move(on_old)](Time arrived) mutable {
-             target->nic_atomic(
+           [this, lva, operand, id, dst](Time arrived) {
+             group_.at(dst).nic_atomic(
                  arrived,
                  [lva, operand](sim::Memory& mem) {
                    return mem.fetch_add_u64(lva, operand);
                  },
-                 [this, target, on_old = std::move(on_old)](
-                     Time done, std::uint64_t old) mutable {
-                   target->raw_send(done, node_, kAtomicBytes,
-                                    [old, on_old = std::move(on_old)](Time t) {
-                                      on_old(t, old);
-                                    });
+                 [this, id, dst](Time done, std::uint64_t old) {
+                   group_.at(dst).raw_send(done, node_, kAtomicBytes,
+                                           [this, id, old](Time t) {
+                                             finish_fetch_add(t, id, old);
+                                           });
                  });
            });
+}
+
+void Endpoint::finish_fetch_add(Time t, std::uint32_t id, std::uint64_t old) {
+  const OnU64 on_old = std::get<OnU64>(ledger_.unpark(id));
+  on_old(t, old);
 }
 
 // --------------------------------------------------------------------------

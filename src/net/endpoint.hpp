@@ -13,13 +13,17 @@
 //     network-managed AGAS avoids on its data path.
 //
 // Completion callbacks run as engine events at the time the completion
-// would appear in the source's completion ledger.
+// would appear in the source's completion ledger. For get and fetch_add
+// that ledger is real: the caller's callback waits in a slot of the
+// source endpoint's ledger while the verb is in flight, and every hop
+// carries only the slot id (Photon's completion ids).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "net/config.hpp"
@@ -28,6 +32,7 @@
 #include "sim/memory.hpp"
 #include "util/buffer.hpp"
 #include "util/inline_function.hpp"
+#include "util/slab.hpp"
 
 namespace nvgas::net {
 
@@ -38,14 +43,17 @@ using sim::Time;
 
 // Public verb-completion callback types. std::function is deliberate at
 // this API boundary: callers (gas/, rt/, tests) hand in arbitrary-size
-// copyable closures, and each callback crosses the wire boundary exactly
-// once per verb — the per-event hot path below converts to
-// util::InlineFunction at the engine layer.
-// simlint:allow(D4: public API boundary type, converted to InlineFunction per event)
+// copyable closures, and std::function keeps one of up to 16 bytes
+// without allocating. The verbs move it once and never copy it per hop.
+// get and fetch_add park it in the completion ledger, so each of their
+// hops carries only a ledger id and stays within the 48-byte inline
+// buffer of the engine's and NIC's callbacks. put and parcels still
+// carry it inside their hop closures, which then spill to the heap.
+// simlint:allow(D4: public API boundary type, parked in the completion ledger or moved once per verb)
 using OnDone = std::function<void(Time)>;
-// simlint:allow(D4: public API boundary type, converted to InlineFunction per event)
+// simlint:allow(D4: public API boundary type, parked in the completion ledger or moved once per verb)
 using OnData = std::function<void(Time, std::vector<std::byte>)>;
-// simlint:allow(D4: public API boundary type, converted to InlineFunction per event)
+// simlint:allow(D4: public API boundary type, parked in the completion ledger or moved once per verb)
 using OnU64 = std::function<void(Time, std::uint64_t)>;
 
 // Parcel handlers run as CPU tasks at the destination.
@@ -150,6 +158,12 @@ class Endpoint {
   // the departure time.
   [[nodiscard]] static Time post_cost() { return sim::kCpuSendOverheadNs; }
 
+  // The caller's completion of one get or fetch_add in flight from this
+  // endpoint, parked in its completion ledger until the verb's last hop.
+  using Completion = std::variant<OnData, OnU64>;
+  // Gets and fetch_adds from this node not yet completed (tests).
+  [[nodiscard]] const util::Slab<Completion>& ledger() const { return ledger_; }
+
  private:
   // The receiving half of send_to_cpu, run at this (the destination)
   // node when the message arrives at `at`.
@@ -166,6 +180,11 @@ class Endpoint {
   // parcel handler.
   auto parcel_task(int src, util::Buffer payload);
 
+  // The verbs' last hops: take ledger slot `id` out and run its
+  // completion.
+  void finish_get(Time t, std::uint32_t id, std::vector<std::byte> payload);
+  void finish_fetch_add(Time t, std::uint32_t id, std::uint64_t old);
+
   EndpointGroup& group_;
   sim::Fabric* fabric_;
   int node_;
@@ -176,6 +195,8 @@ class Endpoint {
   // simlint:allow(D1: keyed find/erase only, never iterated)
   std::unordered_map<std::uint64_t, util::Buffer> staged_;
   std::uint64_t next_stage_id_ = 1;
+
+  util::Slab<Completion> ledger_{"endpoint completion ledger"};
 };
 
 // All endpoints of a fabric, with the reliability channels they share.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/nvgas.hpp"
+#include "util/format.hpp"
 
 namespace nvgas {
 namespace {
@@ -153,6 +154,158 @@ TEST(AgasSwWhitebox, FreeDropsOnlyTheFreedAllocationsEntries) {
   }
   EXPECT_EQ(world.gas().audit_translation(), "");
   EXPECT_EQ(world.gas().audit_quiescent(), "");
+}
+
+// Issue a put, a fetch_add, a get and a resolve on `block` from the
+// fiber's rank without waiting in between; each arrives at `gate` when
+// it completes. Under agas-sw the last three miss while the put's
+// resolve is in flight.
+void four_ops_at_once(Context& ctx, World& world, Gva block, rt::AndGate& gate) {
+  rt::AndGate* g = &gate;
+  sim::TaskCtx& task = detail::task_of(ctx);
+  gas::GasBase& gas = world.gas();
+  gas.memput(task, ctx.rank(), block.advanced(8, 256),
+             std::vector<std::byte>(8, std::byte{1}),
+             [g](sim::Time t) { g->arrive(t); });
+  gas.fetch_add(task, ctx.rank(), block, 1,
+                [g](sim::Time t, std::uint64_t) { g->arrive(t); });
+  gas.memget(task, ctx.rank(), block, 16,
+             [g](sim::Time t, std::vector<std::byte>) { g->arrive(t); });
+  gas.resolve(task, ctx.rank(), block, [g](sim::Time t, int) { g->arrive(t); });
+}
+
+// Every op leaves agas-sw's slab, and every get and fetch_add leaves its
+// endpoint's completion ledger, on the clean wire and on a lossy one.
+TEST(AgasSwWhitebox, SlabAndLedgersHoldNothingAfterRun) {
+  for (const GasMode mode : {GasMode::kPgas, GasMode::kAgasSw, GasMode::kAgasNet}) {
+    for (const bool lossy : {false, true}) {
+      Config cfg = Config::with_nodes(8, mode);
+      cfg.gas_costs.sw_cache_capacity = 2;
+      if (lossy) {
+        sim::FaultRule drop;
+        drop.drop = 0.05;
+        cfg.faults.rules.push_back(drop);
+      }
+      World world(cfg);
+      world.run_spmd([&world](Context& ctx) -> Fiber {
+        const Gva table = alloc_cyclic(ctx, 8, 256);
+        for (int b = 0; b < 8; ++b) {
+          rt::AndGate gate(4);
+          four_ops_at_once(ctx, world,
+                           table.advanced(((ctx.rank() + b) % 8) * 256, 256), gate);
+          co_await gate;
+        }
+        co_await world.coll().barrier(ctx);
+        if (world.gas().supports_migration() && ctx.rank() == 0) {
+          co_await migrate(ctx, table, 5);
+        }
+        rt::AndGate gate(4);
+        four_ops_at_once(ctx, world, table, gate);
+        co_await gate;
+        co_await world.coll().barrier(ctx);
+      });
+      const std::string where = std::string(to_string(mode)) +
+                                (lossy ? " lossy" : " clean");
+      EXPECT_EQ(world.gas().audit_quiescent(), "") << where;
+      for (int n = 0; n < 8; ++n) {
+        EXPECT_TRUE(world.endpoints().at(n).ledger().empty())
+            << where << ": node " << n << " holds "
+            << world.endpoints().at(n).ledger().size() << " completion(s)";
+      }
+      if (lossy) {
+        EXPECT_GT(world.counters().net_retransmits, 0u) << where;
+      }
+    }
+  }
+}
+
+TEST(AgasSwWhitebox, QuiescentAuditNamesAParkedOp) {
+  World world(Config::with_nodes(4, GasMode::kAgasSw));
+  Gva block;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    block = alloc_cyclic(ctx, 4, 256);
+    while (block.home(4) != 2) block = block.advanced(256, 256);
+    (void)co_await fetch_add(ctx, block, 1);
+  });
+  // Step event by event: while the fetch_add resolves and then flies the
+  // audit names it; once it completes the audit is clean.
+  std::string seen;
+  while (!world.engine().idle()) {
+    (void)world.run(1);
+    const std::string err = world.gas().audit_quiescent();
+    if (seen.empty()) seen = err;
+  }
+  const std::string expected = util::format(
+      "1 op(s) never completed; the first is a fetch_add on block %llx "
+      "from node 0",
+      static_cast<unsigned long long>(block.block_key()));
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(world.gas().audit_quiescent(), "");
+}
+
+// Rank 0 issues three fetch_adds, two resolves and a get on one block at
+// once: all miss, one resolve request goes out, and the rest wait on it.
+// With `moving`, rank 0 first asks the home to move the block, so the
+// home parks the request until the move commits. Either way the waiting
+// ops run in issue order: the resolves answer in that order, and the
+// fetch_adds, which reach the owner in the order they were sent, read 0,
+// 1 and 2.
+TEST(AgasSwWhitebox, OpsWaitingOnOneResolveRunInIssueOrder) {
+  for (const bool moving : {false, true}) {
+    World world(Config::with_nodes(8, GasMode::kAgasSw));
+    Gva block;
+    std::vector<std::string> log;
+    bool moved = false;
+    world.spawn(0, [&](Context& ctx) -> Fiber {
+      block = alloc_cyclic(ctx, 8, 256);
+      while (block.home(8) != 2) block = block.advanced(256, 256);
+      sim::TaskCtx& task = detail::task_of(ctx);
+      gas::GasBase& gas = world.gas();
+      if (moving) gas.migrate(task, 0, block, 5, [&](sim::Time) { moved = true; });
+      rt::AndGate gate(6);
+      rt::AndGate* g = &gate;
+      const auto fadd = [&](int i) {
+        gas.fetch_add(task, 0, block, 1, [&log, g, i](sim::Time t, std::uint64_t old) {
+          log.push_back(util::format("fadd%d=%llu", i, static_cast<unsigned long long>(old)));
+          g->arrive(t);
+        });
+      };
+      const auto owner = [&](int i) {
+        gas.resolve(task, 0, block, [&log, g, i](sim::Time t, int o) {
+          log.push_back(util::format("resolve%d=%d", i, o));
+          g->arrive(t);
+        });
+      };
+      fadd(0);
+      owner(0);
+      fadd(1);
+      gas.memget(task, 0, block, 8, [&log, g](sim::Time t, std::vector<std::byte>) {
+        log.push_back("get");
+        g->arrive(t);
+      });
+      owner(1);
+      fadd(2);
+      co_await gate;
+    });
+    world.run();
+    const int owner = moving ? 5 : 2;
+    EXPECT_EQ(moved, moving);
+    EXPECT_EQ(world.counters().sw_cache_misses, 6u) << "moving=" << moving;
+    std::vector<std::string> resolves;
+    std::vector<std::string> fadds;
+    for (const std::string& e : log) {
+      if (e.rfind("resolve", 0) == 0) resolves.push_back(e);
+      if (e.rfind("fadd", 0) == 0) fadds.push_back(e);
+    }
+    EXPECT_EQ(resolves, (std::vector<std::string>{
+                            util::format("resolve0=%d", owner),
+                            util::format("resolve1=%d", owner)}))
+        << "moving=" << moving;
+    EXPECT_EQ(fadds, (std::vector<std::string>{"fadd0=0", "fadd1=1", "fadd2=2"}))
+        << "moving=" << moving;
+    EXPECT_EQ(log.size(), 6u);
+    EXPECT_EQ(world.gas().audit_quiescent(), "");
+  }
 }
 
 // --- network-managed AGAS internals -----------------------------------------

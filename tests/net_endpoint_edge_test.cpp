@@ -138,6 +138,22 @@ TEST_F(EdgeFixture, AtomicsToDistinctWordsDontInterfere) {
   }
 }
 
+// A get and a fetch_add hold a slot of the source's completion ledger
+// until their last hop; a completed slot is free, and reaching it again
+// is a double completion that aborts naming the ledger.
+TEST_F(EdgeFixture, CompletionLedgerFreesEachSlotOnce) {
+  int completions = 0;
+  group.at(0).fetch_add(0, 2, 8, 1, [&](sim::Time, std::uint64_t) { ++completions; });
+  group.at(0).get(0, 3, 0, 16, [&](sim::Time, std::vector<std::byte>) { ++completions; });
+  EXPECT_EQ(group.at(0).ledger().size(), 2u);
+  fabric.engine().run();
+  EXPECT_EQ(completions, 2);
+  EXPECT_TRUE(group.at(0).ledger().empty());
+  EXPECT_DEATH((void)group.at(0).ledger()[0],
+               "double completion: endpoint completion ledger slot 0 is not "
+               "in flight");
+}
+
 TEST_F(EdgeFixture, ParcelWithoutHandlerAborts) {
   sim::Fabric f(machine(2));
   EndpointGroup g(f, NetConfig{});

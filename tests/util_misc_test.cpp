@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "util/bitops.hpp"
 #include "util/options.hpp"
+#include "util/slab.hpp"
 #include "util/table.hpp"
 
 namespace nvgas::util {
@@ -108,6 +110,37 @@ TEST(Options, MalformedNumbersAreFatal) {
   EXPECT_EQ(opt.get_uint("wide", 0), 4294967300u);
   EXPECT_EQ(opt.get_uint_list("counts", {}),
             (std::vector<std::uint64_t>{2, 4294967296u}));
+}
+
+TEST(Slab, ReusesTheLastFreedIdAndCountsLiveRecords) {
+  util::Slab<std::unique_ptr<int>> slab("test slab");
+  const std::uint32_t a = slab.park(std::make_unique<int>(1));
+  const std::uint32_t b = slab.park(std::make_unique<int>(2));
+  const std::uint32_t c = slab.park(std::make_unique<int>(3));
+  EXPECT_EQ(slab.size(), 3u);
+  EXPECT_EQ(*slab[b], 2);
+  EXPECT_EQ(*slab.unpark(a), 1);
+  EXPECT_EQ(*slab.unpark(c), 3);
+  EXPECT_EQ(**slab.first(), 2);  // the lowest live id
+  EXPECT_EQ(slab.park(std::make_unique<int>(4)), c);
+  EXPECT_EQ(slab.park(std::make_unique<int>(5)), a);
+  EXPECT_EQ(slab.park(std::make_unique<int>(6)), 3u);  // grows
+  EXPECT_EQ(slab.size(), 4u);
+  for (const std::uint32_t id : {a, b, c, 3u}) (void)slab.unpark(id);
+  EXPECT_TRUE(slab.empty());
+  EXPECT_EQ(slab.first(), nullptr);
+}
+
+// Unparking a free slot is a double completion: it aborts naming the
+// slab and the slot, in every build.
+TEST(Slab, DoubleCompletionAborts) {
+  util::Slab<int> slab("test slab");
+  const std::uint32_t id = slab.park(7);
+  EXPECT_EQ(slab.unpark(id), 7);
+  EXPECT_DEATH((void)slab.unpark(id),
+               "double completion: test slab slot 0 is not in flight");
+  EXPECT_DEATH((void)slab[id], "double completion: test slab slot 0");
+  EXPECT_DEATH((void)slab.unpark(5), "double completion: test slab slot 5");
 }
 
 TEST(Table, AlignsColumns) {

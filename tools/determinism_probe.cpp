@@ -158,6 +158,78 @@ std::uint64_t world_agas_net_tlb4(std::uint64_t seed) {
   return small.hash;
 }
 
+// Scenario B's agas-sw counterpart of world_agas_net_tlb4: 4-entry
+// translation caches, and a phase in which each rank fires a put, a
+// fetch_add, a get and a resolve at one block at once, so three ops wait
+// on the first one's resolve, for each of eight blocks, twice. Between
+// the sweeps rank 0 moves one block while the other ranks go on, so
+// resolves also wait behind the move at the home. With 4 entries LRU has
+// evicted each translation before its revisit.
+void four_ops_at_once(nvgas::Context& ctx, nvgas::World& world,
+                      nvgas::Gva block, nvgas::rt::AndGate& gate) {
+  nvgas::rt::AndGate* g = &gate;
+  nvgas::sim::TaskCtx& task = nvgas::detail::task_of(ctx);
+  nvgas::gas::GasBase& gas = world.gas();
+  gas.memput(task, ctx.rank(), block.advanced(8, 256),
+             std::vector<std::byte>(8, std::byte{1}), [g](Time t) { g->arrive(t); });
+  gas.fetch_add(task, ctx.rank(), block, 1,
+                [g](Time t, std::uint64_t) { g->arrive(t); });
+  gas.memget(task, ctx.rank(), block, 16,
+             [g](Time t, std::vector<std::byte>) { g->arrive(t); });
+  gas.resolve(task, ctx.rank(), block, [g](Time t, int) { g->arrive(t); });
+}
+
+struct SwCacheRun {
+  std::uint64_t hash;
+  std::uint64_t evictions;  // summed over every node's cache
+};
+
+SwCacheRun agas_sw_cache_run(std::size_t capacity, std::uint64_t seed) {
+  nvgas::Config cfg = nvgas::Config::with_nodes(8, nvgas::GasMode::kAgasSw);
+  cfg.seed = seed;
+  cfg.gas_costs.sw_cache_capacity = capacity;
+  nvgas::World world(cfg);
+  world.run_spmd([&world](nvgas::Context& ctx) -> nvgas::Fiber {
+    const nvgas::Gva table = nvgas::alloc_cyclic(ctx, 8, 256);
+    co_await world.coll().barrier(ctx);
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      for (int b = 0; b < 8; ++b) {
+        nvgas::rt::AndGate gate(4);
+        four_ops_at_once(ctx, world,
+                         table.advanced(((ctx.rank() + b) % 8) * 256, 256), gate);
+        co_await gate;
+      }
+      if (sweep == 0 && ctx.rank() == 0) {
+        const nvgas::Gva block = table.advanced(3 * 256, 256);
+        co_await nvgas::migrate(ctx, block, (block.home(8) + 3) % 8);
+      }
+    }
+    co_await world.coll().barrier(ctx);
+    nvgas::free_alloc(ctx, table);
+  });
+  const auto& sw = dynamic_cast<const nvgas::gas::AgasSw&>(world.gas());
+  SwCacheRun run{world.engine().trace_hash(), 0};
+  for (int n = 0; n < cfg.machine.nodes; ++n) run.evictions += sw.cache(n).evictions();
+  return run;
+}
+
+// Exits 1 unless some cache evicted and the hash differs from the same
+// program with default-capacity caches.
+std::uint64_t world_agas_sw_cache4(std::uint64_t seed) {
+  const SwCacheRun small = agas_sw_cache_run(4, seed);
+  const SwCacheRun roomy =
+      agas_sw_cache_run(nvgas::gas::GasCosts{}.sw_cache_capacity, seed);
+  if (small.evictions == 0 || small.hash == roomy.hash) {
+    std::fprintf(stderr,
+                 "world_agas_sw_cache4: %llu eviction(s), hash %s the "
+                 "default-capacity run's\n",
+                 static_cast<unsigned long long>(small.evictions),
+                 small.hash == roomy.hash ? "equals" : "differs from");
+    std::exit(1);
+  }
+  return small.hash;
+}
+
 // Scenario C: a World with the adaptive migration subsystem enabled —
 // a skewed access pattern heats blocks homed on rank 0 until the
 // balancer migrates them mid-run. Balancer epochs, policy decisions and
@@ -314,6 +386,7 @@ constexpr Scenario kScenarios[] = {
     {"world_agas_sw", world<nvgas::GasMode::kAgasSw>},
     {"world_agas_net", world<nvgas::GasMode::kAgasNet>},
     {"world_agas_net_tlb4", world_agas_net_tlb4},
+    {"world_agas_sw_cache4", world_agas_sw_cache4},
     {"lb_pgas_greedy",
      world_lb<nvgas::GasMode::kPgas, nvgas::lb::PolicyKind::kGreedy>},
     {"lb_pgas_hyst",
