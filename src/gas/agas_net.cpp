@@ -12,6 +12,16 @@ constexpr std::uint64_t kOpHeaderBytes = 40;
 constexpr std::uint64_t kReplyBytes = 40;  // completion + piggybacked entry
 constexpr std::uint64_t kCtrlBytes = 32;   // migration control messages
 constexpr int kMaxHops = 64;               // forwarding-loop watchdog
+
+std::uint64_t wire_bytes(const OpRecord& op) {
+  switch (op.kind()) {
+    case OpRecord::Kind::kPut: return kOpHeaderBytes + op.data.size();
+    case OpRecord::Kind::kFadd: return kOpHeaderBytes + 8;
+    case OpRecord::Kind::kGet:
+    case OpRecord::Kind::kResolve: return kOpHeaderBytes;
+  }
+  return kOpHeaderBytes;
+}
 }  // namespace
 
 void AgasNet::piggyback(int node, std::uint64_t key, net::TlbEntry entry) {
@@ -23,31 +33,6 @@ void AgasNet::piggyback(int node, std::uint64_t key, net::TlbEntry entry) {
   if (tlb_mut(node).update(key, entry)) {
     ++fabric_->counters().nic_tlb_updates;
   }
-}
-
-void AgasNet::complete(sim::Time t, std::uint32_t id) {
-  // The id is free before the callback runs, which may issue more ops.
-  Op op = ops_.unpark(id);
-  switch (op.kind) {
-    case Op::Kind::kPut:
-      if (op.on_done) op.on_done(t);
-      break;
-    case Op::Kind::kGet:
-      if (op.on_data) op.on_data(t, std::move(op.data));
-      break;
-    case Op::Kind::kFadd:
-      if (op.on_u64) op.on_u64(t, op.fadd_old);
-      break;
-  }
-}
-
-std::uint64_t AgasNet::Op::wire_bytes() const {
-  switch (kind) {
-    case Kind::kPut: return kOpHeaderBytes + data.size();
-    case Kind::kGet: return kOpHeaderBytes;
-    case Kind::kFadd: return kOpHeaderBytes + 8;
-  }
-  return kOpHeaderBytes;
 }
 
 AgasNet::AgasNet(sim::Fabric& fabric, net::EndpointGroup& endpoints,
@@ -83,15 +68,47 @@ Gva AgasNet::alloc(sim::TaskCtx& task, int node, Dist dist,
 // Data path.
 // ---------------------------------------------------------------------------
 
-void AgasNet::issue(sim::TaskCtx& task, int node, std::uint32_t id) {
+void AgasNet::start(sim::TaskCtx& task, std::uint32_t id) {
   auto& counters = fabric_->counters();
+  OpRecord& op = ops_[id];
+  const int node = op.node;
+  const std::uint64_t key = op.addr.block_key();
+  if (op.kind() == OpRecord::Kind::kResolve) {
+    // The CPU consults the local NIC TLB; on a miss the home NIC answers
+    // (one round trip, no CPU at the home).
+    task.charge(sim::kNicTlbNs);
+    if (const auto hit = tlb_mut(node).lookup(key)) {
+      ++counters.nic_tlb_hits;
+      op.entry = *hit;
+      finish(task.now(), id);
+      return;
+    }
+    ++counters.nic_tlb_misses;
+    const int home = home_of(op.addr.block_base());
+    task.charge(ep(node).post_cost());
+    ep(node).raw_send(task.now(), home, kCtrlBytes, [this, id, home](sim::Time t) {
+      OpRecord& asked = ops_[id];
+      const sim::Time looked =
+          fabric_->nic(home).occupy_command_processor(t, sim::kNicTlbNs);
+      const net::TlbEntry* e = tlb_mut(home).find(asked.addr.block_key());
+      NVGAS_CHECK_MSG(e != nullptr, "resolve of unallocated address");
+      asked.entry = *e;
+      ep(home).raw_send(looked, asked.node, kReplyBytes, [this, id](sim::Time t2) {
+        const OpRecord& answered = ops_[id];
+        const sim::Time done = fabric_->nic(answered.node)
+                                   .occupy_command_processor(t2, sim::kNicTlbNs);
+        piggyback(answered.node, answered.addr.block_key(), answered.entry);
+        fabric_->engine().at(done, [this, done, id] { finish(done, id); });
+      });
+    });
+    return;
+  }
+
+  if (observer_ != nullptr) observer_->on_remote_op_begin(node, key);
   // CPU posts the descriptor; everything after is NIC work.
   task.charge(ep(node).post_cost());
-  auto& nic = fabric_->nic(node);
-  const sim::Time looked_up = nic.occupy_command_processor(
+  const sim::Time looked_up = fabric_->nic(node).occupy_command_processor(
       task.now(), sim::kNicTlbNs);
-
-  const std::uint64_t key = ops_[id].key;
   const auto hit = tlb_mut(node).lookup(key);
   if (hit.has_value()) {
     ++counters.nic_tlb_hits;
@@ -104,7 +121,7 @@ void AgasNet::issue(sim::TaskCtx& task, int node, std::uint32_t id) {
     return;
   }
   ++counters.nic_tlb_misses;
-  const int home = home_of(Gva(key));
+  const int home = home_of(op.addr.block_base());
   if (home == node) {
     // We ARE the home but hold no entry — only possible for a foreign
     // (unallocated) address.
@@ -114,21 +131,22 @@ void AgasNet::issue(sim::TaskCtx& task, int node, std::uint32_t id) {
 }
 
 void AgasNet::send_op(sim::Time depart, int from, int to, std::uint32_t id) {
-  Op& op = ops_[id];
+  OpRecord& op = ops_[id];
   NVGAS_CHECK_MSG(op.hops < kMaxHops, "gva op forwarding loop");
   ++op.hops;
-  ep(from).raw_send(depart, to, op.wire_bytes(),
+  ep(from).raw_send(depart, to, wire_bytes(op),
                     [this, to, id](sim::Time t) { route(t, to, id); });
 }
 
 void AgasNet::route(sim::Time t, int at, std::uint32_t id) {
-  Op& op = ops_[id];
+  OpRecord& op = ops_[id];
+  const std::uint64_t key = op.addr.block_key();
   auto& counters = fabric_->counters();
   auto& nic = fabric_->nic(at);
   const sim::Time looked_up = nic.occupy_command_processor(t, sim::kNicTlbNs);
 
-  net::TlbEntry* e = tlb_mut(at).find(op.key);
-  const int home = home_of(Gva(op.key));
+  net::TlbEntry* e = tlb_mut(at).find(key);
+  const int home = home_of(op.addr.block_base());
 
   if (e != nullptr && e->owner == at && !e->in_flight) {
     execute(looked_up, at, *e, id);
@@ -140,7 +158,7 @@ void AgasNet::route(sim::Time t, int at, std::uint32_t id) {
     if (e->in_flight) {
       // Block is mid-migration: the home parks the op and re-dispatches
       // it at commit (no CPU anywhere).
-      moves_.park(op.key, id);
+      moves_.park(key, id);
       return;
     }
     // Authoritative forward.
@@ -168,11 +186,11 @@ void AgasNet::route(sim::Time t, int at, std::uint32_t id) {
 
 void AgasNet::execute(sim::Time t, int owner, const net::TlbEntry& entry,
                       std::uint32_t id) {
-  Op& op = ops_[id];
+  OpRecord& op = ops_[id];
   op.entry = entry;
-  const sim::Lva lva = entry.base + op.offset;
-  switch (op.kind) {
-    case Op::Kind::kPut:
+  const sim::Lva lva = entry.base + op.addr.offset();
+  switch (op.kind()) {
+    case OpRecord::Kind::kPut:
       ep(owner).nic_write(t, lva, std::move(op.data),
                           [this, owner, id](sim::Time done) {
                             // Moved out first: the remote completion
@@ -183,7 +201,7 @@ void AgasNet::execute(sim::Time t, int owner, const net::TlbEntry& entry,
                             reply(done, owner, id);
                           });
       break;
-    case Op::Kind::kGet:
+    case OpRecord::Kind::kGet:
       ep(owner).nic_read(t, lva, op.len,
                          [this, owner, id](sim::Time done,
                                            std::vector<std::byte> data) {
@@ -191,128 +209,50 @@ void AgasNet::execute(sim::Time t, int owner, const net::TlbEntry& entry,
                            reply(done, owner, id);
                          });
       break;
-    case Op::Kind::kFadd: {
-      const std::uint64_t operand = op.operand;
+    case OpRecord::Kind::kFadd: {
+      const std::uint64_t operand = op.value;
       ep(owner).nic_atomic(
           t,
           [lva, operand](sim::Memory& mem) { return mem.fetch_add_u64(lva, operand); },
           [this, owner, id](sim::Time done, std::uint64_t old) {
-            ops_[id].fadd_old = old;
+            ops_[id].value = old;
             reply(done, owner, id);
           });
       break;
     }
+    case OpRecord::Kind::kResolve:
+      NVGAS_UNREACHABLE();
   }
 }
 
 void AgasNet::reply(sim::Time depart, int owner, std::uint32_t id) {
-  const Op& op = ops_[id];
-  const int src = op.src;
+  const OpRecord& op = ops_[id];
+  const int src = op.node;
   if (src == owner) {
     // Local op: complete immediately, no ack message.
-    complete(depart, id);
+    end_op(depart, id);
     return;
   }
 
-  const std::uint64_t bytes =
-      kReplyBytes + (op.kind == Op::Kind::kGet ? op.data.size() : 0);
+  const bool get = op.kind() == OpRecord::Kind::kGet;
+  const std::uint64_t bytes = kReplyBytes + (get ? op.data.size() : 0);
   ep(owner).raw_send(depart, src, bytes, [this, src, id](sim::Time t) {
     auto& src_nic = fabric_->nic(src);
     sim::Time done = src_nic.occupy_command_processor(t, sim::kNicTlbNs);
-    const Op& arrived = ops_[id];
-    piggyback(src, arrived.key, arrived.entry);
-    if (arrived.kind == Op::Kind::kGet) {
+    const OpRecord& arrived = ops_[id];
+    piggyback(src, arrived.addr.block_key(), arrived.entry);
+    if (arrived.kind() == OpRecord::Kind::kGet) {
       done = src_nic.occupy_dma(done, arrived.data.size());
     }
-    fabric_->engine().at(done, [this, done, id] { complete(done, id); });
+    fabric_->engine().at(done, [this, done, id] { end_op(done, id); });
   });
 }
 
-AgasNet::Op AgasNet::make_op(Op::Kind kind, int src, Gva addr) {
-  Op op;
-  op.kind = kind;
-  op.src = src;
-  op.key = addr.block_key();
-  op.offset = addr.offset();
-  return op;
-}
-
-template <typename... Args>
-void AgasNet::observe_op(int node, std::uint64_t key,
-                         std::function<void(sim::Time, Args...)>& done) {
-  if (observer_ == nullptr) return;
-  observer_->on_remote_op_begin(node, key);
-  done = [obs = observer_, node, key, inner = std::move(done)](sim::Time t,
-                                                               Args... args) {
-    obs->on_remote_op_end(node, key);
-    if (inner) inner(t, std::move(args)...);
-  };
-}
-
-void AgasNet::do_memput(sim::TaskCtx& task, int node, Gva dst,
-                        std::vector<std::byte> data, net::OnDone done,
-                        net::OnDone remote_notify) {
-  Op op = make_op(Op::Kind::kPut, node, dst);
-  op.data = std::move(data);
-  op.on_done = std::move(done);
-  op.on_remote = std::move(remote_notify);
-  observe_op(node, op.key, op.on_done);
-  issue(task, node, ops_.park(std::move(op)));
-}
-
-void AgasNet::do_memget(sim::TaskCtx& task, int node, Gva src,
-                        std::size_t len, net::OnData done) {
-  Op op = make_op(Op::Kind::kGet, node, src);
-  op.len = static_cast<std::uint32_t>(len);
-  op.on_data = std::move(done);
-  observe_op(node, op.key, op.on_data);
-  issue(task, node, ops_.park(std::move(op)));
-}
-
-void AgasNet::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                           std::uint64_t operand, net::OnU64 done) {
-  Op op = make_op(Op::Kind::kFadd, node, addr);
-  op.operand = operand;
-  op.on_u64 = std::move(done);
-  observe_op(node, op.key, op.on_u64);
-  issue(task, node, ops_.park(std::move(op)));
-}
-
-void AgasNet::do_resolve(sim::TaskCtx& task, int node, Gva addr,
-                         OnOwner done) {
-  // The CPU consults the local NIC TLB; on a miss the home NIC answers
-  // (one round trip, no CPU at the home).
-  task.charge(sim::kNicTlbNs);
-  const std::uint64_t key = addr.block_key();
-  if (const auto hit = tlb_mut(node).lookup(key)) {
-    ++fabric_->counters().nic_tlb_hits;
-    done(task.now(), hit->owner);
-    return;
+void AgasNet::end_op(sim::Time t, std::uint32_t id) {
+  if (observer_ != nullptr) {
+    observer_->on_remote_op_end(ops_[id].node, ops_[id].addr.block_key());
   }
-  ++fabric_->counters().nic_tlb_misses;
-  const int home = home_of(addr.block_base());
-  task.charge(ep(node).post_cost());
-  ep(node).raw_send(
-      task.now(), home, kCtrlBytes,
-      [this, key, node, home, done = std::move(done)](sim::Time t) mutable {
-        auto& hnic = fabric_->nic(home);
-        const sim::Time looked =
-            hnic.occupy_command_processor(t, sim::kNicTlbNs);
-        net::TlbEntry* e = tlb_mut(home).find(key);
-        NVGAS_CHECK_MSG(e != nullptr, "resolve of unallocated address");
-        const net::TlbEntry entry = *e;
-        ep(home).raw_send(looked, node, kReplyBytes,
-                  [this, key, node, entry, done = std::move(done)](sim::Time t2) mutable {
-                    auto& snic = fabric_->nic(node);
-                    const sim::Time done_t = snic.occupy_command_processor(
-                        t2, sim::kNicTlbNs);
-                    piggyback(node, key, entry);
-                    fabric_->engine().at(done_t, [done_t, owner = entry.owner,
-                                                  done = std::move(done)] {
-                      done(done_t, owner);
-                    });
-                  });
-      });
+  finish(t, id);
 }
 
 // ---------------------------------------------------------------------------
@@ -561,13 +501,7 @@ std::string AgasNet::audit_translation() const {
 
 std::string AgasNet::audit_quiescent() const {
   if (std::string err = moves_.audit_quiescent(); !err.empty()) return err;
-  if (const Op* op = ops_.first()) {
-    return util::format(
-        "%zu op(s) never completed; the first is on block %llx from node "
-        "%d after %d hop(s)",
-        ops_.size(), static_cast<unsigned long long>(op->key), op->src,
-        op->hops);
-  }
+  if (std::string err = GasBase::audit_quiescent(); !err.empty()) return err;
   const int n_nodes = fabric_->nodes();
   for (int n = 0; n < n_nodes; ++n) {
     for (const auto& [key, e] : tlb(n).entries()) {

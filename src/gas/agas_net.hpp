@@ -26,7 +26,6 @@
 #include "gas/gas_api.hpp"
 #include "gas/move_sequencer.hpp"
 #include "net/nic_tlb.hpp"
-#include "util/slab.hpp"
 
 namespace nvgas::gas {
 
@@ -59,8 +58,6 @@ class AgasNet final : public GasBase {
   // agree with the home on owner/base, pinned or in-flight state is
   // confined to the home (plus the committed new owner's pinned copy),
   // and a committed non-home owner holds that pinned copy.
-  // audit_quiescent also reports ops still parked in the slab: an op
-  // that never completes would otherwise only leave a fiber waiting.
   [[nodiscard]] std::string audit_translation() const override;
   [[nodiscard]] std::string audit_quiescent() const override;
 
@@ -69,59 +66,20 @@ class AgasNet final : public GasBase {
   }
 
  protected:
-  void do_memput(sim::TaskCtx& task, int node, Gva dst,
-                 std::vector<std::byte> data, net::OnDone done,
-                 net::OnDone remote_notify) override;
-  void do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                 net::OnData done) override;
-  void do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                    std::uint64_t operand, net::OnU64 done) override;
-  void do_resolve(sim::TaskCtx& task, int node, Gva addr,
-                  OnOwner done) override;
+  // Source-side issue: the CPU posts the descriptor and the source NIC
+  // looks up its TLB, then executes a local op or sends it to the owner
+  // or the home. A resolve is answered from the TLB, or by the home NIC
+  // on a miss.
+  void start(sim::TaskCtx& task, std::uint32_t id) override;
   std::pair<int, sim::Lva> drop_block_state(Gva block_base) override;
 
  private:
-  // An in-flight GVA op. It is parked in the ops_ slab from issue to
-  // completion, and every hop's closure carries only its slab id.
-  struct Op {
-    enum class Kind : std::uint8_t { kPut, kGet, kFadd };
-    Kind kind = Kind::kPut;
-    bool used_hint = false;  // a hint forward may be taken only once
-    int src = -1;            // the issuing node
-    std::uint64_t key = 0;
-    std::uint32_t offset = 0;
-    std::uint32_t len = 0;         // get length
-    std::vector<std::byte> data;   // put payload; get result
-    std::uint64_t operand = 0;     // fadd operand
-    std::uint64_t fadd_old = 0;    // fadd result
-    int hops = 0;
-    net::TlbEntry entry;  // owner's translation, piggybacked on the reply
-    net::OnDone on_done;
-    net::OnData on_data;
-    net::OnU64 on_u64;
-    net::OnDone on_remote;  // put-with-remote-notification (ledger)
-
-    [[nodiscard]] std::uint64_t wire_bytes() const;
-  };
-  // An op of `kind` issued by `src` against `addr`; the caller fills in
-  // the payload and completion.
-  [[nodiscard]] static Op make_op(Op::Kind kind, int src, Gva addr);
-  // Report the op to the attached observer as begun, and as ended just
-  // before `done` runs.
-  template <typename... Args>
-  void observe_op(int node, std::uint64_t key,
-                  std::function<void(sim::Time, Args...)>& done);
-
   [[nodiscard]] net::NicTlb& tlb_mut(int node) {
     return tlbs_.at(static_cast<std::size_t>(node));
   }
   [[nodiscard]] int home_of(Gva block_base) const {
     return block_base.home(fabric_->nodes());
   }
-
-  // Source-side issue: CPU posts the descriptor, the source NIC looks up
-  // its TLB and targets the owner or the home.
-  void issue(sim::TaskCtx& task, int node, std::uint32_t id);
 
   // NIC-level routing at `at` when the op message arrives (time `t` is
   // post-rx-port).
@@ -135,10 +93,11 @@ class AgasNet final : public GasBase {
   // TLB of `node`, unless `node` holds a pinned or newer entry
   // (NicTlb::update).
   void piggyback(int node, std::uint64_t key, net::TlbEntry entry);
-  // Unpark the op and run its completion callback at `t`.
-  void complete(sim::Time t, std::uint32_t id);
-  // Ack/reply to the source, piggybacking the owner's translation.
+  // Ack/reply to the source, piggybacking the owner's translation; the
+  // op ends once the source has it.
   void reply(sim::Time depart, int owner, std::uint32_t id);
+  // Report the op's end to the observer, then finish it at `t`.
+  void end_op(sim::Time t, std::uint32_t id);
 
   // Migration steps (NIC-level at the home except the dst allocation).
   void mig_request(sim::Time t, Gva block_base, MoveRequest req);
@@ -148,8 +107,7 @@ class AgasNet final : public GasBase {
   void notify_initiator(sim::Time depart, int home, MoveRequest req);
 
   std::vector<net::NicTlb> tlbs_;
-  MoveSequencer<std::uint32_t> moves_;  // parks slab ids at the home NIC
-  util::Slab<Op> ops_{"agas-net op"};  // in-flight ops by id
+  MoveSequencer<std::uint32_t> moves_;  // parks op ids at the home NIC
 };
 
 }  // namespace nvgas::gas

@@ -60,18 +60,9 @@ void AgasSw::free_alloc(sim::TaskCtx& task, int node, Gva base) {
 // Translation.
 // ---------------------------------------------------------------------------
 
-AgasSw::Op AgasSw::make_op(int node, Gva addr, Op::Done done) {
-  Op op;
-  op.node = node;
-  op.block = addr.block_base();
-  op.offset = addr.offset();
-  op.done = std::move(done);
-  return op;
-}
-
-void AgasSw::with_translation(sim::TaskCtx& task, std::uint32_t id) {
+void AgasSw::start(sim::TaskCtx& task, std::uint32_t id) {
   const int node = ops_[id].node;
-  const Gva block_base = ops_[id].block;
+  const Gva block_base = ops_[id].addr.block_base();
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
   auto& counters = fabric_->counters();
@@ -82,7 +73,7 @@ void AgasSw::with_translation(sim::TaskCtx& task, std::uint32_t id) {
     ++counters.directory_lookups;
     const DirEntry& e = dir_.at(block_base);
     if (moves_.moving(key)) {
-      moves_.park(key, [this, id](sim::TaskCtx& t2) { with_translation(t2, id); });
+      moves_.park(key, [this, id](sim::TaskCtx& t2) { start(t2, id); });
       return;
     }
     run(task, id, net::TlbEntry{e.owner, e.lva, e.generation});
@@ -146,7 +137,7 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
         ns.resolving.pop_back();
         // Read each op's successor before running it: running may free
         // its slot for an op issued from its completion.
-        while (id != kNoOp) {
+        while (id != OpRecord::kNoOp) {
           const std::uint32_t next = ops_[id].next;
           run(t2, id, entry);
           id = next;
@@ -155,64 +146,21 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
 }
 
 void AgasSw::run(sim::TaskCtx& task, std::uint32_t id, const net::TlbEntry& e) {
-  Op& op = ops_[id];
+  OpRecord& op = ops_[id];
   const int node = op.node;
-  const sim::Lva lva = e.base + op.offset;
-  if (op.kind() == Op::Kind::kResolve || e.owner == node) {
-    // Done here: the op leaves the slab before its completion runs,
-    // which may issue more.
-    Op done = ops_.unpark(id);
-    switch (done.kind()) {
-      case Op::Kind::kResolve:
-        std::get<OnOwner>(done.done)(task.now(), e.owner);
-        break;
-      case Op::Kind::kPut:
-        local_put(task, node, lva, done.data, std::get<net::OnDone>(done.done));
-        if (done.on_remote) done.on_remote(task.now());
-        break;
-      case Op::Kind::kGet:
-        local_get(task, node, lva, done.len, std::get<net::OnData>(done.done));
-        break;
-      case Op::Kind::kFadd:
-        local_fadd(task, node, lva, done.operand, std::get<net::OnU64>(done.done));
-        break;
-    }
+  const sim::Lva lva = e.base + op.addr.offset();
+  if (op.kind() == OpRecord::Kind::kResolve) {
+    op.entry = e;
+    finish(task.now(), id);
+    return;
+  }
+  if (e.owner == node) {
+    finish_here(task, id, lva);
     return;
   }
 
-  begin_rma(node, op.block.block_key());
-  task.charge(ep(node).post_cost());
-  switch (op.kind()) {
-    case Op::Kind::kPut:
-      ep(node).put(
-          task.now(), e.owner, lva, std::move(op.data),
-          [this, id](sim::Time t) {
-            const Op done = finish_rma(t, id);
-            if (const auto& cb = std::get<net::OnDone>(done.done)) cb(t);
-          },
-          std::move(op.on_remote));
-      break;
-    case Op::Kind::kGet:
-      ep(node).get(task.now(), e.owner, lva, op.len,
-                   [this, id](sim::Time t, std::vector<std::byte> data) {
-                     const Op done = finish_rma(t, id);
-                     if (const auto& cb = std::get<net::OnData>(done.done)) {
-                       cb(t, std::move(data));
-                     }
-                   });
-      break;
-    case Op::Kind::kFadd:
-      ep(node).fetch_add(task.now(), e.owner, lva, op.operand,
-                         [this, id](sim::Time t, std::uint64_t old) {
-                           const Op done = finish_rma(t, id);
-                           if (const auto& cb = std::get<net::OnU64>(done.done)) {
-                             cb(t, old);
-                           }
-                         });
-      break;
-    case Op::Kind::kResolve:
-      NVGAS_UNREACHABLE();
-  }
+  begin_rma(node, op.addr.block_key());
+  post_rma(task, id, e.owner, lva);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,67 +173,25 @@ void AgasSw::begin_rma(int node, std::uint64_t key) {
   if (InFlight* f = find_block(ns.in_flight, key)) {
     ++f->rmas;
   } else {
-    ns.in_flight.push_back({key, 1});
+    ns.in_flight.push_back({key, 1, {}});
   }
   if (observer_ != nullptr) observer_->on_remote_op_begin(node, key);
 }
 
-AgasSw::Op AgasSw::finish_rma(sim::Time t, std::uint32_t id) {
-  Op op = ops_.unpark(id);
-  const int node = op.node;
-  const std::uint64_t key = op.block.block_key();
+void AgasSw::rma_done(sim::Time t, std::uint32_t id) {
+  const int node = ops_[id].node;
+  const std::uint64_t key = ops_[id].addr.block_key();
   if (observer_ != nullptr) observer_->on_remote_op_end(node, key);
   NodeState& ns = st(node);
   InFlight* f = find_block(ns.in_flight, key);
   NVGAS_CHECK(f != nullptr && f->rmas > 0);
   if (--f->rmas == 0) {
-    *f = ns.in_flight.back();
+    std::vector<FenceWaiter> waiters = std::move(f->waiters);
+    *f = std::move(ns.in_flight.back());
     ns.in_flight.pop_back();
-    const auto wit = ns.fence_waiters.find(key);
-    if (wit != ns.fence_waiters.end()) {
-      auto waiters = std::move(wit->second);
-      ns.fence_waiters.erase(wit);
-      for (auto& w : waiters) w(t);
-    }
+    for (auto& w : waiters) w(t);
   }
-  return op;
-}
-
-std::uint32_t AgasSw::rmas_in_flight(int node, std::uint64_t key) const {
-  const InFlight* f =
-      find_block(nodes_.at(static_cast<std::size_t>(node)).in_flight, key);
-  return f != nullptr ? f->rmas : 0;
-}
-
-// ---------------------------------------------------------------------------
-// Data path.
-// ---------------------------------------------------------------------------
-
-void AgasSw::do_memput(sim::TaskCtx& task, int node, Gva dst,
-                       std::vector<std::byte> data, net::OnDone done,
-                       net::OnDone remote_notify) {
-  Op op = make_op(node, dst, std::move(done));
-  op.data = std::move(data);
-  op.on_remote = std::move(remote_notify);
-  with_translation(task, ops_.park(std::move(op)));
-}
-
-void AgasSw::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                       net::OnData done) {
-  Op op = make_op(node, src, std::move(done));
-  op.len = static_cast<std::uint32_t>(len);
-  with_translation(task, ops_.park(std::move(op)));
-}
-
-void AgasSw::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                          std::uint64_t operand, net::OnU64 done) {
-  Op op = make_op(node, addr, std::move(done));
-  op.operand = operand;
-  with_translation(task, ops_.park(std::move(op)));
-}
-
-void AgasSw::do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
-  with_translation(task, ops_.park(make_op(node, addr, std::move(done))));
+  finish(t, id);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,8 +251,14 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base,
     sharers.pop_back();
   }
   mig.pending_acks = static_cast<std::uint32_t>(sharers.size());
-  const bool home_fence = rmas_in_flight(home, key) != 0;
-  if (home_fence) ++mig.pending_acks;
+  if (InFlight* f = find_block(hs.in_flight, key)) {
+    ++mig.pending_acks;
+    f->waiters.push_back([this, block_base, home](sim::Time t) {
+      fabric_->cpu(home).submit_at(t, [this, block_base](sim::TaskCtx& t2) {
+        migration_acked(t2, block_base);
+      });
+    });
+  }
 
   for (int s : sharers) {
     task.charge(ep(home).post_cost());
@@ -363,20 +275,13 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base,
                                 migration_acked(t3, block_base);
                               });
           };
-          if (rmas_in_flight(s, key) != 0) {
-            ns.fence_waiters[key].push_back(std::move(send_ack));
+          if (InFlight* f = find_block(ns.in_flight, key)) {
+            f->waiters.push_back(std::move(send_ack));
           } else {
             t2.charge(ep(s).post_cost());
             send_ack(t2.now());
           }
         });
-  }
-  if (home_fence) {
-    hs.fence_waiters[key].push_back([this, block_base, home](sim::Time t) {
-      fabric_->cpu(home).submit_at(t, [this, block_base](sim::TaskCtx& t2) {
-        migration_acked(t2, block_base);
-      });
-    });
   }
   if (mig.pending_acks == 0) migration_alloc(task, block_base);
 }
@@ -496,7 +401,7 @@ std::pair<int, sim::Lva> AgasSw::drop_block_state(Gva block_base) {
   // allocation's directory entries go together, in free_alloc.
   for (int n = 0; n < static_cast<int>(nodes_.size()); ++n) {
     (void)st(n).cache.erase(key);
-    NVGAS_CHECK_MSG(rmas_in_flight(n, key) == 0,
+    NVGAS_CHECK_MSG(find_block(st(n).in_flight, key) == nullptr,
                     "free_alloc with in-flight RMAs");
   }
   return {e.owner, e.lva};
@@ -530,15 +435,7 @@ std::string AgasSw::audit_translation() const {
 }
 
 std::string AgasSw::audit_quiescent() const {
-  if (const Op* op = ops_.first()) {
-    static constexpr const char* kKinds[] = {"put", "get", "fetch_add",
-                                             "resolve"};
-    return util::format(
-        "%zu op(s) never completed; the first is a %s on block %llx from "
-        "node %d",
-        ops_.size(), kKinds[static_cast<int>(op->kind())],
-        static_cast<unsigned long long>(op->block.block_key()), op->node);
-  }
+  if (std::string err = GasBase::audit_quiescent(); !err.empty()) return err;
   for (int n = 0; n < static_cast<int>(nodes_.size()); ++n) {
     const NodeState& ns = nodes_[static_cast<std::size_t>(n)];
     if (!ns.resolving.empty()) {
@@ -546,9 +443,6 @@ std::string AgasSw::audit_quiescent() const {
     }
     if (!ns.in_flight.empty()) {
       return util::format("node %d has unfinished in-flight RMAs", n);
-    }
-    if (!ns.fence_waiters.empty()) {
-      return util::format("node %d has fence waiters never released", n);
     }
   }
   return moves_.audit_quiescent();

@@ -27,8 +27,6 @@
 //      queued work, notify initiator.
 #pragma once
 
-#include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "gas/directory.hpp"
@@ -36,7 +34,6 @@
 #include "gas/move_sequencer.hpp"
 #include "net/nic_tlb.hpp"
 #include "util/inline_function.hpp"
-#include "util/slab.hpp"
 
 namespace nvgas::gas {
 
@@ -60,8 +57,6 @@ class AgasSw final : public GasBase {
   // mcheck invariant audits (see docs/MODEL_CHECKING.md). This manager's
   // contract is "a cached translation is never stale", so every cache
   // entry anywhere must match its home directory entry exactly.
-  // audit_quiescent also names the first op still parked in the slab, by
-  // kind, block and issuing node.
   [[nodiscard]] std::string audit_translation() const override;
   [[nodiscard]] std::string audit_quiescent() const override;
 
@@ -73,58 +68,33 @@ class AgasSw final : public GasBase {
   [[nodiscard]] const Directory& directory() const { return dir_; }
 
  protected:
-  void do_memput(sim::TaskCtx& task, int node, Gva dst,
-                 std::vector<std::byte> data, net::OnDone done,
-                 net::OnDone remote_notify) override;
-  void do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                 net::OnData done) override;
-  void do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                    std::uint64_t operand, net::OnU64 done) override;
-  void do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) override;
+  // Resolve op `id`'s block from its node, then run it. Handles
+  // home-local lookups, cache hits, misses (request/response), and
+  // queuing while the block is moving.
+  void start(sim::TaskCtx& task, std::uint32_t id) override;
   std::pair<int, sim::Lva> drop_block_state(Gva block_base) override;
 
  private:
-  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
-
-  // An in-flight op, parked in the ops_ slab from issue to completion;
-  // every hop's closure carries only its slab id. Ops that miss on one
-  // block while its resolve is in flight chain through `next`, in issue
-  // order, and run when the reply arrives.
-  struct Op {
-    // The caller's completion. Its alternative is the op's kind, in the
-    // order of Kind.
-    using Done = std::variant<net::OnDone, net::OnData, net::OnU64, OnOwner>;
-    enum class Kind : std::uint8_t { kPut, kGet, kFadd, kResolve };
-
-    int node = -1;  // the issuing node
-    Gva block;      // the block's base
-    std::uint32_t offset = 0;
-    std::uint32_t len = 0;         // get length
-    std::uint32_t next = kNoOp;    // next op waiting on the same resolve
-    std::uint64_t operand = 0;     // fetch_add operand
-    std::vector<std::byte> data;   // put payload
-    net::OnDone on_remote;         // put's remote notification
-    Done done;
-
-    [[nodiscard]] Kind kind() const { return static_cast<Kind>(done.index()); }
-  };
   // A resolve request in flight from a node, and the first and last op
-  // waiting on its reply.
+  // waiting on its reply; the ops between chain through OpRecord::next,
+  // in issue order.
   struct Resolving {
     std::uint64_t key;
     std::uint32_t first;
     std::uint32_t last;
   };
-  // A block a node has RMAs in flight against, and how many.
+  // A continuation waiting for a node's RMAs on a block to drain (an
+  // invalidation's fence). The 48-byte inline buffer holds it without a
+  // heap allocation.
+  using FenceWaiter = util::InlineFunction<void(sim::Time), 48>;
+  // A block a node has RMAs in flight against, how many, and the fence
+  // waiters to run, in push order, when the last one finishes.
   struct InFlight {
     std::uint64_t key;
     std::uint32_t rmas;
+    std::vector<FenceWaiter> waiters;
   };
 
-  // Parked continuations waiting for an RMA fence to drain. Stored
-  // out-of-line (never copied, moved in/out once), so the fixed 48-byte
-  // inline buffer replaces a heap-allocating std::function per waiter.
-  using FenceWaiter = util::InlineFunction<void(sim::Time), 48>;
   // Work parked at the home while a block is mid-migration.
   using DeferredWork = util::InlineFunction<void(sim::TaskCtx&), 48>;
 
@@ -136,8 +106,6 @@ class AgasSw final : public GasBase {
     // a time, so both are scanned linearly.
     std::vector<Resolving> resolving;
     std::vector<InFlight> in_flight;
-    // simlint:allow(D1: vector extracted per key; the map is never iterated)
-    std::unordered_map<std::uint64_t, std::vector<FenceWaiter>> fence_waiters;
   };
 
   [[nodiscard]] NodeState& st(int node) {
@@ -147,14 +115,6 @@ class AgasSw final : public GasBase {
     return block_base.home(fabric_->nodes());
   }
 
-  // An op issued by `node` against `addr`, of the kind `done` names; the
-  // caller fills in the payload.
-  [[nodiscard]] static Op make_op(int node, Gva addr, Op::Done done);
-
-  // Resolve op `id`'s block from its node, then run it. Handles
-  // home-local lookups, cache hits, misses (request/response), and
-  // queuing while the block is moving.
-  void with_translation(sim::TaskCtx& task, std::uint32_t id);
   // Carry out op `id` against the valid translation `e`.
   void run(sim::TaskCtx& task, std::uint32_t id, const net::TlbEntry& e);
 
@@ -162,11 +122,10 @@ class AgasSw final : public GasBase {
   void handle_resolve_request(sim::TaskCtx& task, Gva block_base, int requester);
 
   // Fencing bookkeeping: an RMA from `node` against block `key` counts as
-  // in flight from begin_rma until finish_rma takes its op out of the
-  // slab and releases any fence waiting on the block.
+  // in flight from begin_rma until rma_done, which releases any fence
+  // waiting on the block and then finishes op `id`.
   void begin_rma(int node, std::uint64_t key);
-  [[nodiscard]] Op finish_rma(sim::Time t, std::uint32_t id);
-  [[nodiscard]] std::uint32_t rmas_in_flight(int node, std::uint64_t key) const;
+  void rma_done(sim::Time t, std::uint32_t id) override;
 
   // Migration steps (all run at the home unless noted).
   void start_migration(sim::TaskCtx& task, Gva block_base, MoveRequest req);
@@ -180,7 +139,6 @@ class AgasSw final : public GasBase {
 
   GasCosts config_;
   std::vector<NodeState> nodes_;
-  util::Slab<Op> ops_{"agas-sw op"};  // in-flight ops by id
   Directory dir_;  // home side: each entry is charged to its block's home
   MoveSequencer<DeferredWork> moves_;  // parks work at the block's home
 };

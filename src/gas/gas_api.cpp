@@ -1,6 +1,7 @@
 #include "gas/gas_api.hpp"
 
 #include "gas/invariants.hpp"
+#include "util/format.hpp"
 
 namespace nvgas::gas {
 
@@ -36,8 +37,10 @@ void GasBase::memput_notify(sim::TaskCtx& task, int node, Gva dst,
   heap_->check_extent(dst, data.size());
   ++fabric_->counters().gas_memputs;
   note_access(node, dst);
-  do_memput(task, node, dst, std::move(data), std::move(done),
-            instrument_signal(std::move(remote_notify)));
+  const std::uint32_t id = ops_.park(node, dst, std::move(done));
+  ops_[id].data = std::move(data);
+  ops_[id].on_remote = instrument_signal(std::move(remote_notify));
+  start(task, id);
 }
 
 void GasBase::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
@@ -45,7 +48,9 @@ void GasBase::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
   heap_->check_extent(src, len);
   ++fabric_->counters().gas_memgets;
   note_access(node, src);
-  do_memget(task, node, src, len, std::move(done));
+  const std::uint32_t id = ops_.park(node, src, std::move(done));
+  ops_[id].len = static_cast<std::uint32_t>(len);
+  start(task, id);
 }
 
 void GasBase::fetch_add(sim::TaskCtx& task, int node, Gva addr,
@@ -53,12 +58,115 @@ void GasBase::fetch_add(sim::TaskCtx& task, int node, Gva addr,
   heap_->check_extent(addr, sizeof(std::uint64_t));
   ++fabric_->counters().gas_atomics;
   note_access(node, addr);
-  do_fetch_add(task, node, addr, operand, std::move(done));
+  const std::uint32_t id = ops_.park(node, addr, std::move(done));
+  ops_[id].value = operand;
+  start(task, id);
 }
 
 void GasBase::resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) {
+  heap_->check_extent(addr, 0);
   note_access(node, addr);
-  do_resolve(task, node, addr, std::move(done));
+  start(task, ops_.park(node, addr, std::move(done)));
+}
+
+void GasBase::finish(sim::Time t, std::uint32_t id) {
+  // Each case takes out what its completion needs and frees the id before
+  // running it: the completion may issue ops, which may grow the slab.
+  OpRecord& op = ops_[id];
+  switch (op.kind()) {
+    case OpRecord::Kind::kPut: {
+      const net::OnDone done = std::move(std::get<net::OnDone>(op.done));
+      const net::OnDone on_remote = std::move(op.on_remote);
+      ops_.release(id);
+      if (done) done(t);
+      if (on_remote) on_remote(t);
+      break;
+    }
+    case OpRecord::Kind::kGet: {
+      const net::OnData done = std::move(std::get<net::OnData>(op.done));
+      std::vector<std::byte> data = std::move(op.data);
+      ops_.release(id);
+      if (done) done(t, std::move(data));
+      break;
+    }
+    case OpRecord::Kind::kFadd: {
+      const net::OnU64 done = std::move(std::get<net::OnU64>(op.done));
+      const std::uint64_t old = op.value;
+      ops_.release(id);
+      if (done) done(t, old);
+      break;
+    }
+    case OpRecord::Kind::kResolve: {
+      const OnOwner done = std::move(std::get<OnOwner>(op.done));
+      const int owner = op.entry.owner;
+      ops_.release(id);
+      if (done) done(t, owner);
+      break;
+    }
+  }
+}
+
+void GasBase::finish_here(sim::TaskCtx& task, std::uint32_t id, sim::Lva lva) {
+  OpRecord& op = ops_[id];
+  sim::Memory& mem = fabric_->mem(op.node);
+  switch (op.kind()) {
+    case OpRecord::Kind::kPut:
+      task.charge(fabric_->params().copy_time(op.data.size()));
+      mem.write(lva, op.data);
+      break;
+    case OpRecord::Kind::kGet:
+      task.charge(fabric_->params().copy_time(op.len));
+      op.data = mem.read_vec(lva, op.len);
+      break;
+    case OpRecord::Kind::kFadd:
+      task.charge(sim::kNicAtomicNs);
+      op.value = mem.fetch_add_u64(lva, op.value);
+      break;
+    case OpRecord::Kind::kResolve:
+      NVGAS_UNREACHABLE();
+  }
+  finish(task.now(), id);
+}
+
+void GasBase::post_rma(sim::TaskCtx& task, std::uint32_t id, int owner,
+                       sim::Lva lva) {
+  OpRecord& op = ops_[id];
+  net::Endpoint& e = ep(op.node);
+  task.charge(e.post_cost());
+  switch (op.kind()) {
+    case OpRecord::Kind::kPut:
+      e.put(task.now(), owner, lva, std::move(op.data),
+            [this, id](sim::Time t) { rma_done(t, id); }, std::move(op.on_remote));
+      break;
+    case OpRecord::Kind::kGet:
+      e.get(task.now(), owner, lva, op.len,
+            [this, id](sim::Time t, std::vector<std::byte> data) {
+              ops_[id].data = std::move(data);
+              rma_done(t, id);
+            });
+      break;
+    case OpRecord::Kind::kFadd:
+      e.fetch_add(task.now(), owner, lva, op.value,
+                  [this, id](sim::Time t, std::uint64_t old) {
+                    ops_[id].value = old;
+                    rma_done(t, id);
+                  });
+      break;
+    case OpRecord::Kind::kResolve:
+      NVGAS_UNREACHABLE();
+  }
+}
+
+std::string GasBase::audit_quiescent() const {
+  const OpRecord* op = ops_.first();
+  if (op == nullptr) return {};
+  static constexpr const char* kKinds[] = {"put", "get", "fetch_add", "resolve"};
+  std::string err = util::format(
+      "%zu op(s) never completed; the first is a %s on block %llx from node %d",
+      ops_.size(), kKinds[static_cast<int>(op->kind())],
+      static_cast<unsigned long long>(op->addr.block_key()), op->node);
+  if (op->hops > 0) err += util::format(" after %d hop(s)", op->hops);
+  return err;
 }
 
 std::pair<int, sim::Lva> GasBase::drop_block_state(Gva block_base) {
@@ -101,27 +209,6 @@ void GasBase::memcpy_gva(sim::TaskCtx& task, int node, Gva dst, Gva src,
                  memput(t2, node, dst, std::move(data), std::move(done));
                });
          });
-}
-
-void GasBase::local_put(sim::TaskCtx& task, int node, sim::Lva lva,
-                        std::span<const std::byte> data,
-                        const net::OnDone& done) {
-  task.charge(fabric_->params().copy_time(data.size()));
-  fabric_->mem(node).write(lva, data);
-  if (done) done(task.now());
-}
-
-void GasBase::local_get(sim::TaskCtx& task, int node, sim::Lva lva,
-                        std::size_t len, const net::OnData& done) {
-  task.charge(fabric_->params().copy_time(len));
-  if (done) done(task.now(), fabric_->mem(node).read_vec(lva, len));
-}
-
-void GasBase::local_fadd(sim::TaskCtx& task, int node, sim::Lva lva,
-                         std::uint64_t operand, const net::OnU64& done) {
-  task.charge(sim::kNicAtomicNs);
-  const auto old = fabric_->mem(node).fetch_add_u64(lva, operand);
-  if (done) done(task.now(), old);
 }
 
 }  // namespace nvgas::gas

@@ -13,14 +13,17 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "gas/costs.hpp"
 #include "gas/gheap.hpp"
 #include "gas/gva.hpp"
 #include "net/endpoint.hpp"
+#include "net/nic_tlb.hpp"
 #include "sim/cpu.hpp"
 #include "sim/fabric.hpp"
+#include "util/slab.hpp"
 
 namespace nvgas::gas {
 
@@ -43,8 +46,42 @@ enum class GasMode : std::uint8_t { kPgas = 0, kAgasSw = 1, kAgasNet = 2 };
   return std::nullopt;
 }
 
-// Owner resolution result delivered to `OnOwner`.
+// Owner resolution result delivered to `OnOwner`. Like net's verb
+// completions, a public API boundary type: the op record holds it.
+// simlint:allow(D4: public API boundary type, parked in the op record and moved once per op)
 using OnOwner = std::function<void(sim::Time, int owner)>;
+
+// One in-flight GAS op, whatever its manager. GasBase parks it in its op
+// slab at the front door and unparks it at completion; every hop's
+// closure carries only its slab id.
+struct OpRecord {
+  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+  // The caller's completion. Its alternative is the op's kind, in the
+  // order of Kind.
+  using Done = std::variant<net::OnDone, net::OnData, net::OnU64, OnOwner>;
+  enum class Kind : std::uint8_t { kPut, kGet, kFadd, kResolve };
+
+  OpRecord() = default;
+  template <typename Completion>
+  OpRecord(int issuer, Gva address, Completion&& completion) noexcept
+      : node(issuer), addr(address), done(std::forward<Completion>(completion)) {}
+
+  int node = -1;  // the issuing node
+  Gva addr;
+  std::uint32_t len = 0;        // get length
+  std::uint64_t value = 0;      // fetch_add operand in, old word out
+  std::vector<std::byte> data;  // put payload in, get result out
+  std::uint32_t next = kNoOp;   // agas-sw: next op waiting on one resolve
+  int hops = 0;                 // agas-net: wire hops so far (watchdog)
+  bool used_hint = false;       // agas-net: a hint forward is taken once
+  // The translation the op ran against, or the one its reply piggybacks;
+  // a resolve answers with its owner.
+  net::TlbEntry entry;
+  Done done;
+  net::OnDone on_remote;  // put's remote notification, instrumented
+
+  [[nodiscard]] Kind kind() const { return static_cast<Kind>(done.index()); }
+};
 
 class InvariantObserver;  // gas/invariants.hpp
 
@@ -93,7 +130,8 @@ class GasBase {
   // --- data path ----------------------------------------------------------
   // Every op enters through one of these front doors, which do the shared
   // prologue (extent check, op counter, access observation, signal
-  // instrumentation) and then hand over to the manager's do_* step.
+  // instrumentation), park the op's record and hand its id to the
+  // manager's start.
   void memput(sim::TaskCtx& task, int node, Gva dst, std::vector<std::byte> data,
               net::OnDone done) {
     memput_notify(task, node, dst, std::move(data), std::move(done), nullptr);
@@ -112,7 +150,8 @@ class GasBase {
                  net::OnU64 done);
 
   // Resolve the current owner of the addressed block (used to route
-  // parcels to mobile objects).
+  // parcels to mobile objects). Like every front door, it aborts on an
+  // address outside a live allocation.
   void resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done);
 
   // Copy `len` bytes between global addresses (each range within one
@@ -150,9 +189,11 @@ class GasBase {
   // audit_translation: every cached translation anywhere agrees with the
   // authoritative record for its block (callable at any quiescent event
   // boundary, including mid-scenario). audit_quiescent: no protocol
-  // state is left in flight (end of run only).
+  // state is left in flight (end of run only); the base names the first
+  // op still parked, by kind, block and issuing node, and managers add
+  // their own state.
   [[nodiscard]] virtual std::string audit_translation() const { return {}; }
-  [[nodiscard]] virtual std::string audit_quiescent() const { return {}; }
+  [[nodiscard]] virtual std::string audit_quiescent() const;
 
   [[nodiscard]] GlobalHeap& heap() { return *heap_; }
 
@@ -161,37 +202,37 @@ class GasBase {
   [[nodiscard]] net::Endpoint& ep(int node) { return endpoints_->at(node); }
   [[nodiscard]] int ranks() const { return fabric_->nodes(); }
 
-  // The manager-specific half of each data-path op, called by its front
-  // door after the shared prologue. `remote_notify` is already
-  // instrumented and is null for a plain memput.
-  virtual void do_memput(sim::TaskCtx& task, int node, Gva dst,
-                         std::vector<std::byte> data, net::OnDone done,
-                         net::OnDone remote_notify) = 0;
-  virtual void do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                         net::OnData done) = 0;
-  virtual void do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                            std::uint64_t operand, net::OnU64 done) = 0;
-  virtual void do_resolve(sim::TaskCtx& task, int node, Gva addr,
-                          OnOwner done) = 0;
+  // The manager-specific half of every data-path op: carry out the op
+  // parked as `id`, called by its front door after the shared prologue.
+  // The op ends in finish or finish_here.
+  virtual void start(sim::TaskCtx& task, std::uint32_t id) = 0;
+
+  // Take op `id` out of the slab and run its completion at `t` with the
+  // record's result: a get's data, a fetch_add's old word, a resolve's
+  // entry.owner. A put's remote notification, if still held, runs after.
+  void finish(sim::Time t, std::uint32_t id);
+  // Carry out put, get or fetch_add `id` against `lva` on its issuing
+  // node, which owns the block, charging the copy or atomic to `task`,
+  // and finish it.
+  void finish_here(sim::TaskCtx& task, std::uint32_t id, sim::Lva lva);
+  // Post op `id`'s put, get or fetch_add from its issuer's endpoint to
+  // `lva` at `owner`, charging the post to `task`. When the verb
+  // completes, its result is in the record and rma_done runs: it
+  // finishes the op, after any bookkeeping the manager keeps per RMA.
+  void post_rma(sim::TaskCtx& task, std::uint32_t id, int owner, sim::Lva lva);
+  virtual void rma_done(sim::Time t, std::uint32_t id) { finish(t, id); }
 
   // free_alloc hook: drop one block's translation state and return its
   // current {owner, lva} so the base can release the backing store. The
   // default (PGAS) has no dynamic state: placement is the initial one.
   virtual std::pair<int, sim::Lva> drop_block_state(Gva block_base);
 
-  // Local (owner == issuer) data-path helpers shared by all managers.
-  void local_put(sim::TaskCtx& task, int node, sim::Lva lva,
-                 std::span<const std::byte> data, const net::OnDone& done);
-  void local_get(sim::TaskCtx& task, int node, sim::Lva lva, std::size_t len,
-                 const net::OnData& done);
-  void local_fadd(sim::TaskCtx& task, int node, sim::Lva lva,
-                  std::uint64_t operand, const net::OnU64& done);
-
   sim::Fabric* fabric_;
   net::EndpointGroup* endpoints_;
   GlobalHeap* heap_;
   InvariantObserver* observer_ = nullptr;
   AccessObserver* access_observer_ = nullptr;
+  util::Slab<OpRecord> ops_{"gas op"};  // in-flight ops by id
 
  private:
   // Report one data-path access to the attached AccessObserver (no-op

@@ -8,48 +8,21 @@ Pgas::Place Pgas::translate(Gva addr) const {
                heap_->initial_lva(base) + addr.offset()};
 }
 
-void Pgas::do_memput(sim::TaskCtx& task, int node, Gva dst,
-                     std::vector<std::byte> data, net::OnDone done,
-                     net::OnDone remote_notify) {
+void Pgas::start(sim::TaskCtx& task, std::uint32_t id) {
   task.charge(kPgasTranslateNs);
-  const Place p = translate(dst);
-  if (p.owner == node) {
-    local_put(task, node, p.lva, data, done);
-    if (remote_notify) remote_notify(task.now());
+  OpRecord& op = ops_[id];
+  const int node = op.node;
+  const Place p = translate(op.addr);
+  if (op.kind() == OpRecord::Kind::kResolve) {
+    op.entry.owner = p.owner;
+    finish(task.now(), id);
     return;
   }
-  task.charge(ep(node).post_cost());
-  ep(node).put(task.now(), p.owner, p.lva, std::move(data), std::move(done),
-               std::move(remote_notify));
-}
-
-void Pgas::do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                     net::OnData done) {
-  task.charge(kPgasTranslateNs);
-  const Place p = translate(src);
   if (p.owner == node) {
-    local_get(task, node, p.lva, len, done);
+    finish_here(task, id, p.lva);
     return;
   }
-  task.charge(ep(node).post_cost());
-  ep(node).get(task.now(), p.owner, p.lva, len, std::move(done));
-}
-
-void Pgas::do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                        std::uint64_t operand, net::OnU64 done) {
-  task.charge(kPgasTranslateNs);
-  const Place p = translate(addr);
-  if (p.owner == node) {
-    local_fadd(task, node, p.lva, operand, done);
-    return;
-  }
-  task.charge(ep(node).post_cost());
-  ep(node).fetch_add(task.now(), p.owner, p.lva, operand, std::move(done));
-}
-
-void Pgas::do_resolve(sim::TaskCtx& task, int /*node*/, Gva addr, OnOwner done) {
-  task.charge(kPgasTranslateNs);
-  done(task.now(), addr.home(fabric_->nodes()));
+  post_rma(task, id, p.owner, p.lva);
 }
 
 void Pgas::migrate(sim::TaskCtx&, int, Gva, int, net::OnDone) {

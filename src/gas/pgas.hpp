@@ -22,14 +22,7 @@ class Pgas final : public GasBase {
   [[nodiscard]] std::pair<int, sim::Lva> owner_of(Gva block) const override;
 
  protected:
-  void do_memput(sim::TaskCtx& task, int node, Gva dst,
-                 std::vector<std::byte> data, net::OnDone done,
-                 net::OnDone remote_notify) override;
-  void do_memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                 net::OnData done) override;
-  void do_fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                    std::uint64_t operand, net::OnU64 done) override;
-  void do_resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done) override;
+  void start(sim::TaskCtx& task, std::uint32_t id) override;
 
  private:
   struct Place {

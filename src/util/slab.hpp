@@ -1,14 +1,14 @@
 // A slab of in-flight records addressed by 32-bit ids.
 //
-// park() moves a record in and returns its id; unpark(id) moves it back
-// out and frees the id for reuse, last freed first. A protocol keeps each
-// op here from issue to completion and hands every hop only its id, so a
-// hop's closure is {this, id} and fits the engine's 48-byte inline
-// callback buffer however large the record is. The slab grows on demand
-// and never shrinks: once it reaches its working size, parking allocates
-// nothing. Both mobile managers park their GVA ops in one (gas/agas_sw,
-// gas/agas_net), and each endpoint keeps its completion ledger in one
-// (net/endpoint).
+// park() builds a record in a free slot and returns its id; unpark(id)
+// moves it back out and frees the id for reuse, last freed first. A
+// protocol keeps each op here from issue to completion and hands every
+// hop only its id, so a hop's closure is {this, id} and fits the
+// engine's 48-byte inline callback buffer however large the record is.
+// The slab grows on demand and never shrinks: once it reaches its working
+// size, parking allocates nothing. A World has one table of GAS ops, in
+// its manager's gas::GasBase, which every manager parks its ops in; each
+// endpoint keeps its completion ledger in another (net/endpoint).
 //
 // A reference into the slab is valid only until the next park(), which
 // may grow it, so no T& is held across anything that may issue.
@@ -20,7 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,29 +37,41 @@ class Slab {
   // `name` appears in the double-completion abort; it must outlive the slab.
   explicit Slab(const char* name) : name_(name) {}
 
-  [[nodiscard]] std::uint32_t park(T&& value) {
+  // Build a record from `args` in a free slot and return its id. A freed
+  // slot keeps its spent record; the new one is built in its place, so
+  // parking moves nothing the caller did not hand over.
+  template <typename... Args>
+  [[nodiscard]] std::uint32_t park(Args&&... args) {
+    static_assert(std::is_nothrow_constructible_v<T, Args&&...>,
+                  "a slot must never be left without a record");
     ++live_;
     if (free_.empty()) {
-      slots_.push_back(Slot{true, std::move(value)});
+      slots_.push_back(Slot{true, T(std::forward<Args>(args)...)});
       return static_cast<std::uint32_t>(slots_.size() - 1);
     }
     const std::uint32_t id = free_.back();
     free_.pop_back();
     Slot& s = slots_[id];
-    s.value = std::move(value);
+    std::destroy_at(&s.value);
+    std::construct_at(&s.value, std::forward<Args>(args)...);
     s.live = true;
     return id;
   }
 
   // Move the record out and free its id, so the id is free before the
-  // caller runs the record's completion, which may park more. The slot
-  // keeps the moved-from record until park() assigns over it.
+  // caller runs the record's completion, which may park more.
   [[nodiscard]] T unpark(std::uint32_t id) {
-    Slot& s = live_slot(id);
-    s.live = false;
+    T value = std::move(live_slot(id).value);
+    release(id);
+    return value;
+  }
+
+  // Free the id of a record the caller has already taken what it needs
+  // from; as with unpark, before running its completion.
+  void release(std::uint32_t id) {
+    live_slot(id).live = false;
     free_.push_back(id);
     --live_;
-    return std::move(s.value);
   }
 
   [[nodiscard]] T& operator[](std::uint32_t id) { return live_slot(id).value; }

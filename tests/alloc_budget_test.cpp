@@ -10,11 +10,11 @@
 // memget/memput, and a reply parcel, all over the reliability channel.
 //
 // The one-sided data path: every rank keeps a window of fetch_adds (and,
-// under pgas, gets) in flight on random words of a cyclic table. Under
-// agas-sw a 4-entry translation cache makes most of them miss, so they
-// park in the manager's op slab, often behind a resolve already in
-// flight, before their completion waits in the endpoint's completion
-// ledger; under pgas they go straight to the ledger.
+// under pgas, gets) in flight on random words of a cyclic table. Every op
+// parks in the GAS op slab, and the endpoint's completion ledger holds
+// only the `{this, id}` that finishes it. Under agas-sw a 4-entry
+// translation cache makes most of them miss, so they wait there, often
+// behind a resolve already in flight.
 //
 // The allocations per request or op must stay within the budget measured
 // when each path stopped allocating per hop; a change that brings back a
@@ -66,20 +66,22 @@ namespace {
 
 // Measured 9.89 per request (GCC 12, libstdc++) with the payload carried
 // as one buffer, the eager-send closure inline, the reliability window
-// and the CPU run queue as rings and spawn slots recycled. Before those
-// changes the same batch measured 28.64.
-constexpr double kBudgetPerRequest = 10.0;
+// and the CPU run queue as rings and spawn slots recycled, and 9.87 once
+// agas-net's resolve misses parked in the op slab rather than carrying
+// the caller's completion through both hops. Before those changes the
+// same batch measured 28.64.
+constexpr double kBudgetPerRequest = 9.9;
 
 // Measured 0.064 per op (GCC 12, libstdc++) with agas-sw's ops parked in
-// its slab and the fetch_add's completion in the endpoint's ledger; what
+// the op slab and the fetch_add's `{this, id}` in the endpoint's ledger; what
 // is left is one per window of 16, the waiting fiber's entry in the
 // window's AndGate (0.063 per op over twice the windows). Before, every miss
 // allocated a pending-resolve node, its vector and a std::function, an
 // in-flight-count node, a wrapping std::function and two closures too
 // large for their inline buffers: 6.01 per op.
 constexpr double kBudgetPerSwOp = 0.1;
-// Measured 0.564 per op with get and fetch_add completions in the
-// ledger: what is left is each get's payload vector (half the ops are
+// Measured 0.564 per op with every op in the op slab and its finishing
+// `{this, id}` in the ledger: what is left is each get's payload vector (half the ops are
 // gets) and the gate's entry per window. Before, each verb's completion rode in closures that
 // spilled to the heap: 2.83 per op.
 constexpr double kBudgetPerPgasOp = 0.6;

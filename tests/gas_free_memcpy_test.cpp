@@ -84,6 +84,22 @@ TEST_P(FreeMemcpyTest, AccessAfterFreeAborts) {
       "");
 }
 
+// resolve checks its address like every other front door, so a freed
+// GVA aborts in every mode (pgas used to answer with its arithmetic home).
+TEST_P(FreeMemcpyTest, ResolveAfterFreeAborts) {
+  EXPECT_DEATH(
+      {
+        World w2(make_config());
+        w2.spawn(0, [&](Context& ctx) -> Fiber {
+          const Gva base = alloc_cyclic(ctx, 2, 256);
+          free_alloc(ctx, base);
+          (void)co_await resolve(ctx, base.advanced(256, 256));
+        });
+        w2.run();
+      },
+      "unknown allocation id");
+}
+
 TEST_P(FreeMemcpyTest, MemcpyMovesDataBetweenRemoteBlocks) {
   World world(make_config());
   world.spawn(0, [&](Context& ctx) -> Fiber {

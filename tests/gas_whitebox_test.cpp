@@ -219,28 +219,44 @@ TEST(AgasSwWhitebox, SlabAndLedgersHoldNothingAfterRun) {
   }
 }
 
-TEST(AgasSwWhitebox, QuiescentAuditNamesAParkedOp) {
-  World world(Config::with_nodes(4, GasMode::kAgasSw));
-  Gva block;
-  world.spawn(0, [&](Context& ctx) -> Fiber {
-    block = alloc_cyclic(ctx, 4, 256);
-    while (block.home(4) != 2) block = block.advanced(256, 256);
-    (void)co_await fetch_add(ctx, block, 1);
-  });
-  // Step event by event: while the fetch_add resolves and then flies the
-  // audit names it; once it completes the audit is clean.
+// Run `world` event by event until it is idle and return the first
+// quiescent audit that is not clean, or "" if none was.
+std::string first_unclean_audit(World& world) {
   std::string seen;
   while (!world.engine().idle()) {
     (void)world.run(1);
     const std::string err = world.gas().audit_quiescent();
     if (seen.empty()) seen = err;
   }
+  return seen;
+}
+
+// Rank 0 fetch_adds a block homed at rank 2. While the fetch_add resolves
+// (agas-sw) and flies, the audit names it; once it completes the audit is
+// clean.
+void audit_names_a_remote_fetch_add(GasMode mode) {
+  World world(Config::with_nodes(4, mode));
+  Gva block;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    block = alloc_cyclic(ctx, 4, 256);
+    while (block.home(4) != 2) block = block.advanced(256, 256);
+    (void)co_await fetch_add(ctx, block, 1);
+  });
   const std::string expected = util::format(
       "1 op(s) never completed; the first is a fetch_add on block %llx "
       "from node 0",
       static_cast<unsigned long long>(block.block_key()));
-  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(first_unclean_audit(world), expected);
   EXPECT_EQ(world.gas().audit_quiescent(), "");
+}
+
+TEST(AgasSwWhitebox, QuiescentAuditNamesAParkedOp) {
+  audit_names_a_remote_fetch_add(GasMode::kAgasSw);
+}
+
+// pgas parks its ops in the same op slab, so its audit sees them too.
+TEST(PgasWhitebox, QuiescentAuditNamesAParkedOp) {
+  audit_names_a_remote_fetch_add(GasMode::kPgas);
 }
 
 // Rank 0 issues three fetch_adds, two resolves and a get on one block at
@@ -477,26 +493,35 @@ TEST(AgasNetWhitebox, SlabHoldsNoOpsAfterRun) {
   }
 }
 
+// Step event by event: while a fetch_add is on the wire, or a resolve
+// that missed rank 0's TLB waits for the home NIC's answer, the audit
+// names it; once it completes the audit is clean.
 TEST(AgasNetWhitebox, QuiescentAuditNamesAnUnfinishedOp) {
-  World world(Config::with_nodes(4, GasMode::kAgasNet));
-  Gva block;
-  world.spawn(0, [&](Context& ctx) -> Fiber {
-    block = alloc_cyclic(ctx, 4, 256);
-    while (block.home(4) != 2) block = block.advanced(256, 256);
-    (void)co_await fetch_add(ctx, block, 1);
-  });
-  // Step event by event: while the fetch_add is on the wire the audit
-  // names it; once it completes the audit is clean.
-  std::string seen;
-  while (!world.engine().idle()) {
-    (void)world.run(1);
-    const std::string err = world.gas().audit_quiescent();
-    if (seen.empty()) seen = err;
+  for (const bool resolving : {false, true}) {
+    World world(Config::with_nodes(4, GasMode::kAgasNet));
+    Gva block;
+    world.spawn(0, [&](Context& ctx) -> Fiber {
+      block = alloc_cyclic(ctx, 4, 256);
+      while (block.home(4) != 2) block = block.advanced(256, 256);
+      if (resolving) {
+        (void)co_await resolve(ctx, block);
+      } else {
+        (void)co_await fetch_add(ctx, block, 1);
+      }
+    });
+    const std::string seen = first_unclean_audit(world);
+    EXPECT_NE(seen.find("1 op(s) never completed"), std::string::npos) << seen;
+    if (resolving) {
+      EXPECT_EQ(seen, util::format("1 op(s) never completed; the first is a "
+                                   "resolve on block %llx from node 0",
+                                   static_cast<unsigned long long>(
+                                       block.block_key())));
+    } else {
+      EXPECT_NE(seen.find("from node 0 after 1 hop(s)"), std::string::npos)
+          << seen;
+    }
+    EXPECT_EQ(world.gas().audit_quiescent(), "");
   }
-  EXPECT_NE(seen.find("1 op(s) never completed"), std::string::npos) << seen;
-  EXPECT_NE(seen.find("from node 0 after 1 hop(s)"), std::string::npos)
-      << seen;
-  EXPECT_EQ(world.gas().audit_quiescent(), "");
 }
 
 // Ops issued from inside completions. Each fetch_add and memget
