@@ -565,6 +565,107 @@ Scenario chained_move_resolve() {
   return s;
 }
 
+// How long apply_chase's sender lets the network settle after a parcel
+// arrives, so every message it caused — a forward's repair included —
+// has landed: well past two of the Explorer's largest delays (four
+// commutativity windows each).
+constexpr sim::Time kSettleNs = 40'000;
+
+// A stale sender applies to a block while the block moves twice
+// (H->A->B), then applies twice more once the moves have settled. Each
+// parcel must reach its target exactly once. The apply racing the moves
+// may land at a node that still owns the block, or be forwarded by one
+// whose view is a move behind, so the first apply after the moves may
+// still be forwarded, once; the one after it must reach the owner with
+// no forward. Under agas-net only the forward-time repair of the sender's
+// translation achieves that; under agas-sw the invalidations do, and a
+// forward can race the sender's invalidation.
+Scenario apply_chase() {
+  Scenario s;
+  s.name = "apply-chase";
+  s.description = "a stale sender applies while the block moves twice; its "
+                  "later applies must stop being forwarded";
+  s.start = [](World& world, gas::InvariantObserver& obs) {
+    struct Chase {
+      Gva block;
+      int arrived[3] = {};
+      std::uint64_t forwards_at_issue[3] = {};
+      std::uint64_t forwards_at_arrival[3] = {};
+    };
+    auto st = std::make_shared<Chase>();
+    const auto poke = world.runtime().actions().add(
+        "mcheck.chase.poke", [&world, st](Context&, int, util::Buffer args) {
+          const auto k = args.reader().get<std::uint8_t>();
+          ++st->arrived[k];
+          st->forwards_at_arrival[k] = world.counters().apply_forwards;
+        });
+    world.spawn(0, [&world, st, poke](Context& ctx) -> Fiber {
+      st->block = alloc_cyclic(ctx, 1, 256);
+      const Gva b = st->block;
+      const int n = ctx.ranks();
+      const int home = b.home(n);
+      ctx.spawn((home + 3) % n, [&world, st, poke, b, home, n](Context& c) -> Fiber {
+        const auto send = [&world, st, poke, b](Context& cc, std::uint8_t k) {
+          st->forwards_at_issue[k] = world.counters().apply_forwards;
+          util::Buffer tag;
+          tag.put<std::uint8_t>(k);
+          return apply(cc, b, poke, std::move(tag));
+        };
+        // Warm: the sender learns the block at its home.
+        (void)co_await resolve(c, b);
+        std::shared_ptr<rt::Event> settled;
+        if (world.gas().supports_migration()) {
+          settled = std::make_shared<rt::Event>();
+          const rt::LcoRef ref = c.make_ref(*settled);
+          c.spawn((home + 4) % n, [b, home, n, ref](Context& m) -> Fiber {
+            co_await migrate(m, b, (home + 1) % n);
+            co_await migrate(m, b, (home + 2) % n);
+            m.set_lco(ref);
+          });
+        }
+        co_await send(c, 0);  // races both moves
+        if (settled) co_await *settled;
+        for (std::uint8_t k = 1; k < 3; ++k) {
+          while (st->arrived[k - 1] == 0) co_await c.sleep(1'000);
+          co_await c.sleep(kSettleNs);
+          co_await send(c, k);
+        }
+      });
+      co_return;
+    });
+    return std::function<void()>([&world, &obs, st] {
+      for (int k = 0; k < 3; ++k) {
+        if (st->arrived[k] != 1) {
+          obs.fail(util::format("apply-chase: apply %d arrived %d times", k + 1,
+                                st->arrived[k]));
+          return;
+        }
+      }
+      // Forwards while apply k was the only traffic in flight.
+      const auto forwards = [&st](int k) {
+        return static_cast<unsigned long long>(st->forwards_at_arrival[k] -
+                                               st->forwards_at_issue[k]);
+      };
+      if (forwards(1) > 1 || forwards(2) != 0) {
+        obs.fail(util::format(
+            "apply-chase: after the moves settled, the sender's applies were "
+            "forwarded %llu and %llu times (expected at most 1, then 0: a "
+            "forward did not repair the sender's translation)",
+            forwards(1), forwards(2)));
+      }
+      const int n = world.ranks();
+      const int want = world.gas().supports_migration()
+                           ? (st->block.home(n) + 2) % n
+                           : st->block.home(n);
+      if (world.gas().owner_of(st->block).first != want) {
+        obs.fail(util::format("apply-chase: block ends at node %d, expected %d",
+                              world.gas().owner_of(st->block).first, want));
+      }
+    });
+  };
+  return s;
+}
+
 // --- single-schedule execution ----------------------------------------------
 
 struct RunOutcome {
@@ -636,6 +737,7 @@ std::vector<Scenario> scenario_library() {
   lib.push_back(drop_under_put());
   lib.push_back(retransmit_vs_migrate());
   lib.push_back(chained_move_resolve());
+  lib.push_back(apply_chase());
   return lib;
 }
 

@@ -67,7 +67,10 @@ World::World(const Config& cfg) : cfg_(cfg) {
   // address; if the object has moved since the sender's (possibly stale)
   // translation, the parcel is forwarded — the software analogue of the
   // NIC-level forwarding on the data path, and how message-driven
-  // runtimes keep parcels converging on mobile objects.
+  // runtimes keep parcels converging on mobile objects. A forward also
+  // repairs the translation of `src`, the hop's sender, whose stale
+  // entry chose this node (GasBase::repair_sender), so its next parcel
+  // goes straight to the owner.
   const rt::ActionId apply_id = runtime_->actions().add(
       "nvgas.apply",
       [this](rt::Context& c, int src, util::Buffer args) {
@@ -86,6 +89,10 @@ World::World(const Config& cfg) : cfg_(cfg) {
                 runtime_->invoke_action_at(node, t, action, src, std::move(rest));
                 return;
               }
+              // The repair leaves first: every parcel `src` sends before
+              // it lands takes the same extra hop.
+              ++fabric_->counters().apply_forwards;
+              gas_->repair_sender(t, node, src, gva);
               runtime_->send_parcel_at(node, t, owner, runtime_->apply_action(),
                                        encode_apply(gva, action, std::move(rest)));
             });

@@ -464,7 +464,10 @@ inline void prefetch_nb(Context& ctx, Gva base, std::uint32_t nblocks,
 // Route a parcel to wherever the addressed object currently lives: resolve
 // locally, send an apply-trampoline parcel to the believed owner; the
 // destination runtime re-resolves and forwards if the object has moved
-// (HPX's "apply at gva"). The await completes at local send time.
+// (HPX's "apply at gva"). A forward repairs this rank's translation
+// where the manager needs it (agas-net), so once the repair lands this
+// rank's parcels go straight to the owner again. The await completes at
+// local send time.
 [[nodiscard]] inline auto apply(Context& ctx, Gva addr, rt::ActionId action,
                                 util::Buffer args) {
   return detail::await_op<void>(

@@ -248,6 +248,20 @@ void AgasNet::reply(sim::Time depart, int owner, std::uint32_t id) {
   });
 }
 
+void AgasNet::repair_sender(sim::Time t, int at, int sender, Gva addr) {
+  const std::uint64_t key = addr.block_key();
+  const net::TlbEntry* e = tlb(at).peek(key);
+  // A node that forwards to itself learned nothing new; an entry evicted
+  // since the resolve has nothing to teach.
+  if (sender == at || e == nullptr) return;
+  auto install = [this, key, entry = *e, sender](sim::Time arrived) {
+    fabric_->nic(sender).occupy_command_processor(arrived, sim::kNicTlbNs);
+    piggyback(sender, key, entry);
+  };
+  static_assert(sizeof(install) <= util::kInlineFunctionDefaultCapacity);
+  ep(at).raw_send(t, sender, kReplyBytes, std::move(install));
+}
+
 void AgasNet::end_op(sim::Time t, std::uint32_t id) {
   if (observer_ != nullptr) {
     observer_->on_remote_op_end(ops_[id].node, ops_[id].addr.block_key());

@@ -51,6 +51,11 @@ class AgasNet final : public GasBase {
 
   [[nodiscard]] std::pair<int, sim::Lva> owner_of(Gva block) const override;
 
+  // Forward-time repair: `at`'s NIC sends `sender`'s NIC the entry its
+  // TLB holds for the block — the one `at`'s resolve answered with — in
+  // one message, installed like a reply's piggyback. No CPU at `sender`.
+  void repair_sender(sim::Time t, int at, int sender, Gva addr) override;
+
   // mcheck invariant audits (see docs/MODEL_CHECKING.md). Unlike the
   // software AGAS, non-home TLB entries MAY be stale — but only by
   // bounded amounts: an entry's generation can never exceed the home's

@@ -154,6 +154,14 @@ class GasBase {
   // address outside a live allocation.
   void resolve(sim::TaskCtx& task, int node, Gva addr, OnOwner done);
 
+  // The apply trampoline at `at` resolved `addr` at `t` to another node
+  // and forwarded the parcel that `sender` had routed to it, so
+  // `sender`'s translation is stale. A manager whose sources learn only
+  // from replies repairs it here. The default does nothing: pgas never
+  // forwards, and agas-sw's invalidations already repair every sharer.
+  virtual void repair_sender(sim::Time /*t*/, int /*at*/, int /*sender*/,
+                             Gva /*addr*/) {}
+
   // Copy `len` bytes between global addresses (each range within one
   // block). Composed from memget+memput through the issuing node.
   void memcpy_gva(sim::TaskCtx& task, int node, Gva dst, Gva src,

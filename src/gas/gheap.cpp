@@ -70,6 +70,10 @@ sim::Lva GlobalHeap::initial_lva(Gva block_base) const {
 
 void GlobalHeap::check_extent(Gva gva, std::size_t len) const {
   const AllocMeta& m = meta_of(gva);
+  // The id picks the record; an address that disagrees with it on the
+  // distribution or the creator names no live allocation either.
+  NVGAS_CHECK_MSG(gva.dist() == m.dist && gva.creator() == m.creator,
+                  "unknown allocation id");
   NVGAS_CHECK_MSG(gva.block() < m.nblocks, "gva outside allocation");
   NVGAS_CHECK_MSG(gva.offset() + len <= m.block_size,
                   "access crosses a block boundary");

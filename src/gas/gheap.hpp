@@ -64,7 +64,8 @@ class GlobalHeap {
     return *stores_.at(static_cast<std::size_t>(node));
   }
 
-  // Bounds check: does `gva`+len stay inside one block of its allocation?
+  // Bounds check: does `gva` name a live allocation, and `gva`+len stay
+  // inside one of its blocks? Aborts otherwise.
   void check_extent(Gva gva, std::size_t len) const;
 
  private:

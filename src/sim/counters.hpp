@@ -31,6 +31,7 @@ namespace nvgas::sim {
   X(parcels_sent)                                                          \
   X(parcels_eager)                                                         \
   X(parcels_rendezvous)                                                    \
+  X(apply_forwards)   /* apply parcels the trampoline sent on */           \
   /* NIC translation unit (network-managed AGAS). */                       \
   X(nic_tlb_hits)                                                          \
   X(nic_tlb_misses)                                                        \

@@ -1,7 +1,9 @@
-// World assembly, SPMD running, apply(), agas-net's piggyback.
+// World assembly, SPMD running, apply() and its trampoline, agas-net's
+// piggyback.
 #include <gtest/gtest.h>
 
 #include "core/nvgas.hpp"
+#include "util/rng.hpp"
 
 namespace nvgas {
 namespace {
@@ -418,6 +420,110 @@ INSTANTIATE_TEST_SUITE_P(AllModes, GasOpTable,
                          ::testing::Values(GasMode::kPgas, GasMode::kAgasSw,
                                            GasMode::kAgasNet),
                          op_table_mode);
+
+// After one move, the trampoline forwards each stale sender's parcel
+// once, and under agas-net that forward repairs the sender's
+// translation; agas-sw's invalidations repair its sharers before the
+// move commits, and pgas never moves.
+TEST(World, ApplyForwardRepairsItsSender) {
+  for (const GasMode mode :
+       {GasMode::kPgas, GasMode::kAgasSw, GasMode::kAgasNet}) {
+    SCOPED_TRACE(gas::to_string(mode));
+    World world(Config::with_nodes(4, mode));
+    int applied = 0;
+    const rt::ActionId poke = world.runtime().actions().add(
+        "test.poke", [&applied](Context&, int, util::Buffer) { ++applied; });
+    Gva block;
+    world.spawn(0, [&block](Context& ctx) -> Fiber {
+      block = alloc_cyclic(ctx, 1, 256);
+      co_return;
+    });
+    world.run();
+    const auto apply_n = [&](int times) {
+      world.run_spmd([&block, poke, times](Context& ctx) -> Fiber {
+        for (int i = 0; i < times; ++i) {
+          co_await apply(ctx, block, poke, {});
+          co_await ctx.sleep(10'000);  // past the forward and its repair
+        }
+      });
+    };
+    apply_n(1);  // every rank learns the block's translation
+    if (world.gas().supports_migration()) {
+      world.spawn(0, [&block](Context& ctx) -> Fiber {
+        co_await migrate(ctx, block, (block.home(ctx.ranks()) + 2) % ctx.ranks());
+      });
+      world.run();
+    }
+    const std::uint64_t before = world.counters().apply_forwards;
+    apply_n(50);
+    EXPECT_EQ(applied, 4 + 4 * 50);
+    const std::uint64_t forwards = world.counters().apply_forwards - before;
+    if (mode == GasMode::kAgasNet) {
+      EXPECT_LE(forwards, 3u) << "a forward did not repair its sender";
+    } else {
+      EXPECT_EQ(forwards, 0u);
+    }
+  }
+}
+
+// The nvgas.apply decoder on hostile frames: one shorter than its
+// [u64 gva | ActionId] header, or one whose address names no live
+// allocation, aborts with a checked message in every build.
+void deliver_apply_frame(GasMode mode, std::span<const std::byte> frame) {
+  World world(Config::with_nodes(2, mode));
+  world.spawn(0, [&world, frame](Context& ctx) -> Fiber {
+    (void)alloc_cyclic(ctx, 2, 256);
+    ctx.send(1, world.runtime().apply_action(), util::Buffer(frame));
+    co_return;
+  });
+  world.run();
+}
+
+std::vector<std::byte> frame_bytes(Gva addr, rt::ActionId action) {
+  const util::Buffer frame = encode_apply(addr, action, util::Buffer());
+  return {frame.bytes().begin(), frame.bytes().end()};
+}
+
+TEST(ApplyDecoderDeathTest, TruncatedFramesUnderrun) {
+  // The first allocation of a 2-node world, block 1 (homed at rank 1).
+  const Gva live = Gva::make(Dist::kCyclic, 0, 1, 1, 0);
+  const std::vector<std::byte> whole = frame_bytes(live, 1);
+  ASSERT_EQ(whole.size(), 12u);
+  for (const GasMode mode :
+       {GasMode::kPgas, GasMode::kAgasSw, GasMode::kAgasNet}) {
+    for (std::size_t len = 0; len < whole.size(); ++len) {
+      SCOPED_TRACE(std::string(gas::to_string(mode)) + ", " +
+                   std::to_string(len) + " bytes");
+      EXPECT_DEATH(deliver_apply_frame(mode, std::span(whole).first(len)),
+                   "buffer underrun");
+    }
+  }
+}
+
+TEST(ApplyDecoderDeathTest, GarbledAddressesNameNoAllocation) {
+  util::Rng rng(0xa991f);
+  for (const GasMode mode :
+       {GasMode::kPgas, GasMode::kAgasSw, GasMode::kAgasNet}) {
+    for (int i = 0; i < 8; ++i) {
+      std::vector<std::byte> frame(12 + rng.below(24));
+      for (std::byte& b : frame) b = static_cast<std::byte>(rng.below(256));
+      SCOPED_TRACE(std::string(gas::to_string(mode)) + ", frame " +
+                   std::to_string(i));
+      EXPECT_DEATH(deliver_apply_frame(mode, frame), "unknown allocation id");
+    }
+    // The live allocation's id under another creator or distribution.
+    for (const Gva forged : {Gva::make(Dist::kCyclic, 1000, 1, 1, 0),
+                             Gva::make(Dist::kLocal, 0, 1, 1, 0)}) {
+      EXPECT_DEATH(deliver_apply_frame(mode, frame_bytes(forged, 1)),
+                   "unknown allocation id");
+    }
+    // A live address with a garbled action.
+    EXPECT_DEATH(deliver_apply_frame(
+                     mode, frame_bytes(Gva::make(Dist::kCyclic, 0, 1, 1, 0),
+                                       0xdead)),
+                 "unknown action id");
+  }
+}
 
 TEST(World, CountersItemsExposeAllFields) {
   World world(Config::with_nodes(2));
