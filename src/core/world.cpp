@@ -143,7 +143,7 @@ std::string World::report() const {
   return oss.str();
 }
 
-void World::run_spmd(std::function<Fiber(Context&)> fn) {
+void World::run_spmd(rt::SpawnFn fn) {
   for (int r = 0; r < ranks(); ++r) {
     runtime_->spawn(r, fn);
   }

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -64,7 +63,7 @@ class World {
   [[nodiscard]] sim::Time now() const { return fabric_->engine().now(); }
 
   // Spawn a fiber on one rank (starts when the engine runs).
-  void spawn(int rank, std::function<Fiber(Context&)> fn) {
+  void spawn(int rank, rt::SpawnFn fn) {
     runtime_->spawn(rank, std::move(fn));
   }
 
@@ -74,7 +73,7 @@ class World {
 
   // SPMD helper: spawn `fn` on every rank, drain, and verify that every
   // spawned fiber completed (a leftover suspended fiber means deadlock).
-  void run_spmd(std::function<Fiber(Context&)> fn);
+  void run_spmd(rt::SpawnFn fn);
 
   // Per-node utilization/traffic breakdown (CPU busy fraction, NIC
   // tx/rx, memory in use) plus the global counter list — the report

@@ -112,7 +112,7 @@ class AgasNet final : public GasBase {
   void notify_initiator(sim::Time depart, int home, MoveRequest req);
 
   std::vector<net::NicTlb> tlbs_;
-  MoveSequencer<std::uint32_t> moves_;  // parks op ids at the home NIC
+  MoveSequencer moves_;  // parks op ids at the home NIC
 };
 
 }  // namespace nvgas::gas

@@ -73,7 +73,7 @@ void AgasSw::start(sim::TaskCtx& task, std::uint32_t id) {
     ++counters.directory_lookups;
     const DirEntry& e = dir_.at(block_base);
     if (moves_.moving(key)) {
-      moves_.park(key, [this, id](sim::TaskCtx& t2) { start(t2, id); });
+      moves_.park(key, id);
       return;
     }
     run(task, id, net::TlbEntry{e.owner, e.lva, e.generation});
@@ -97,16 +97,16 @@ void AgasSw::start(sim::TaskCtx& task, std::uint32_t id) {
   }
   ns.resolving.push_back({key, id, id});
 
-  // Request/response to the home directory.
+  // Request/response to the home directory; the request names its first
+  // waiting op.
   task.charge(ep(node).post_cost());
   ep(node).send_to_cpu(task.now(), home, kCtrlBytes,
-                       [this, block_base, node](sim::TaskCtx& t2) {
-                         handle_resolve_request(t2, block_base, node);
-                       });
+                       [this, id](sim::TaskCtx& t2) { handle_resolve_request(t2, id); });
 }
 
-void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
-                                    int requester) {
+void AgasSw::handle_resolve_request(sim::TaskCtx& task, std::uint32_t id) {
+  const Gva block_base = ops_[id].addr.block_base();
+  const int requester = ops_[id].node;
   const std::uint64_t key = block_base.block_key();
   const int home = home_of_key(block_base);
   task.charge(kDirLookupNs);
@@ -114,9 +114,7 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
 
   DirEntry& e = dir_.at(block_base);
   if (moves_.moving(key)) {
-    moves_.park(key, [this, block_base, requester](sim::TaskCtx& t2) {
-      handle_resolve_request(t2, block_base, requester);
-    });
+    moves_.park(key, id);
     return;
   }
   e.add_sharer(requester);
@@ -132,15 +130,15 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
         ns.cache.insert(key, entry);
         Resolving* r = find_block(ns.resolving, key);
         NVGAS_CHECK_MSG(r != nullptr, "resolve reply nobody waits for");
-        std::uint32_t id = r->first;
+        std::uint32_t waiting = r->first;
         *r = ns.resolving.back();
         ns.resolving.pop_back();
         // Read each op's successor before running it: running may free
         // its slot for an op issued from its completion.
-        while (id != OpRecord::kNoOp) {
-          const std::uint32_t next = ops_[id].next;
-          run(t2, id, entry);
-          id = next;
+        while (waiting != OpRecord::kNoOp) {
+          const std::uint32_t next = ops_[waiting].next;
+          run(t2, waiting, entry);
+          waiting = next;
         }
       });
 }
@@ -369,15 +367,23 @@ void AgasSw::finish_migration(sim::TaskCtx& task, Gva block_base) {
 
   notify_initiator(task, home, std::move(mig));
 
-  // Replay work parked while the block was moving.
-  for (auto& w : parked) {
+  // Replay the ops parked while the block was moving.
+  for (const std::uint32_t id : parked) {
     fabric_->cpu(home).submit_at(
-        task.now(), [w = std::move(w)](sim::TaskCtx& t2) mutable { w(t2); });
+        task.now(), [this, id](sim::TaskCtx& t2) { resume(t2, id); });
   }
 
   // Chain any queued migration for the same block.
   if (auto next = moves_.next(key)) {
     start_migration(task, block_base, std::move(*next));
+  }
+}
+
+void AgasSw::resume(sim::TaskCtx& task, std::uint32_t id) {
+  if (ops_[id].node == home_of_key(ops_[id].addr.block_base())) {
+    start(task, id);
+  } else {
+    handle_resolve_request(task, id);
   }
 }
 

@@ -24,7 +24,7 @@
 //   4. home -> owner: XFER(dst, lva'); owner RMA-puts the block data
 //   5. owner: release old storage, -> home: MOVED
 //   6. home: commit {owner=dst, lva', gen+1}, clear sharers, replay
-//      queued work, notify initiator.
+//      parked ops, notify initiator.
 #pragma once
 
 #include <vector>
@@ -95,9 +95,6 @@ class AgasSw final : public GasBase {
     std::vector<FenceWaiter> waiters;
   };
 
-  // Work parked at the home while a block is mid-migration.
-  using DeferredWork = util::InlineFunction<void(sim::TaskCtx&), 48>;
-
   struct NodeState {
     explicit NodeState(std::size_t cache_capacity) : cache(cache_capacity) {}
     // Source side: unpinned entries only.
@@ -118,8 +115,14 @@ class AgasSw final : public GasBase {
   // Carry out op `id` against the valid translation `e`.
   void run(sim::TaskCtx& task, std::uint32_t id, const net::TlbEntry& e);
 
-  // Home-side request processing (runs as a CPU task at the home).
-  void handle_resolve_request(sim::TaskCtx& task, Gva block_base, int requester);
+  // Home-side processing (CPU tasks at the home) of the resolve request
+  // that op `id`, the first op waiting on it, sent from its node: the
+  // home reads the block and the requester from the op's record.
+  void handle_resolve_request(sim::TaskCtx& task, std::uint32_t id);
+  // Replay op `id`, parked at its block's home while the block moved: a
+  // home-local op starts again, another node's resolve request is
+  // handled again.
+  void resume(sim::TaskCtx& task, std::uint32_t id);
 
   // Fencing bookkeeping: an RMA from `node` against block `key` counts as
   // in flight from begin_rma until rma_done, which releases any fence
@@ -140,7 +143,7 @@ class AgasSw final : public GasBase {
   GasCosts config_;
   std::vector<NodeState> nodes_;
   Directory dir_;  // home side: each entry is charged to its block's home
-  MoveSequencer<DeferredWork> moves_;  // parks work at the block's home
+  MoveSequencer moves_;  // parks op ids at the block's home
 };
 
 }  // namespace nvgas::gas

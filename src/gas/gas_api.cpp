@@ -44,7 +44,7 @@ void GasBase::memput_notify(sim::TaskCtx& task, int node, Gva dst,
 }
 
 void GasBase::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-                     net::OnData done) {
+                     OnData done) {
   heap_->check_extent(src, len);
   ++fabric_->counters().gas_memgets;
   note_access(node, src);
@@ -54,7 +54,7 @@ void GasBase::memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
 }
 
 void GasBase::fetch_add(sim::TaskCtx& task, int node, Gva addr,
-                        std::uint64_t operand, net::OnU64 done) {
+                        std::uint64_t operand, OnU64 done) {
   heap_->check_extent(addr, sizeof(std::uint64_t));
   ++fabric_->counters().gas_atomics;
   note_access(node, addr);
@@ -83,14 +83,14 @@ void GasBase::finish(sim::Time t, std::uint32_t id) {
       break;
     }
     case OpRecord::Kind::kGet: {
-      const net::OnData done = std::move(std::get<net::OnData>(op.done));
+      const OnData done = std::move(std::get<OnData>(op.done));
       std::vector<std::byte> data = std::move(op.data);
       ops_.release(id);
       if (done) done(t, std::move(data));
       break;
     }
     case OpRecord::Kind::kFadd: {
-      const net::OnU64 done = std::move(std::get<net::OnU64>(op.done));
+      const OnU64 done = std::move(std::get<OnU64>(op.done));
       const std::uint64_t old = op.value;
       ops_.release(id);
       if (done) done(t, old);
@@ -139,22 +139,24 @@ void GasBase::post_rma(sim::TaskCtx& task, std::uint32_t id, int owner,
             [this, id](sim::Time t) { rma_done(t, id); }, std::move(op.on_remote));
       break;
     case OpRecord::Kind::kGet:
-      e.get(task.now(), owner, lva, op.len,
-            [this, id](sim::Time t, std::vector<std::byte> data) {
-              ops_[id].data = std::move(data);
-              rma_done(t, id);
-            });
+      e.get(task.now(), owner, lva, op.len, id);
       break;
     case OpRecord::Kind::kFadd:
-      e.fetch_add(task.now(), owner, lva, op.value,
-                  [this, id](sim::Time t, std::uint64_t old) {
-                    ops_[id].value = old;
-                    rma_done(t, id);
-                  });
+      e.fetch_add(task.now(), owner, lva, op.value, id);
       break;
     case OpRecord::Kind::kResolve:
       NVGAS_UNREACHABLE();
   }
+}
+
+void GasBase::get_done(sim::Time t, std::uint32_t id, std::vector<std::byte> data) {
+  ops_[id].data = std::move(data);
+  rma_done(t, id);
+}
+
+void GasBase::fetch_add_done(sim::Time t, std::uint32_t id, std::uint64_t old) {
+  ops_[id].value = old;
+  rma_done(t, id);
 }
 
 std::string GasBase::audit_quiescent() const {

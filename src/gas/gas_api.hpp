@@ -1,8 +1,8 @@
 // GasBase: the common interface of the three address-space managers
 // (PGAS baseline, software AGAS baseline, network-managed AGAS).
 //
-// Operations are asynchronous with completion callbacks at the net layer;
-// core::World adapts them to awaitables for fibers. Every data-path call
+// Operations are asynchronous with completion callbacks; core::World
+// adapts them to awaitables for fibers. Every data-path call
 // is made from within a CPU task on `node` and charges its software costs
 // to that task, so the managers are directly comparable.
 #pragma once
@@ -46,19 +46,26 @@ enum class GasMode : std::uint8_t { kPgas = 0, kAgasSw = 1, kAgasNet = 2 };
   return std::nullopt;
 }
 
-// Owner resolution result delivered to `OnOwner`. Like net's verb
-// completions, a public API boundary type: the op record holds it.
+// The completions of get, fetch_add and resolve: the bytes read, the old
+// word, the block's owner. Like net::OnDone, public API boundary types:
+// the op record holds one while the op is in flight, and every hop
+// carries only the record's id.
+// simlint:allow(D4: public API boundary type, parked in the op record and moved once per op)
+using OnData = std::function<void(sim::Time, std::vector<std::byte>)>;
+// simlint:allow(D4: public API boundary type, parked in the op record and moved once per op)
+using OnU64 = std::function<void(sim::Time, std::uint64_t)>;
 // simlint:allow(D4: public API boundary type, parked in the op record and moved once per op)
 using OnOwner = std::function<void(sim::Time, int owner)>;
 
 // One in-flight GAS op, whatever its manager. GasBase parks it in its op
 // slab at the front door and unparks it at completion; every hop's
-// closure carries only its slab id.
+// closure carries only its slab id, down to the endpoint's get and
+// fetch_add verbs.
 struct OpRecord {
   static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
   // The caller's completion. Its alternative is the op's kind, in the
   // order of Kind.
-  using Done = std::variant<net::OnDone, net::OnData, net::OnU64, OnOwner>;
+  using Done = std::variant<net::OnDone, OnData, OnU64, OnOwner>;
   enum class Kind : std::uint8_t { kPut, kGet, kFadd, kResolve };
 
   OpRecord() = default;
@@ -94,19 +101,21 @@ class AccessObserver {
  public:
   virtual ~AccessObserver() = default;
   // A data-path op (put/get/fadd/resolve) from `node` targeted
-  // `block_key` and the issuing node currently owns the block.
-  virtual void on_local_access(int node, std::uint64_t block_key) = 0;
-  // Same, but the block currently lives on another node.
-  virtual void on_remote_access(int node, std::uint64_t block_key) = 0;
+  // `block_key`, wherever the block lives.
+  virtual void on_access(int node, std::uint64_t block_key) = 0;
   // The block's translation state was dropped (free_alloc): the key may
   // be recycled, so any retained per-block state must be discarded.
   virtual void on_block_freed(std::uint64_t block_key) = 0;
 };
 
-class GasBase {
+// The manager is every endpoint's RMA sink: a get or fetch_add posted
+// for op `id` completes into ops_[id].
+class GasBase : private net::RmaSink {
  public:
   GasBase(sim::Fabric& fabric, net::EndpointGroup& endpoints, GlobalHeap& heap)
-      : fabric_(&fabric), endpoints_(&endpoints), heap_(&heap) {}
+      : fabric_(&fabric), endpoints_(&endpoints), heap_(&heap) {
+    for (int n = 0; n < endpoints.size(); ++n) endpoints.at(n).set_rma_sink(this);
+  }
   virtual ~GasBase() = default;
   GasBase(const GasBase&) = delete;
   GasBase& operator=(const GasBase&) = delete;
@@ -145,9 +154,9 @@ class GasBase {
                      std::vector<std::byte> data, net::OnDone done,
                      net::OnDone remote_notify);
   void memget(sim::TaskCtx& task, int node, Gva src, std::size_t len,
-              net::OnData done);
+              OnData done);
   void fetch_add(sim::TaskCtx& task, int node, Gva addr, std::uint64_t operand,
-                 net::OnU64 done);
+                 OnU64 done);
 
   // Resolve the current owner of the addressed block (used to route
   // parcels to mobile objects). Like every front door, it aborts on an
@@ -224,9 +233,10 @@ class GasBase {
   // and finish it.
   void finish_here(sim::TaskCtx& task, std::uint32_t id, sim::Lva lva);
   // Post op `id`'s put, get or fetch_add from its issuer's endpoint to
-  // `lva` at `owner`, charging the post to `task`. When the verb
-  // completes, its result is in the record and rma_done runs: it
-  // finishes the op, after any bookkeeping the manager keeps per RMA.
+  // `lva` at `owner`, charging the post to `task`; a get or fetch_add
+  // carries `id` to the wire. When the verb completes, its result is in
+  // the record and rma_done runs: it finishes the op, after any
+  // bookkeeping the manager keeps per RMA.
   void post_rma(sim::TaskCtx& task, std::uint32_t id, int owner, sim::Lva lva);
   virtual void rma_done(sim::Time t, std::uint32_t id) { finish(t, id); }
 
@@ -243,16 +253,15 @@ class GasBase {
   util::Slab<OpRecord> ops_{"gas op"};  // in-flight ops by id
 
  private:
+  // net::RmaSink: store a posted verb's result in its record, then
+  // rma_done.
+  void get_done(sim::Time t, std::uint32_t id, std::vector<std::byte> data) final;
+  void fetch_add_done(sim::Time t, std::uint32_t id, std::uint64_t old) final;
+
   // Report one data-path access to the attached AccessObserver (no-op
-  // when none). Classifies local vs remote against the authoritative
-  // current owner; purely observational, charges nothing.
+  // when none); purely observational, charges nothing.
   void note_access(int node, Gva addr) const {
-    if (access_observer_ == nullptr) return;
-    if (owner_of(addr.block_base()).first == node) {
-      access_observer_->on_local_access(node, addr.block_key());
-    } else {
-      access_observer_->on_remote_access(node, addr.block_key());
-    }
+    if (access_observer_ != nullptr) access_observer_->on_access(node, addr.block_key());
   }
 
   // Wrap a memput_notify remote-notification callback in the observer's

@@ -3,10 +3,11 @@
 // A block moves one move at a time, sequenced at its home. While it
 // moves, one record keyed by the block holds the move in flight (with
 // agas-sw's fence-ack count), the FIFO of move requests queued behind
-// it, and the work parked behind it until it commits (`Parked`: agas-sw's
-// deferred closures, agas-net's slab op ids). A record is erased once it
-// holds none of the three, so between events a block has a record
-// exactly while it moves.
+// it, and the ids of the GAS ops parked behind it until it commits (both
+// homes park op-slab ids: agas-net's the ops themselves, agas-sw's its
+// own ops and its resolve requests, each named by the requester's first
+// waiting op). A record is erased once it holds none of the three, so
+// between events a block has a record exactly while it moves.
 //
 // The sequencer keeps books only: it holds no time, charges nothing and
 // calls no manager code. Each manager runs and charges its own steps
@@ -34,7 +35,6 @@ struct MoveRequest {
   net::OnDone done;  // the initiator's completion
 };
 
-template <typename Parked>
 class MoveSequencer {
  public:
   struct Move : MoveRequest {
@@ -44,7 +44,7 @@ class MoveSequencer {
   };
   struct Committed {
     Move move;
-    std::vector<Parked> parked;  // in arrival order
+    std::vector<std::uint32_t> parked;  // op ids, in arrival order
   };
 
   [[nodiscard]] bool moving(std::uint64_t block) const {
@@ -69,9 +69,9 @@ class MoveSequencer {
     moving_record(block).queued.push_back(std::move(req));
   }
 
-  // Park `work` behind the move of `block` in flight, until it commits.
-  void park(std::uint64_t block, Parked work) {
-    moving_record(block).parked.push_back(std::move(work));
+  // Park op `id` behind the move of `block` in flight, until it commits.
+  void park(std::uint64_t block, std::uint32_t id) {
+    moving_record(block).parked.push_back(id);
   }
 
   // End the move of `block` in flight: its record and the work parked
@@ -116,7 +116,7 @@ class MoveSequencer {
   struct Record {
     std::optional<Move> move;
     std::vector<MoveRequest> queued;
-    std::vector<Parked> parked;
+    std::vector<std::uint32_t> parked;
   };
 
   Record& moving_record(std::uint64_t block) {

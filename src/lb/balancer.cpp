@@ -23,18 +23,13 @@ Balancer::~Balancer() {
   if (active_) gas_->set_access_observer(nullptr);
 }
 
-void Balancer::on_local_access(int node, std::uint64_t block_key) {
-  heat_.on_local_access(node, block_key);
-  arm();
-}
-
-void Balancer::on_remote_access(int node, std::uint64_t block_key) {
-  heat_.on_remote_access(node, block_key);
+void Balancer::on_access(int node, std::uint64_t block_key) {
+  heat_.record(node, block_key);
   arm();
 }
 
 void Balancer::on_block_freed(std::uint64_t block_key) {
-  heat_.on_block_freed(block_key);
+  heat_.forget(block_key);
   backoff_.erase(block_key);
 }
 

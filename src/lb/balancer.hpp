@@ -71,8 +71,7 @@ class Balancer final : public gas::AccessObserver {
   [[nodiscard]] std::uint32_t peak_inflight() const { return peak_inflight_; }
 
   // --- gas::AccessObserver (forwarded into the HeatMap) --------------------
-  void on_local_access(int node, std::uint64_t block_key) override;
-  void on_remote_access(int node, std::uint64_t block_key) override;
+  void on_access(int node, std::uint64_t block_key) override;
   void on_block_freed(std::uint64_t block_key) override;
 
  private:

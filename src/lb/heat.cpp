@@ -58,7 +58,7 @@ std::uint64_t HeatMap::heat_of(std::uint64_t block_key) const {
   return it == index_.end() ? 0 : pool_[it->second].heat;
 }
 
-void HeatMap::on_block_freed(std::uint64_t block_key) {
+void HeatMap::forget(std::uint64_t block_key) {
   const auto it = index_.find(block_key);
   if (it == index_.end()) return;
   Entry& e = pool_[it->second];

@@ -1,11 +1,11 @@
 // Per-block access heat accounting for the adaptive migration subsystem.
 //
-// HeatMap consumes the full GAS access stream (local hits included, via
-// gas::AccessObserver) and maintains one decaying (EWMA) heat counter per
-// touched block plus a per-source-node access vector, so a policy can see
-// both HOW hot a block is and WHO is hitting it. Everything is integer
-// fixed-point and iterates in key order: deterministic, no clocks, no
-// floating point. Entries live in a recycled pool (per-node vectors are
+// HeatMap consumes the full GAS access stream (local hits included, fed
+// by the Balancer, the manager's gas::AccessObserver) and maintains one
+// decaying (EWMA) heat counter per touched block plus a per-source-node
+// access vector, so a policy can see both HOW hot a block is and WHO is
+// hitting it. Everything is integer fixed-point and iterates in key
+// order: deterministic, no clocks, no floating point. Entries live in a recycled pool (per-node vectors are
 // reused, never reallocated per block) so steady-state operation does not
 // allocate — simlint/SimSan clean.
 #pragma once
@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <vector>
-
-#include "gas/gas_api.hpp"
 
 namespace nvgas::lb {
 
@@ -32,18 +30,15 @@ struct BlockHeat {
   const std::uint32_t* by_node = nullptr;  // [ranks] per-source units
 };
 
-class HeatMap final : public gas::AccessObserver {
+class HeatMap {
  public:
   explicit HeatMap(int ranks) : ranks_(ranks) {}
 
-  // --- gas::AccessObserver -------------------------------------------------
-  void on_local_access(int node, std::uint64_t block_key) override {
-    record(node, block_key);
-  }
-  void on_remote_access(int node, std::uint64_t block_key) override {
-    record(node, block_key);
-  }
-  void on_block_freed(std::uint64_t block_key) override;
+  // --- the access stream ---------------------------------------------------
+  // One access to `block_key` from `node`.
+  void record(int node, std::uint64_t block_key);
+  // The block was freed: its key may be recycled, so drop its entry.
+  void forget(std::uint64_t block_key);
 
   // --- epoch maintenance ---------------------------------------------------
   // EWMA decay step, applied once per balancer epoch: every counter is
@@ -67,8 +62,6 @@ class HeatMap final : public gas::AccessObserver {
     std::uint64_t heat = 0;
     std::vector<std::uint32_t> by_node;  // [ranks] decayed units
   };
-
-  void record(int node, std::uint64_t block_key);
 
   int ranks_;
   // key -> pool slot; ordered so decay sweeps and snapshots are

@@ -39,13 +39,12 @@ void Endpoint::put(Time depart, int dst, Lva dst_lva,
 
 // --------------------------------------------------------------------------
 // get: small request -> target NIC DMA-reads the data -> reply carries the
-// payload -> source NIC DMA-writes it and raises the completion. The
-// completion waits in the ledger; each hop carries its slot id.
+// payload -> source NIC DMA-writes it and hands it to the sink. Each hop
+// carries the caller's id.
 // --------------------------------------------------------------------------
 void Endpoint::get(Time depart, int dst, Lva src_lva, std::size_t len,
-                   OnData on_data) {
+                   std::uint32_t id) {
   ++fabric_->counters().rma_gets;
-  const std::uint32_t id = ledger_.park(std::move(on_data));
   raw_send(depart, dst, kRmaHeaderBytes,
            [this, src_lva, len, id, dst](Time arrived) {
              group_.at(dst).nic_read(
@@ -60,28 +59,20 @@ void Endpoint::get(Time depart, int dst, Lva src_lva, std::size_t len,
                          fabric_->engine().at(
                              ready, [this, id, ready,
                                      payload = std::move(payload)]() mutable {
-                               finish_get(ready, id, std::move(payload));
+                               sink().get_done(ready, id, std::move(payload));
                              });
                        });
                  });
            });
 }
 
-void Endpoint::finish_get(Time t, std::uint32_t id,
-                          std::vector<std::byte> payload) {
-  // The slot is free before the callback runs, which may issue more.
-  const OnData on_data = std::get<OnData>(ledger_.unpark(id));
-  on_data(t, std::move(payload));
-}
-
 // --------------------------------------------------------------------------
-// NIC-executed remote atomic; the completion waits in the ledger as for
-// get.
+// NIC-executed remote atomic; the old word returns to the sink as a get's
+// bytes do.
 // --------------------------------------------------------------------------
 void Endpoint::fetch_add(Time depart, int dst, Lva lva, std::uint64_t operand,
-                         OnU64 on_old) {
+                         std::uint32_t id) {
   ++fabric_->counters().rma_atomics;
-  const std::uint32_t id = ledger_.park(std::move(on_old));
   raw_send(depart, dst, kAtomicBytes,
            [this, lva, operand, id, dst](Time arrived) {
              group_.at(dst).nic_atomic(
@@ -92,15 +83,10 @@ void Endpoint::fetch_add(Time depart, int dst, Lva lva, std::uint64_t operand,
                  [this, id, dst](Time done, std::uint64_t old) {
                    group_.at(dst).raw_send(done, node_, kAtomicBytes,
                                            [this, id, old](Time t) {
-                                             finish_fetch_add(t, id, old);
+                                             sink().fetch_add_done(t, id, old);
                                            });
                  });
            });
-}
-
-void Endpoint::finish_fetch_add(Time t, std::uint32_t id, std::uint64_t old) {
-  const OnU64 on_old = std::get<OnU64>(ledger_.unpark(id));
-  on_old(t, old);
 }
 
 // --------------------------------------------------------------------------

@@ -12,27 +12,27 @@
 //     CPU task at the target, which is exactly the cost the
 //     network-managed AGAS avoids on its data path.
 //
-// Completion callbacks run as engine events at the time the completion
-// would appear in the source's completion ledger. For get and fetch_add
-// that ledger is real: the caller's callback waits in a slot of the
-// source endpoint's ledger while the verb is in flight, and every hop
-// carries only the slot id (Photon's completion ids).
+// Completions run as engine events at the time the completion would
+// appear in the source's completion ledger. A get or fetch_add carries
+// the 32-bit id its caller chose (Photon's completion id) on every hop,
+// and its last hop hands the id back with the result to the issuing
+// endpoint's one RMA sink; the caller keeps whatever else the op needs
+// under that id.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "net/config.hpp"
 #include "sim/cpu.hpp"
 #include "sim/fabric.hpp"
 #include "sim/memory.hpp"
+#include "util/assert.hpp"
 #include "util/buffer.hpp"
 #include "util/inline_function.hpp"
-#include "util/slab.hpp"
 
 namespace nvgas::net {
 
@@ -41,20 +41,26 @@ class ReliabilityGroup;  // net/reliability.hpp — retransmission channels
 using sim::Lva;
 using sim::Time;
 
-// Public verb-completion callback types. std::function is deliberate at
-// this API boundary: callers (gas/, rt/, tests) hand in arbitrary-size
-// copyable closures, and std::function keeps one of up to 16 bytes
-// without allocating. The verbs move it once and never copy it per hop.
-// get and fetch_add park it in the completion ledger, so each of their
-// hops carries only a ledger id and stays within the 48-byte inline
-// buffer of the engine's and NIC's callbacks. put and parcels still
-// carry it inside their hop closures, which then spill to the heap.
-// simlint:allow(D4: public API boundary type, parked in the completion ledger or moved once per verb)
+// Public completion callback of put and parcels. std::function is
+// deliberate at this API boundary: callers (gas/, rt/, tests) hand in
+// arbitrary-size copyable closures, and std::function keeps one of up to
+// 16 bytes without allocating. The verbs move it once and never copy it
+// per hop, but carry it inside their hop closures, which then spill to
+// the heap.
+// simlint:allow(D4: public API boundary type, moved once per verb)
 using OnDone = std::function<void(Time)>;
-// simlint:allow(D4: public API boundary type, parked in the completion ledger or moved once per verb)
-using OnData = std::function<void(Time, std::vector<std::byte>)>;
-// simlint:allow(D4: public API boundary type, parked in the completion ledger or moved once per verb)
-using OnU64 = std::function<void(Time, std::uint64_t)>;
+
+// Where an endpoint's get and fetch_add results go: the last hop of each
+// hands back the id its caller posted it with. Set once per endpoint, as
+// the parcel handler is; a completion with no sink set aborts.
+class RmaSink {
+ public:
+  virtual void get_done(Time t, std::uint32_t id, std::vector<std::byte> data) = 0;
+  virtual void fetch_add_done(Time t, std::uint32_t id, std::uint64_t old) = 0;
+
+ protected:
+  ~RmaSink() = default;
+};
 
 // Parcel handlers run as CPU tasks at the destination.
 using ParcelHandler =
@@ -83,12 +89,16 @@ class Endpoint {
   void put(Time depart, int dst, Lva dst_lva, std::vector<std::byte> data,
            OnDone on_complete, OnDone on_remote = nullptr);
 
-  // Read `len` bytes from dst's registered segment at src_lva.
-  void get(Time depart, int dst, Lva src_lva, std::size_t len, OnData on_data);
+  // Read `len` bytes from dst's registered segment at src_lva; the bytes
+  // reach this endpoint's sink as get_done(t, id, bytes).
+  void get(Time depart, int dst, Lva src_lva, std::size_t len, std::uint32_t id);
 
-  // NIC-executed atomic on an 8-byte-aligned remote word.
+  // NIC-executed atomic on an 8-byte-aligned remote word; the old word
+  // reaches this endpoint's sink as fetch_add_done(t, id, old).
   void fetch_add(Time depart, int dst, Lva lva, std::uint64_t operand,
-                 OnU64 on_old);
+                 std::uint32_t id);
+
+  void set_rma_sink(RmaSink* sink) { sink_ = sink; }
 
   // --- NIC-side RMA execution ----------------------------------------------
   // What this node's NIC command processor does for a one-sided op that
@@ -158,12 +168,6 @@ class Endpoint {
   // the departure time.
   [[nodiscard]] static Time post_cost() { return sim::kCpuSendOverheadNs; }
 
-  // The caller's completion of one get or fetch_add in flight from this
-  // endpoint, parked in its completion ledger until the verb's last hop.
-  using Completion = std::variant<OnData, OnU64>;
-  // Gets and fetch_adds from this node not yet completed (tests).
-  [[nodiscard]] const util::Slab<Completion>& ledger() const { return ledger_; }
-
  private:
   // The receiving half of send_to_cpu, run at this (the destination)
   // node when the message arrives at `at`.
@@ -180,23 +184,23 @@ class Endpoint {
   // parcel handler.
   auto parcel_task(int src, util::Buffer payload);
 
-  // The verbs' last hops: take ledger slot `id` out and run its
-  // completion.
-  void finish_get(Time t, std::uint32_t id, std::vector<std::byte> payload);
-  void finish_fetch_add(Time t, std::uint32_t id, std::uint64_t old);
+  // This endpoint's sink, checked at each get's or fetch_add's last hop.
+  [[nodiscard]] RmaSink& sink() const {
+    NVGAS_CHECK_MSG(sink_ != nullptr, "RMA completion arrived with no sink set");
+    return *sink_;
+  }
 
   EndpointGroup& group_;
   sim::Fabric* fabric_;
   int node_;
   ParcelHandler handler_;
+  RmaSink* sink_ = nullptr;
 
   // Rendezvous staging: payloads parked at the source until the target
   // pulls them.
   // simlint:allow(D1: keyed find/erase only, never iterated)
   std::unordered_map<std::uint64_t, util::Buffer> staged_;
   std::uint64_t next_stage_id_ = 1;
-
-  util::Slab<Completion> ledger_{"endpoint completion ledger"};
 };
 
 // All endpoints of a fabric, with the reliability channels they share.

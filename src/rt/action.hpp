@@ -23,7 +23,9 @@ class Context;
 using ActionId = std::uint32_t;
 inline constexpr ActionId kInvalidAction = 0;
 
-// Raw handler: owns its decoded payload.
+// Raw handler: owns its decoded payload. Registered once per action and
+// called by reference for every parcel, never copied per hop.
+// simlint:allow(D4: public API boundary type, held once per registered action)
 using ActionHandler = std::function<void(Context&, int src, util::Buffer args)>;
 
 class ActionRegistry {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "rt/action.hpp"
 #include "rt/fiber.hpp"
@@ -41,7 +40,7 @@ class Context {
   void send(int dst, ActionId action, util::Buffer args = {});
 
   // --- fiber spawning ----------------------------------------------------
-  void spawn(int node, std::function<Fiber(Context&)> fn);
+  void spawn(int node, SpawnFn fn);
 
   // --- LCOs --------------------------------------------------------------
   // Register `lco` for remote setting; returns a shippable reference.

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <coroutine>
+#include <functional>
 
 #include "util/assert.hpp"
 
@@ -78,5 +79,11 @@ class Fiber {
 
   using Handle = std::coroutine_handle<promise_type>;
 };
+
+// A spawned fiber's body. Callers hand in closures of any size; the
+// runtime moves each once into a pooled spawn slot and keeps it there
+// until the fiber finishes (promise_type::spawn_slot).
+// simlint:allow(D4: public API boundary type, moved once per spawn into a pooled slot)
+using SpawnFn = std::function<Fiber(Context&)>;
 
 }  // namespace nvgas::rt

@@ -9,13 +9,13 @@
 
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "rt/fiber.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 #include "util/buffer.hpp"
+#include "util/inline_function.hpp"
 
 namespace nvgas::rt {
 
@@ -25,7 +25,6 @@ namespace detail {
 // Defined in runtime.cpp; kept free so LCO templates stay header-only
 // without needing Runtime's definition.
 void resume_fiber_at(Runtime& rt, int node, Fiber::Handle h, sim::Time t);
-void run_event_at(Runtime& rt, sim::Time t, std::function<void(sim::Time)> fn);
 }  // namespace detail
 
 // Reference to an LCO registered with its node's runtime, shippable in
@@ -51,18 +50,6 @@ class LcoBase {
     waiters_.push_back(h);
   }
 
-  // Callback on trigger; runs as an engine event at the trigger time. If
-  // already triggered, runs at the recorded trigger time's past — i.e.
-  // immediately, with that timestamp.
-  void on_trigger(Runtime& rt, std::function<void(sim::Time)> fn) {
-    if (triggered_) {
-      fn(trigger_time_);
-      return;
-    }
-    runtime_for_callbacks_ = &rt;
-    callbacks_.push_back(std::move(fn));
-  }
-
   // Remote contribution entry point, driven by the built-in lco-set
   // action. Payload semantics are LCO-type-specific.
   virtual void remote_contribute(sim::Time t, util::Buffer::Reader& r) = 0;
@@ -80,16 +67,9 @@ class LcoBase {
     // successor object.
     std::vector<Fiber::Handle> waiters = std::move(waiters_);
     waiters_.clear();
-    std::vector<std::function<void(sim::Time)>> callbacks = std::move(callbacks_);
-    callbacks_.clear();
-    Runtime* cb_runtime = runtime_for_callbacks_;
     for (auto h : waiters) {
       auto& p = h.promise();
       detail::resume_fiber_at(*p.runtime, p.node, h, t);
-    }
-    for (auto& cb : callbacks) {
-      NVGAS_CHECK(cb_runtime != nullptr);
-      detail::run_event_at(*cb_runtime, t, std::move(cb));
     }
   }
 
@@ -97,8 +77,6 @@ class LcoBase {
   bool triggered_ = false;
   sim::Time trigger_time_ = 0;
   std::vector<Fiber::Handle> waiters_;
-  std::vector<std::function<void(sim::Time)>> callbacks_;
-  Runtime* runtime_for_callbacks_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -168,7 +146,7 @@ class AndGate : public LcoBase {
 template <typename T>
 class ReduceLco : public LcoBase {
  public:
-  using Op = std::function<T(const T&, const T&)>;
+  using Op = util::InlineFunction<T(const T&, const T&)>;
 
   ReduceLco(std::uint64_t inputs, T init, Op op)
       : remaining_(inputs), acc_(std::move(init)), op_(std::move(op)) {

@@ -36,8 +36,7 @@ Runtime::Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints)
       });
 }
 
-void Runtime::spawn_at(int node, sim::Time not_before,
-                       std::function<Fiber(Context&)> fn) {
+void Runtime::spawn_at(int node, sim::Time not_before, SpawnFn fn) {
   // Retain the closure until the fiber completes; the coroutine frame
   // references it rather than copying it.
   std::uint64_t slot;
@@ -48,7 +47,7 @@ void Runtime::spawn_at(int node, sim::Time not_before,
     spawn_slots_.emplace_back();
     slot = spawn_slots_.size();
   }
-  std::function<Fiber(Context&)>* fptr = &spawn_slots_[slot - 1].fn;
+  SpawnFn* fptr = &spawn_slots_[slot - 1].fn;
   *fptr = std::move(fn);
   ++live_fibers_;
 
@@ -65,7 +64,7 @@ void Runtime::spawn_at(int node, sim::Time not_before,
 
 void Runtime::fiber_finished(std::uint64_t slot) {
   // Defer: the completing fiber may still be executing inside the very
-  // std::function we are about to destroy.
+  // closure we are about to destroy.
   auto& engine = fabric_->engine();
   engine.at(engine.now(), [this, slot] {
     SpawnSlot& s = spawn_slots_[slot - 1];
@@ -157,7 +156,7 @@ void Context::send(int dst, ActionId action, util::Buffer args) {
   runtime_->send_parcel_at(node_, now(), dst, action, std::move(args));
 }
 
-void Context::spawn(int node, std::function<Fiber(Context&)> fn) {
+void Context::spawn(int node, SpawnFn fn) {
   runtime_->spawn_at(node, now(), std::move(fn));
 }
 
@@ -199,12 +198,6 @@ std::uint64_t take_pending_spawn_slot(Runtime& rt, int node) {
 
 void fiber_finished(Runtime& rt, std::uint64_t slot) {
   rt.fiber_finished(slot);
-}
-
-void run_event_at(Runtime& rt, sim::Time t, std::function<void(sim::Time)> fn) {
-  auto& engine = rt.fabric().engine();
-  const sim::Time when = std::max(t, engine.now());
-  engine.at(when, [when, fn = std::move(fn)] { fn(when); });
 }
 
 }  // namespace detail

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -39,8 +38,8 @@ class Runtime {
   }
 
   // Spawn a fiber on `node`, starting no earlier than `not_before`.
-  void spawn_at(int node, sim::Time not_before, std::function<Fiber(Context&)> fn);
-  void spawn(int node, std::function<Fiber(Context&)> fn) {
+  void spawn_at(int node, sim::Time not_before, SpawnFn fn);
+  void spawn(int node, SpawnFn fn) {
     spawn_at(node, 0, std::move(fn));
   }
 
@@ -118,7 +117,7 @@ class Runtime {
   // A spawned fiber's closure, kept alive until the fiber finishes. Slot
   // ids are deque index + 1, so 0 means "not spawned".
   struct SpawnSlot {
-    std::function<Fiber(Context&)> fn;
+    SpawnFn fn;
     std::uint64_t next_free = 0;  // free-list link while the slot is idle
   };
 

@@ -7,8 +7,8 @@
 // engine's 48-byte inline callback buffer however large the record is.
 // The slab grows on demand and never shrinks: once it reaches its working
 // size, parking allocates nothing. A World has one table of GAS ops, in
-// its manager's gas::GasBase, which every manager parks its ops in; each
-// endpoint keeps its completion ledger in another (net/endpoint).
+// its manager's gas::GasBase, which every manager parks its ops in; the
+// endpoints' get and fetch_add carry its ids to the wire and back.
 //
 // A reference into the slab is valid only until the next park(), which
 // may grow it, so no T& is held across anything that may issue.

@@ -73,15 +73,15 @@ namespace {
 constexpr double kBudgetPerRequest = 9.9;
 
 // Measured 0.064 per op (GCC 12, libstdc++) with agas-sw's ops parked in
-// the op slab and the fetch_add's `{this, id}` in the endpoint's ledger; what
+// the op slab, whose id the fetch_add carries to the wire and back; what
 // is left is one per window of 16, the waiting fiber's entry in the
 // window's AndGate (0.063 per op over twice the windows). Before, every miss
 // allocated a pending-resolve node, its vector and a std::function, an
 // in-flight-count node, a wrapping std::function and two closures too
 // large for their inline buffers: 6.01 per op.
 constexpr double kBudgetPerSwOp = 0.1;
-// Measured 0.564 per op with every op in the op slab and its finishing
-// `{this, id}` in the ledger: what is left is each get's payload vector (half the ops are
+// Measured 0.564 per op with every op in the op slab and its id carried by
+// the get or fetch_add verb: what is left is each get's payload vector (half the ops are
 // gets) and the gate's entry per window. Before, each verb's completion rode in closures that
 // spilled to the heap: 2.83 per op.
 constexpr double kBudgetPerPgasOp = 0.6;

@@ -4,10 +4,13 @@
 // managers, since the server is mode-agnostic by construction.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -430,6 +433,93 @@ TEST(KvClientGenTest, LatencyCountsFromTheDueTime) {
   const LatencyHistogram& get = slo.hist(OP_GET);
   ASSERT_GT(get.total(), 0u);
   EXPECT_GE(get.percentile(0.0), kBusyUntil - kArrivalEnd);
+}
+
+// --- decoder robustness ------------------------------------------------------
+
+constexpr const char* kUnderrun = "(buffer|kv frame) underrun";
+
+util::Buffer buffer_of(std::span<const std::byte> bytes) {
+  util::Buffer buf;
+  buf.append_raw(bytes);
+  return buf;
+}
+
+std::vector<std::byte> bytes_of(const util::Buffer& buf) {
+  const std::span<const std::byte> rest = buf.reader().rest();
+  return {rest.begin(), rest.end()};
+}
+
+// A PUT of an 8-byte key and a 16-byte value, and a GET hit's response
+// carrying that value.
+std::vector<std::byte> valid_put_request() {
+  MsgHdr hdr;
+  hdr.op = OP_PUT;
+  hdr.klen = 8;
+  hdr.vlen = 16;
+  ReqMeta meta;
+  meta.token = 7;
+  meta.reply_action = 3;
+  meta.reply_node = 1;
+  return bytes_of(encode_request(hdr, kbytes(42), vbytes(16, 0xab), meta));
+}
+
+std::vector<std::byte> valid_get_response() {
+  RespHdr hdr;
+  hdr.token = 7;
+  hdr.op = OP_GET;
+  hdr.vlen = 16;
+  return bytes_of(encode_response(hdr, vbytes(16, 0xab)));
+}
+
+TEST(KvDecoderDeathTest, EveryProperPrefixUnderruns) {
+  const std::vector<std::byte> request = valid_put_request();
+  ASSERT_EQ(request.size(), sizeof(MsgHdr) + 8 + 16 + sizeof(ReqMeta));
+  EXPECT_EQ(decode_request(buffer_of(request)).meta.token, 7u);
+  for (std::size_t len = 0; len < request.size(); ++len) {
+    SCOPED_TRACE("request prefix of " + std::to_string(len) + " bytes");
+    EXPECT_DEATH((void)decode_request(buffer_of(std::span(request).first(len))),
+                 kUnderrun);
+  }
+  const std::vector<std::byte> response = valid_get_response();
+  ASSERT_EQ(response.size(), sizeof(RespHdr) + 16);
+  EXPECT_EQ(decode_response(buffer_of(response)).value, vbytes(16, 0xab));
+  for (std::size_t len = 0; len < response.size(); ++len) {
+    SCOPED_TRACE("response prefix of " + std::to_string(len) + " bytes");
+    EXPECT_DEATH((void)decode_response(buffer_of(std::span(response).first(len))),
+                 kUnderrun);
+  }
+}
+
+// Header lengths forged past the bytes that follow them: the key or value
+// read, or the trailer behind them, runs off the frame.
+TEST(KvDecoderDeathTest, ForgedLengthsRunPastTheFrame) {
+  util::Rng rng(0x6b7f);
+  const std::vector<std::byte> request = valid_put_request();
+  const std::vector<std::byte> response = valid_get_response();
+  constexpr std::uint32_t kBody = 8 + 16;  // the request's key and value bytes
+  for (int i = 0; i < 24; ++i) {
+    // Every third frame takes an extreme length; the rest any pair whose
+    // sum exceeds the body.
+    std::uint32_t klen = static_cast<std::uint32_t>(rng.below(kBody + 1));
+    std::uint32_t vlen = kBody - klen + 1 + static_cast<std::uint32_t>(rng.below(64));
+    if (i % 3 == 1) klen = ~std::uint32_t{0};
+    if (i % 3 == 2) vlen = ~std::uint32_t{0} - static_cast<std::uint32_t>(rng.below(64));
+    std::vector<std::byte> forged = request;
+    std::memcpy(forged.data() + offsetof(MsgHdr, klen), &klen, sizeof klen);
+    std::memcpy(forged.data() + offsetof(MsgHdr, vlen), &vlen, sizeof vlen);
+    SCOPED_TRACE("request klen " + std::to_string(klen) + " vlen " +
+                 std::to_string(vlen));
+    EXPECT_DEATH((void)decode_request(buffer_of(forged)), kUnderrun);
+
+    const std::uint32_t rlen =
+        i % 3 == 0 ? 17 + static_cast<std::uint32_t>(rng.below(1u << 20))
+                   : ~std::uint32_t{0} - static_cast<std::uint32_t>(rng.below(64));
+    forged = response;
+    std::memcpy(forged.data() + offsetof(RespHdr, vlen), &rlen, sizeof rlen);
+    SCOPED_TRACE("response vlen " + std::to_string(rlen));
+    EXPECT_DEATH((void)decode_response(buffer_of(forged)), kUnderrun);
+  }
 }
 
 }  // namespace

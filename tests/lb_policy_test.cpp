@@ -17,10 +17,10 @@ using lb::kAccessUnit;
 
 TEST(HeatMap, AccumulatesFixedPointUnitsPerAccess) {
   lb::HeatMap hm(4);
-  hm.on_local_access(0, 0x10);
-  hm.on_remote_access(2, 0x10);
-  hm.on_remote_access(2, 0x10);
-  hm.on_remote_access(3, 0x20);
+  hm.record(0, 0x10);
+  hm.record(2, 0x10);
+  hm.record(2, 0x10);
+  hm.record(3, 0x20);
   EXPECT_EQ(hm.heat_of(0x10), 3 * kAccessUnit);
   EXPECT_EQ(hm.heat_of(0x20), 1 * kAccessUnit);
   EXPECT_EQ(hm.heat_of(0x30), 0u);
@@ -39,7 +39,7 @@ TEST(HeatMap, AccumulatesFixedPointUnitsPerAccess) {
 
 TEST(HeatMap, DecayHalvesAndEventuallyRecycles) {
   lb::HeatMap hm(2);
-  for (int i = 0; i < 8; ++i) hm.on_remote_access(1, 0x40);
+  for (int i = 0; i < 8; ++i) hm.record(1, 0x40);
   EXPECT_EQ(hm.heat_of(0x40), 8 * kAccessUnit);
 
   hm.decay(1);
@@ -48,7 +48,7 @@ TEST(HeatMap, DecayHalvesAndEventuallyRecycles) {
   EXPECT_EQ(hm.heat_of(0x40), 1 * kAccessUnit);
 
   // EWMA shape: decay then fresh accesses mix old and new signal.
-  hm.on_remote_access(1, 0x40);
+  hm.record(1, 0x40);
   EXPECT_EQ(hm.heat_of(0x40), 2 * kAccessUnit);
 
   // Drive to zero: the entry is recycled, not leaked.
@@ -59,7 +59,7 @@ TEST(HeatMap, DecayHalvesAndEventuallyRecycles) {
   EXPECT_EQ(hm.accesses(), 9u);
 
   // A recycled slot starts from scratch (per-node vector zeroed).
-  hm.on_local_access(0, 0x50);
+  hm.record(0, 0x50);
   std::vector<lb::BlockHeat> snap;
   hm.snapshot(snap);
   ASSERT_EQ(snap.size(), 1u);
@@ -70,9 +70,9 @@ TEST(HeatMap, DecayHalvesAndEventuallyRecycles) {
 
 TEST(HeatMap, FreedBlockDropsOut) {
   lb::HeatMap hm(2);
-  hm.on_remote_access(1, 0x40);
-  hm.on_remote_access(1, 0x60);
-  hm.on_block_freed(0x40);
+  hm.record(1, 0x40);
+  hm.record(1, 0x60);
+  hm.forget(0x40);
   EXPECT_EQ(hm.heat_of(0x40), 0u);
   EXPECT_EQ(hm.blocks(), 1u);
 }

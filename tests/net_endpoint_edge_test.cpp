@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/endpoint.hpp"
+#include "recording_sink.hpp"
 #include "sim/fabric.hpp"
 
 namespace nvgas::net {
@@ -17,9 +18,13 @@ sim::MachineParams machine(int nodes = 4) {
 }
 
 struct EdgeFixture : ::testing::Test {
-  EdgeFixture() : fabric(machine()), group(fabric, NetConfig{}) {}
+  EdgeFixture()
+      : fabric(machine()),
+        group(fabric, NetConfig{}),
+        sinks(RecordingSink::for_group(group)) {}
   sim::Fabric fabric;
   EndpointGroup group;
+  std::vector<RecordingSink> sinks;
 };
 
 TEST_F(EdgeFixture, ZeroLengthPutCompletes) {
@@ -30,13 +35,10 @@ TEST_F(EdgeFixture, ZeroLengthPutCompletes) {
 }
 
 TEST_F(EdgeFixture, ZeroLengthGetReturnsEmpty) {
-  bool done = false;
-  group.at(0).get(0, 1, 0, 0, [&](sim::Time, std::vector<std::byte> data) {
-    EXPECT_TRUE(data.empty());
-    done = true;
-  });
+  group.at(0).get(0, 1, 0, 0, 0);
   fabric.engine().run();
-  EXPECT_TRUE(done);
+  ASSERT_EQ(sinks[0].done.size(), 1u);
+  EXPECT_TRUE(sinks[0].done[0].data.empty());
 }
 
 TEST_F(EdgeFixture, EmptyParcelDelivered) {
@@ -129,29 +131,13 @@ TEST_F(EdgeFixture, AtomicsToDistinctWordsDontInterfere) {
   for (int i = 0; i < 8; ++i) {
     group.at(i % 4).fetch_add(0, 2, static_cast<sim::Lva>(i) * 8,
                               static_cast<std::uint64_t>(i + 1),
-                              [](sim::Time, std::uint64_t) {});
+                              static_cast<std::uint32_t>(i));
   }
   fabric.engine().run();
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(fabric.mem(2).load<std::uint64_t>(static_cast<sim::Lva>(i) * 8),
               static_cast<std::uint64_t>(i + 1));
   }
-}
-
-// A get and a fetch_add hold a slot of the source's completion ledger
-// until their last hop; a completed slot is free, and reaching it again
-// is a double completion that aborts naming the ledger.
-TEST_F(EdgeFixture, CompletionLedgerFreesEachSlotOnce) {
-  int completions = 0;
-  group.at(0).fetch_add(0, 2, 8, 1, [&](sim::Time, std::uint64_t) { ++completions; });
-  group.at(0).get(0, 3, 0, 16, [&](sim::Time, std::vector<std::byte>) { ++completions; });
-  EXPECT_EQ(group.at(0).ledger().size(), 2u);
-  fabric.engine().run();
-  EXPECT_EQ(completions, 2);
-  EXPECT_TRUE(group.at(0).ledger().empty());
-  EXPECT_DEATH((void)group.at(0).ledger()[0],
-               "double completion: endpoint completion ledger slot 0 is not "
-               "in flight");
 }
 
 TEST_F(EdgeFixture, ParcelWithoutHandlerAborts) {
@@ -163,6 +149,13 @@ TEST_F(EdgeFixture, ParcelWithoutHandlerAborts) {
   EXPECT_DEATH(f.engine().run(), "no handler");
 }
 
+TEST_F(EdgeFixture, GetWithoutSinkAborts) {
+  sim::Fabric f(machine(2));
+  EndpointGroup g(f, NetConfig{});
+  g.at(0).get(0, 1, 0, 8, 0);
+  EXPECT_DEATH(f.engine().run(), "no sink");
+}
+
 TEST_F(EdgeFixture, GetOfMaxBlockSize) {
   const std::size_t big = 1u << 20;
   std::vector<std::byte> pattern(big);
@@ -170,12 +163,10 @@ TEST_F(EdgeFixture, GetOfMaxBlockSize) {
     pattern[i] = static_cast<std::byte>(i >> 12);
   }
   fabric.mem(1).write(0, pattern);
-  bool ok = false;
-  group.at(0).get(0, 1, 0, big, [&](sim::Time, std::vector<std::byte> data) {
-    ok = data == pattern;
-  });
+  group.at(0).get(0, 1, 0, big, 0);
   fabric.engine().run();
-  EXPECT_TRUE(ok);
+  ASSERT_EQ(sinks[0].done.size(), 1u);
+  EXPECT_TRUE(sinks[0].done[0].data == pattern);
 }
 
 }  // namespace

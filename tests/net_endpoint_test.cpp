@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "recording_sink.hpp"
 #include "sim/fabric.hpp"
 
 namespace nvgas::net {
@@ -18,9 +21,13 @@ sim::MachineParams machine(int nodes = 4) {
 }
 
 struct EndpointFixture : ::testing::Test {
-  EndpointFixture() : fabric(machine()), group(fabric, NetConfig{}) {}
+  EndpointFixture()
+      : fabric(machine()),
+        group(fabric, NetConfig{}),
+        sinks(RecordingSink::for_group(group)) {}
   sim::Fabric fabric;
   EndpointGroup group;
+  std::vector<RecordingSink> sinks;
 };
 
 std::vector<std::byte> bytes_of(const std::string& s) {
@@ -55,12 +62,14 @@ TEST_F(EndpointFixture, PutDoesNotTouchTargetCpu) {
 TEST_F(EndpointFixture, GetReadsRemoteMemory) {
   const std::uint64_t magic = 0xfeedfacecafebeefULL;
   fabric.mem(3).store<std::uint64_t>(64, magic);
-  std::uint64_t got = 0;
-  group.at(1).get(0, 3, 64, 8, [&](sim::Time, std::vector<std::byte> data) {
-    ASSERT_EQ(data.size(), 8u);
-    std::memcpy(&got, data.data(), 8);
-  });
+  group.at(1).get(0, 3, 64, 8, 7);
   fabric.engine().run();
+  ASSERT_EQ(sinks[1].done.size(), 1u);
+  EXPECT_EQ(sinks[1].done[0].id, 7u);
+  const std::vector<std::byte>& data = sinks[1].done[0].data;
+  ASSERT_EQ(data.size(), 8u);
+  std::uint64_t got = 0;
+  std::memcpy(&got, data.data(), 8);
   EXPECT_EQ(got, magic);
   EXPECT_EQ(fabric.counters().rma_gets, 1u);
   EXPECT_EQ(fabric.cpu(3).tasks_run(), 0u);  // one-sided
@@ -70,21 +79,22 @@ TEST_F(EndpointFixture, GetObservesValueAtReadTimeNotPostTime) {
   // A put that lands before the get's request arrives must be visible.
   fabric.mem(2).store<std::uint64_t>(0, 1);
   group.at(0).put(0, 2, 0, bytes_of("XXXXXXXX"), nullptr);
-  std::vector<std::byte> got;
   // Issue the get well after the put is in flight.
-  group.at(1).get(5000, 2, 0, 8,
-                  [&](sim::Time, std::vector<std::byte> data) { got = std::move(data); });
+  group.at(1).get(5000, 2, 0, 8, 0);
   fabric.engine().run();
+  ASSERT_EQ(sinks[1].done.size(), 1u);
+  const std::vector<std::byte>& got = sinks[1].done[0].data;
   ASSERT_EQ(got.size(), 8u);
   EXPECT_EQ(std::memcmp(got.data(), "XXXXXXXX", 8), 0);
 }
 
 TEST_F(EndpointFixture, FetchAddReturnsOldAndApplies) {
   fabric.mem(2).store<std::uint64_t>(8, 100);
-  std::uint64_t old = 0;
-  group.at(0).fetch_add(0, 2, 8, 42, [&](sim::Time, std::uint64_t v) { old = v; });
+  group.at(0).fetch_add(0, 2, 8, 42, 3);
   fabric.engine().run();
-  EXPECT_EQ(old, 100u);
+  ASSERT_EQ(sinks[0].done.size(), 1u);
+  EXPECT_EQ(sinks[0].done[0].id, 3u);
+  EXPECT_EQ(sinks[0].done[0].old, 100u);
   EXPECT_EQ(fabric.mem(2).load<std::uint64_t>(8), 142u);
   EXPECT_EQ(fabric.counters().rma_atomics, 1u);
 }
@@ -93,15 +103,51 @@ TEST_F(EndpointFixture, ConcurrentFetchAddsAreSerialized) {
   // All four nodes increment the same word; the NIC atomic unit at the
   // target serializes them, so the final value is exact and the set of
   // returned old values is a permutation of {0,1,2,3}.
-  std::vector<std::uint64_t> olds;
-  for (int n = 0; n < 4; ++n) {
-    group.at(n).fetch_add(0, 2, 16, 1,
-                          [&](sim::Time, std::uint64_t v) { olds.push_back(v); });
-  }
+  for (int n = 0; n < 4; ++n) group.at(n).fetch_add(0, 2, 16, 1, 0);
   fabric.engine().run();
   EXPECT_EQ(fabric.mem(2).load<std::uint64_t>(16), 4u);
+  std::vector<std::uint64_t> olds;
+  for (const RecordingSink& sink : sinks) {
+    ASSERT_EQ(sink.done.size(), 1u);
+    olds.push_back(sink.done[0].old);
+  }
   std::sort(olds.begin(), olds.end());
   EXPECT_EQ(olds, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+}
+
+// Every node gets from two others and fetch_adds on a third, each op under
+// its own id. Each id comes back once, to the endpoint that posted it,
+// with its own result.
+TEST_F(EndpointFixture, EachIdReturnsOnceToItsIssuerWithItsResult) {
+  for (int n = 0; n < 4; ++n) {
+    fabric.mem(n).store<std::uint64_t>(0, 1000 + static_cast<std::uint64_t>(n));
+    fabric.mem(n).store<std::uint64_t>(8, 500 + static_cast<std::uint64_t>(n));
+  }
+  const auto id = [](int n, int k) { return static_cast<std::uint32_t>(10 * n + k); };
+  for (int n = 0; n < 4; ++n) {
+    group.at(n).get(0, (n + 1) % 4, 0, 8, id(n, 1));
+    group.at(n).fetch_add(0, (n + 2) % 4, 8, 1, id(n, 2));
+    group.at(n).get(0, (n + 3) % 4, 0, 8, id(n, 3));
+  }
+  fabric.engine().run();
+  const auto word = [](const std::vector<std::byte>& data) {
+    std::uint64_t w = 0;
+    EXPECT_EQ(data.size(), 8u);
+    std::memcpy(&w, data.data(), std::min<std::size_t>(data.size(), 8));
+    return w;
+  };
+  for (int n = 0; n < 4; ++n) {
+    std::vector<RecordingSink::Done> done = sinks[static_cast<std::size_t>(n)].done;
+    ASSERT_EQ(done.size(), 3u) << "node " << n;
+    std::sort(done.begin(), done.end(),
+              [](const auto& a, const auto& b) { return a.id < b.id; });
+    EXPECT_EQ(done[0].id, id(n, 1));
+    EXPECT_EQ(word(done[0].data), 1000u + static_cast<std::uint64_t>((n + 1) % 4));
+    EXPECT_EQ(done[1].id, id(n, 2));
+    EXPECT_EQ(done[1].old, 500u + static_cast<std::uint64_t>((n + 2) % 4));
+    EXPECT_EQ(done[2].id, id(n, 3));
+    EXPECT_EQ(word(done[2].data), 1000u + static_cast<std::uint64_t>((n + 3) % 4));
+  }
 }
 
 TEST_F(EndpointFixture, EagerParcelReachesHandlerOnCpu) {

@@ -183,27 +183,6 @@ TEST_F(RtFixture, DoubleSetAborts) {
   EXPECT_DEATH(ev.set(0), "twice");
 }
 
-TEST_F(RtFixture, OnTriggerCallbackRuns) {
-  Event ev;
-  sim::Time cb_time = 0;
-  ev.on_trigger(rt, [&](sim::Time t) { cb_time = t; });
-  rt.spawn(0, [&](Context& ctx) -> Fiber {
-    ctx.charge(777);
-    ev.set(ctx.now());
-    co_return;
-  });
-  fabric.engine().run();
-  EXPECT_EQ(cb_time, kSpawnNs + 777);
-}
-
-TEST_F(RtFixture, OnTriggerAfterSetRunsImmediately) {
-  Event ev;
-  ev.set(42);
-  sim::Time cb_time = 0;
-  ev.on_trigger(rt, [&](sim::Time t) { cb_time = t; });
-  EXPECT_EQ(cb_time, 42u);
-}
-
 TEST_F(RtFixture, NestedSpawnInheritsTime) {
   std::vector<sim::Time> starts;
   rt.spawn(0, [&](Context& ctx) -> Fiber {

@@ -22,9 +22,9 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
       All randomness must flow through util::Rng with an explicit seed.
   D3  no pointer-keyed std::map/std::set and no std::less<T*>:
       iteration order would follow allocation addresses (ASLR).
-  D4  no std::function in src/sim/, src/net/ and src/gas/ hot paths;
-      util::InlineFunction is mandated there (zero-allocation event
-      path, PR 1).
+  D4  no std::function in src/sim/, src/net/, src/gas/ and src/rt/ hot
+      paths; util::InlineFunction is mandated there (zero-allocation
+      event path).
   D5  heuristic: a by-reference lambda capture passed to
       Engine::at/after/at_cancellable/after_cancellable outlives the
       current frame and is a dangling-capture hazard; capture by value.
@@ -73,7 +73,7 @@ RULES = {
     "D1": "unordered-container discipline (nondeterministic iteration order)",
     "D2": "nondeterminism source (wall clock / ambient randomness)",
     "D3": "pointer-keyed ordered container (address-order nondeterminism)",
-    "D4": "std::function on a sim/net/gas hot path (util::InlineFunction mandated)",
+    "D4": "std::function on a sim/net/gas/rt hot path (util::InlineFunction mandated)",
     "D5": "by-reference lambda capture passed to Engine scheduling (dangling hazard)",
     "D6": "direct NIC injection bypassing the Explorer hook in Nic::send()",
 }
@@ -270,14 +270,14 @@ def check_d3(f: StrippedFile) -> list:
     return findings
 
 
-# --- D4: std::function on sim/net/gas hot paths ------------------------------
+# --- D4: std::function on sim/net/gas/rt hot paths ---------------------------
 
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 
 
 def in_hot_tree(path: str) -> bool:
     parts = pathlib.PurePath(path).parts
-    return "sim" in parts or "net" in parts or "gas" in parts
+    return any(p in parts for p in ("sim", "net", "gas", "rt"))
 
 
 def check_d4(f: StrippedFile) -> list:
@@ -290,7 +290,7 @@ def check_d4(f: StrippedFile) -> list:
             continue
         findings.append(
             Finding(f.path, ln, "D4",
-                    "std::function on a sim/net/gas hot path allocates per "
+                    "std::function on a sim/net/gas/rt hot path allocates per "
                     "capture; util::InlineFunction is mandated here "
                     "(see DESIGN.md §3)"))
     return findings
